@@ -8,6 +8,7 @@ of the two forms: signed_resultant = (-1)^(d*e) * det(Sylvester).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -51,7 +52,7 @@ class BinaryForm:
 
     def x_dx(self) -> "BinaryForm":
         """x * d/dx, coefficient-wise i*a_i (same formal degree)."""
-        return BinaryForm.from_coeffs(tuple(c * Fraction(i)
+        return BinaryForm.from_coeffs(tuple(c * i
                                             for i, c in enumerate(self.coefficients)))
 
     def scale(self, s) -> "BinaryForm":
@@ -75,14 +76,14 @@ class BinaryForm:
 
 def sl2_transform(f: BinaryForm, g: Sequence) -> BinaryForm:
     """(g.f)(x,y) := f(a*x + b*y, c*x + d*y) for g = (a, b, c, d)."""
-    a, b, c, d = (Fraction(t) for t in g)
+    a, b, c, d = g
     m = f.degree
     # coefficients of (a*x + b*y)^i * (c*x + d*y)^(m-i), accumulated exactly
-    out = [Fraction(0) * f.coefficients[0] for _ in range(m + 1)]
+    out = [0 * f.coefficients[0] for _ in range(m + 1)]
     for i, ci in enumerate(f.coefficients):
         if _is_zero(ci):
             continue
-        fac = [Fraction(1)]
+        fac = [1]
         for _ in range(i):
             fac = _lin_mul(fac, a, b)
         for _ in range(m - i):
@@ -94,7 +95,7 @@ def sl2_transform(f: BinaryForm, g: Sequence) -> BinaryForm:
 
 def _lin_mul(coeffs, u, v):
     """Multiply a coefficient list (in x^j y^(k-j)) by u*x + v*y."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
+    out = [0] * (len(coeffs) + 1)
     for j, c in enumerate(coeffs):
         out[j + 1] += c * u
         out[j] += c * v
@@ -115,12 +116,11 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm):
     n = d + e
     frow = list(reversed(f.coefficients))  # a_d .. a_0
     grow = list(reversed(g.coefficients))
-    zero = Fraction(0)
     M = []
     for s in range(e):
-        M.append([zero] * s + frow + [zero] * (n - d - 1 - s))
+        M.append([0] * s + frow + [0] * (n - d - 1 - s))
     for s in range(d):
-        M.append([zero] * s + grow + [zero] * (n - e - 1 - s))
+        M.append([0] * s + grow + [0] * (n - e - 1 - s))
     return M
 
 
@@ -128,8 +128,9 @@ def det_fraction_free(M):
     """Exact determinant by Bareiss elimination.
 
     Works over any integral domain whose elements support *, - and exact
-    division (ints, Fractions, MultiPoly); dual numbers work when every
-    pivot has a nonzero value part.
+    division: ints (every division is an exact integer division, so an
+    integer matrix never leaves the integers), Fractions and MultiPoly.
+    Dual numbers work when every pivot has a nonzero value part.
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -148,16 +149,19 @@ def det_fraction_free(M):
                     break
             if swap is None:
                 if all(_is_zero(A[i][k]) for i in range(k, n)):
-                    return _zero_like(A[0][0])
+                    return A[0][0] * 0
                 raise DegeneratePivotError("no invertible pivot available")
             A[k], A[swap] = A[swap], A[k]
             sign = -sign
-        pivot = A[k][k]
+        pivot_row = A[k]
+        pivot = pivot_row[k]
+        # column k below the pivot is never read again, so it is left as is
         for i in range(k + 1, n):
+            row = A[i]
+            lead = row[k]
             for j in range(k + 1, n):
-                num = A[i][j] * pivot - A[i][k] * A[k][j]
-                A[i][j] = num if prev is None else _exact_div(num, prev)
-            A[i][k] = _zero_like(pivot)
+                num = row[j] * pivot - lead * pivot_row[j]
+                row[j] = num if prev is None else _exact_div(num, prev)
         prev = pivot
     det = A[n - 1][n - 1]
     return -det if sign < 0 else det
@@ -179,28 +183,18 @@ def _is_unit_pivot(x) -> bool:
     return x != 0
 
 
-def _zero_like(x):
-    if isinstance(x, MultiPoly):
-        return MultiPoly.zero()
-    if isinstance(x, DualScalar):
-        return DualScalar(Fraction(0))
-    if isinstance(x, Fraction):
-        return Fraction(0)
-    return 0
-
-
 def _exact_div(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r:
+            raise NotDivisibleError(f"{a} not divisible by {b}")
+        return q
     if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
         if not isinstance(a, MultiPoly):
             a = MultiPoly.constant(a)
         if not isinstance(b, MultiPoly):
             b = MultiPoly.constant(b)
         return a.exact_div(b)
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise NotDivisibleError(f"{a} not divisible by {b}")
-        return q
     return a / b
 
 
@@ -228,12 +222,9 @@ def discriminant(f: BinaryForm):
         raise ValueError("discriminant needs degree >= 2")
     a0, ad = f.coefficients[0], f.coefficients[-1]
     denom = a0 * ad
-    num = signed_resultant(f, f.x_dx())
-    if isinstance(num, MultiPoly) or isinstance(denom, MultiPoly):
-        return _exact_div(num, denom)
-    if _is_zero(denom):
+    if not isinstance(denom, MultiPoly) and _is_zero(denom):
         raise NumericDegenerateError("a_0 * a_d = 0")
-    return num / denom
+    return _exact_div(signed_resultant(f, f.x_dx()), denom)
 
 
 @dataclass(frozen=True)
@@ -260,8 +251,14 @@ class DRSeries:
 def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeries:
     """Series of res(f_n, x*d/dx f_n + t*x*y*f_m) / (a_0*a_n) in t.
 
-    f_m must have degree n-2.  Computed by evaluating at t = 0..n and
-    Lagrange-interpolating; each sample is divided exactly by a_0*a_n.
+    f_m must have degree n-2.  Computed by evaluating at t = 0..n, dividing
+    each sample exactly by a_0*a_n and interpolating in t.  Each entry is an
+    integer polynomial in the coefficients, so integer forms stay in the
+    integers throughout.  Forms with rational coefficients are first scaled
+    to integer forms lambda*f_n and mu*f_m (lambda, mu the lcm of each
+    form's denominators); each entry is then unscaled exactly by the grading
+    DR_r(lambda*f, mu*g) = lambda^(2n-2-r) * mu^r * DR_r(f, g).  Forms with
+    MultiPoly or DualScalar coefficients are used as they are.
     """
     n = f_n.degree
     if n < 2:
@@ -270,10 +267,13 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
         raise ValueError("second form must have degree n - 2")
     if mode not in ("numeric", "symbolic"):
         raise ValueError(f"unknown mode: {mode}")
+    lam = mu = 1
+    if all(isinstance(c, (int, Fraction))
+           for c in f_n.coefficients + f_m.coefficients):
+        (f_n, lam), (f_m, mu) = _cleared(f_n), _cleared(f_m)
     a0, an = f_n.coefficients[0], f_n.coefficients[-1]
     denom = a0 * an
-    symbolic = isinstance(denom, MultiPoly)
-    if not symbolic and _is_zero(denom):
+    if not isinstance(denom, MultiPoly) and _is_zero(denom):
         raise NumericDegenerateError("a_0 * a_n = 0")
     xdx = f_n.x_dx().coefficients
     samples = []
@@ -283,12 +283,19 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
         gc = list(xdx)
         if t:
             for j in range(1, n):
-                gc[j] = gc[j] + f_m.coefficients[j - 1] * Fraction(t)
+                gc[j] = gc[j] + f_m.coefficients[j - 1] * t
         res = signed_resultant(f_n, BinaryForm.from_coeffs(gc))
-        samples.append((Fraction(t), _exact_div(res, denom)))
+        samples.append((t, _exact_div(res, denom)))
     entries = interpolate_in_t(samples)
-    pad = (MultiPoly.zero() if symbolic else
-           _zero_like(entries[0]) if entries else Fraction(0))
-    while len(entries) < n + 1:
-        entries.append(pad)
+    entries += [entries[0] * 0] * (n + 1 - len(entries))
+    if lam != 1 or mu != 1:
+        entries = [Fraction(e, lam ** (2 * n - 2 - r) * mu ** r)
+                   for r, e in enumerate(entries)]
     return DRSeries(n, tuple(entries))
+
+
+def _cleared(f: BinaryForm):
+    """(s*f, s) for s the lcm of f's denominators: s*f has int coefficients."""
+    s = math.lcm(*(c.denominator for c in f.coefficients))
+    return BinaryForm.from_coeffs(tuple(c.numerator * (s // c.denominator)
+                                        for c in f.coefficients)), s

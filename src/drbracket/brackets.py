@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -20,7 +19,7 @@ from .multipoly import MultiPoly
 from .rationals import format_rational
 
 Symbol = Tuple[str, int]
-Assignment = Mapping[Symbol, Tuple[Fraction, Fraction]]
+Assignment = Mapping[Symbol, Tuple[int, int]]
 
 
 class BracketSumUndefinedError(ValueError):
@@ -48,7 +47,7 @@ def coordinate_vars(s: Symbol) -> Tuple[str, str]:
     return (f"{s[0]}{s[1]}_0", f"{s[0]}{s[1]}_1")
 
 
-def bracket_eval(s: Symbol, t: Symbol, assignment: Assignment) -> Fraction:
+def bracket_eval(s: Symbol, t: Symbol, assignment: Assignment):
     """[s, t] = u_s*v_t - u_t*v_s."""
     us, vs = assignment[s]
     ut, vt = assignment[t]
@@ -82,11 +81,11 @@ def canonicalize(factors: Iterable[Tuple[Symbol, Symbol]]) -> BracketMonomial:
 
 
 class BracketPolynomial:
-    """Rational combination of canonical bracket monomials."""
+    """Integer (or rational) combination of canonical bracket monomials."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Dict[tuple, Fraction] = None):
+    def __init__(self, n: int, terms: Dict[tuple, object] = None):
         self.n = n
         self.terms = dict(terms or {})
 
@@ -94,8 +93,8 @@ class BracketPolynomial:
         mono = canonicalize(factors)
         if mono.sign == 0:
             return
-        c = Fraction(coeff) * mono.sign
-        s = self.terms.get(mono.factors, Fraction(0)) + c
+        c = coeff * mono.sign
+        s = self.terms.get(mono.factors, 0) + c
         if s:
             self.terms[mono.factors] = s
         else:
@@ -107,9 +106,10 @@ class BracketPolynomial:
     def __len__(self):
         return len(self.terms)
 
-    def evaluate(self, assignment: Assignment) -> Fraction:
-        cache: Dict[Tuple[Symbol, Symbol], Fraction] = {}
-        total = Fraction(0)
+    def evaluate(self, assignment: Assignment):
+        """Exact value; integer coefficients and coordinates give an int."""
+        cache: Dict[Tuple[Symbol, Symbol], object] = {}
+        total = 0
         for factors, coeff in self.terms.items():
             prod = coeff
             for pair in factors:
@@ -218,10 +218,10 @@ def forms_from_assignment(assignment: Assignment, n: int):
     return f_n, f_m
 
 
-def _expand_numeric(pairs: Sequence[Tuple[Fraction, Fraction]]) -> BinaryForm:
-    coeffs = [Fraction(1)]
+def _expand_numeric(pairs: Sequence[Tuple[int, int]]) -> BinaryForm:
+    coeffs = [1]
     for u, v in pairs:
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i + 1] += c * u
             nxt[i] += -c * v
@@ -248,8 +248,7 @@ def random_generic_assignment(n: int, seed: int, bound: int = 10,
     rng = Random(derive_seed(seed, "assignment"))
     symbols = all_symbols(n)
     for _ in range(budget):
-        cand = {s: (Fraction(rng.randint(-bound, bound)),
-                    Fraction(rng.randint(-bound, bound)))
+        cand = {s: (rng.randint(-bound, bound), rng.randint(-bound, bound))
                 for s in symbols}
         if any(u == 0 or v == 0 for s, (u, v) in cand.items() if s[0] == "a"):
             continue

@@ -79,8 +79,11 @@ def _load_forms(args) -> tuple:
         raise UsageError("give either --in or --forms, not both")
     raw = None
     if args.infile:
-        with open(args.infile) as fh:
-            raw = fh.read()
+        try:
+            with open(args.infile) as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --in file: {exc}")
     elif args.forms:
         raw = args.forms
     if raw is None:
@@ -96,7 +99,8 @@ def _load_forms(args) -> tuple:
         data = json.loads(raw)
         f_n = BinaryForm.from_json(data["f_n"])
         f_m = BinaryForm.from_json(data["f_m"])
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+            ZeroDivisionError) as exc:
         raise UsageError(f"malformed form input: {exc}")
     if f_n.degree != args.n or f_m.degree != args.n - 2:
         raise UsageError("form degrees disagree with --n")
@@ -149,9 +153,6 @@ def _verify_plucker(args) -> dict:
     for trial in range(args.trials):
         assignment = {s: (rng.randint(-50, 50), rng.randint(-50, 50))
                       for s in syms}
-        from fractions import Fraction
-        assignment = {s: (Fraction(u), Fraction(v))
-                      for s, (u, v) in assignment.items()}
         if rel.evaluate(assignment) != 0:
             failures.append({"trial": trial})
     return {"target": "plucker", "trials": args.trials, "failures": failures}
@@ -228,6 +229,8 @@ def _verify_laurent(args) -> dict:
 def cmd_verify(args) -> tuple:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     if args.target == "theorem1":
         report = verify_theorem1(args.n, trials=args.trials, seed=args.seed,
                                  mode=args.mode)
@@ -247,6 +250,8 @@ def cmd_verify(args) -> tuple:
 def cmd_independence(args) -> tuple:
     if args.n < 3:
         raise UsageError("the independence suite starts at --n 3")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     summary = run_independence_suite(args.n, seed=args.seed,
                                      jacobian_points=args.trials)
     code = EXIT_OK if summary["all_independent"] else EXIT_FAILURE

@@ -7,6 +7,7 @@ All values are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -284,38 +285,48 @@ def _remap(p: MultiPoly, vs: tuple) -> MultiPoly:
 
 
 def interpolate_in_t(samples: Iterable[tuple]):
-    """Lagrange interpolation through (node, value) samples.
+    """Interpolation through the samples (0, v_0), ..., (m-1, v_{m-1}).
 
-    Nodes are rationals; values may be scalars or MultiPoly.  Returns the
-    coefficient list of the unique polynomial of degree < #samples in the
-    interpolation parameter, trailing zeros trimmed.
+    Nodes must be exactly 0, 1, ..., m-1, in order.  Values may be ints,
+    Fractions, MultiPoly or DualScalar.  Uses Newton forward differences:
+    the k-th difference at node 0 is k! times the k-th Newton coefficient.
+    Int differences are divided exactly (NotDivisibleError if the
+    interpolant does not have integer coefficients); other kinds are
+    multiplied by 1/k!.  Every coefficient combines all samples (even the
+    constant term is c_0 - 0*c), so with mixed kinds each has the widest
+    kind.  Returns the coefficient list of the unique polynomial of degree
+    < m in the interpolation parameter, trailing zeros trimmed.
     """
-    samples = [(Fraction(x), v) for x, v in samples]
-    nodes = [x for x, _ in samples]
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("interpolation nodes must be pairwise distinct")
+    samples = list(samples)
     m = len(samples)
-    coeffs = [None] * m
-    for i, (xi, vi) in enumerate(samples):
-        # basis polynomial prod_{j != i} (t - x_j) / (x_i - x_j)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                nxt[k] += -xj * b
-                nxt[k + 1] += b
-            basis = nxt
-        for k, b in enumerate(basis):
-            w = b / denom
-            contrib = vi * w
-            coeffs[k] = contrib if coeffs[k] is None else coeffs[k] + contrib
+    if [x for x, _ in samples] != list(range(m)):
+        raise ValueError("interpolation nodes must be 0, 1, ..., m-1")
+    diffs = [v for _, v in samples]
+    # after pass k, diffs[k] is the k-th forward difference at node 0
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            diffs[i] = diffs[i] - diffs[i - 1]
+    newton = [_div_factorial(d, math.factorial(k)) for k, d in enumerate(diffs)]
+    # Horner in the Newton basis: p = c_0 + t*(c_1 + (t-1)*(c_2 + ...))
+    coeffs = newton[-1:]
+    for k in range(m - 2, -1, -1):
+        nxt = coeffs[:1] + coeffs
+        for j in range(1, len(coeffs)):
+            nxt[j] = coeffs[j - 1] - coeffs[j] * k
+        nxt[0] = newton[k] - coeffs[0] * k
+        coeffs = nxt
     while len(coeffs) > 1 and _value_is_zero(coeffs[-1]):
         coeffs.pop()
     return coeffs
+
+
+def _div_factorial(d, fact: int):
+    if isinstance(d, int):
+        q, r = divmod(d, fact)
+        if r:
+            raise NotDivisibleError(f"{d} not divisible by {fact}")
+        return q
+    return d * Fraction(1, fact)
 
 
 def _value_is_zero(v) -> bool:

@@ -258,3 +258,39 @@ class TestDRSeries:
         data = f.to_json()
         assert data == {"degree": 2, "coefficients": ["1/2", "3", "-1"]}
         assert BinaryForm.from_json(data) == f
+
+
+class TestScalarDomains:
+    """Exact results keep their domain: ints stay ints, nothing is a float."""
+
+    def _forms(self, rng, n, kind):
+        while True:
+            f = [kind(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n + 1)]
+            g = [kind(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n - 1)]
+            if f[0] and f[-1]:
+                return BinaryForm.from_coeffs(f), BinaryForm.from_coeffs(g)
+
+    def test_no_float_results(self):
+        rng = random.Random(41)
+        for kind in (lambda p, q: p, F):
+            for n in range(2, 7):
+                f, g = self._forms(rng, n, kind)
+                values = [discriminant(f), signed_resultant(f, f.x_dx())]
+                if g.degree >= 1 and not g.is_zero():
+                    values.append(signed_resultant(f, g))
+                values += dr_series(f, g).entries
+                assert not any(isinstance(v, float) for v in values)
+
+    def test_integer_input_gives_int_entries(self):
+        rng = random.Random(43)
+        for n in range(2, 7):
+            f, g = self._forms(rng, n, lambda p, q: p)
+            assert type(discriminant(f)) is int
+            assert all(type(e) is int for e in dr_series(f, g).entries)
+        assert discriminant(BinaryForm.from_coeffs([1, 0, 1])) == 4
+        assert type(discriminant(BinaryForm.from_coeffs([1, 0, 1]))) is int
+
+    def test_rational_input_is_unscaled_exactly(self):
+        f = BinaryForm.from_coeffs((F(1, 2), F(0), F(1)))
+        g = BinaryForm.from_coeffs((F(3, 5),))
+        assert dr_series(f, g).entries == (F(2), 0, F(9, 25))

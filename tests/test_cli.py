@@ -64,6 +64,23 @@ class TestDRSeries:
         code, _, _ = run(capsys, "dr-series", "--n", "3", "--mode", "numeric")
         assert code == EXIT_USAGE
 
+    def test_missing_input_file_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "dr-series", "--n", "2",
+                             "--mode", "numeric",
+                             "--in", str(tmp_path / "missing.json"))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
+    def test_zero_denominator_is_usage_error(self, capsys):
+        forms = json.dumps({
+            "f_n": {"degree": 2, "coefficients": ["1", "1/0", "1"]},
+            "f_m": {"degree": 0, "coefficients": ["3"]},
+        })
+        code, out, err = run(capsys, "dr-series", "--n", "2",
+                             "--mode", "numeric", "--forms", forms)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
     def test_degenerate_input_fails(self, capsys):
         forms = json.dumps({
             "f_n": {"degree": 2, "coefficients": ["0", "1", "1"]},
@@ -92,6 +109,13 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "laurent", "--n", "2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "theorem1", "--n", "3",
+                             "--trials", trials)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
     def test_unknown_target_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
         assert code == EXIT_USAGE
@@ -109,6 +133,13 @@ class TestIndependence:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["all_independent"] is True
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "independence", "--n", "3",
+                             "--trials", trials)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
 
     def test_below_3_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "independence", "--n", "2")

@@ -119,6 +119,31 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             interpolate_in_t([(F(0), F(1)), (F(0), F(2))])
 
+    def test_nodes_must_be_consecutive_from_zero(self):
+        with pytest.raises(ValueError):
+            interpolate_in_t([(F(0), F(1)), (F(2), F(5))])
+
+    def test_int_samples_divide_exactly(self):
+        # t*(t-1)/2 has no integer coefficients: ints refuse, Fractions do not
+        with pytest.raises(NotDivisibleError):
+            interpolate_in_t([(0, 0), (1, 0), (2, 1)])
+        assert interpolate_in_t([(0, F(0)), (1, F(0)), (2, F(1))]) == \
+            [0, F(-1, 2), F(1, 2)]
+        out = interpolate_in_t([(t, 3 * t ** 3 - 2 * t + 7) for t in range(5)])
+        assert out == [7, -2, 0, 3] and all(type(c) is int for c in out)
+
+    def test_mixed_samples_are_lifted(self):
+        a = MultiPoly.variable("a")
+        out = interpolate_in_t([(0, F(2)), (1, a + 2), (2, a * 2 + 2)])
+        assert out == [MultiPoly.constant(2), a]
+        assert all(isinstance(c, MultiPoly) for c in out)
+
+    def test_dual_samples(self):
+        out = interpolate_in_t([(t, DualScalar(F(1 + t * t), F(t)))
+                                for t in range(3)])
+        assert out == [DualScalar(F(1)), DualScalar(F(0), F(1)),
+                       DualScalar(F(1))]
+
     def test_random_degree_8_roundtrip(self):
         import random
         rng = random.Random(7)
