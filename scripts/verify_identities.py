@@ -1,13 +1,9 @@
 #!/usr/bin/env python3
-"""Run the full identity-verification battery and print a summary table.
+"""Run every identity check of drbracket.verify and print a summary table.
 
-For each n in the requested range this checks, at seeded random generic
-assignments (plus full symbolic expansion where cheap):
-
-  * the bracket-sum expression equals the resultant-based series,
-  * the r=1 entry of the series vanishes identically,
-  * every polygon Laurent expansion re-evaluates to its bracket,
-  * the series is invariant under unimodular substitutions.
+One row per n, one column per check: "ok" when the check made at least
+one trial and found no failure, "FAIL" otherwise, and "n/a" when the check
+does not apply at that n.  Exits 0 when every applicable cell is "ok".
 
     python3 scripts/verify_identities.py --n-max 6 --trials 50
 """
@@ -15,101 +11,38 @@ assignments (plus full symbolic expansion where cheap):
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
-from drbracket.binforms import dr_series, sl2_transform
-from drbracket.brackets import (derive_seed, dr_bracket_sum,
-                                forms_from_assignment,
-                                random_generic_assignment, verify_theorem1)
-from drbracket.cli import main as cli_main
+from drbracket.verify import CHECKS, NotApplicable, passed
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    n_min: int = 2
-    n_max: int = 6
-    trials: int = 50
-    seed: int = 0
-
-
-def parse_args(argv=None) -> VerifyConfig:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-min", type=int, default=2)
     parser.add_argument("--n-max", type=int, default=6)
     parser.add_argument("--trials", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    return VerifyConfig(args.n_min, args.n_max, args.trials, args.seed)
-
-
-def check_bracket_sum(config: VerifyConfig, n: int) -> bool:
-    report = verify_theorem1(n, trials=config.trials, seed=config.seed)
-    if n <= 3:
-        symbolic = verify_theorem1(n, mode="symbolic")
-        return not (report["failures"] or symbolic["failures"])
-    return not report["failures"]
-
-
-def check_vanishing(config: VerifyConfig, n: int) -> bool:
-    poly = dr_bracket_sum(n, 1)
-    for trial in range(config.trials):
-        assignment = random_generic_assignment(
-            n, derive_seed(config.seed, ("vanish", n, trial)))
-        if poly.evaluate(assignment) != 0:
-            return False
-    return True
-
-
-def check_laurent(config: VerifyConfig, n: int) -> bool:
-    if n < 3:
-        return True
-    code = cli_main(["verify", "laurent", "--n", str(n),
-                     "--trials", str(config.trials),
-                     "--seed", str(config.seed), "--out", "/dev/null"])
-    return code == 0
-
-
-def check_invariance(config: VerifyConfig, n: int) -> bool:
-    from random import Random
-    rng = Random(derive_seed(config.seed, ("invariance", n)))
-    assignment = random_generic_assignment(n, derive_seed(config.seed, n))
-    f, g = forms_from_assignment(assignment, n)
-    base = dr_series(f, g, mode="numeric")
-    done = 0
-    while done < config.trials:
-        b, c = rng.randint(-3, 3), rng.randint(-3, 3)
-        mat = (1 + b * c, b, c, 1)
-        tf = sl2_transform(f, mat)
-        if tf.coefficients[0] == 0 or tf.coefficients[-1] == 0:
-            continue
-        tg = sl2_transform(g, mat) if g.degree >= 1 else g
-        if dr_series(tf, tg, mode="numeric").entries != base.entries:
-            return False
-        done += 1
-    return True
-
-
-CHECKS = [("bracket-sum", check_bracket_sum),
-          ("r=1 vanishing", check_vanishing),
-          ("laurent", check_laurent),
-          ("invariance", check_invariance)]
-
-
-def main(argv=None) -> int:
-    config = parse_args(argv)
-    names = [name for name, _ in CHECKS]
-    print(f"{'n':>3}  " + "  ".join(f"{name:>14}" for name in names)
+    if args.n_min < 2:
+        parser.error("--n-min must be at least 2")
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
+    print(f"{'n':>3}  " + "  ".join(f"{name:>10}" for name in CHECKS)
           + f"  {'seconds':>8}")
     all_ok = True
-    for n in range(config.n_min, config.n_max + 1):
+    for n in range(args.n_min, args.n_max + 1):
         started = time.perf_counter()
         row = []
-        for _, check in CHECKS:
-            ok = check(config, n)
+        for check in CHECKS.values():
+            try:
+                report = check(n, args.trials, seed=args.seed)
+            except NotApplicable:
+                row.append("n/a")
+                continue
+            ok = passed(report)
             all_ok = all_ok and ok
             row.append("ok" if ok else "FAIL")
         elapsed = time.perf_counter() - started
-        print(f"{n:>3}  " + "  ".join(f"{cell:>14}" for cell in row)
+        print(f"{n:>3}  " + "  ".join(f"{cell:>10}" for cell in row)
               + f"  {elapsed:>8.2f}")
     print("all checks passed" if all_ok else "FAILURES above")
     return 0 if all_ok else 1

@@ -10,9 +10,9 @@ from .binforms import (BinaryForm, DRSeries, NumericDegenerateError,
                        signed_resultant, sl2_transform, sylvester_matrix)
 from .brackets import (BracketMonomial, BracketPolynomial,
                        BracketSumUndefinedError, alpha, beta, bracket_eval,
-                       canonicalize, dr_bracket_sum, expand_form_coefficients,
-                       forms_from_assignment, plucker_relation,
-                       random_generic_assignment, verify_theorem1)
+                       canonicalize, dr_bracket_sum, forms_from_assignment,
+                       plucker_relation, random_generic_assignment,
+                       verify_theorem1)
 from .independence import (IndependenceCertificate, integer_matrix_rank,
                            jacobian_rank, multiplicative_independence,
                            run_independence_suite)

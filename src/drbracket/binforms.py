@@ -59,7 +59,7 @@ class BinaryForm:
         return BinaryForm.from_coeffs(tuple(c * s for c in self.coefficients))
 
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for c in self.coefficients)
+        return all(c == 0 for c in self.coefficients)
 
     def to_json(self) -> dict:
         return {"degree": self.degree,
@@ -67,9 +67,16 @@ class BinaryForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "BinaryForm":
-        coeffs = tuple(parse_rational(s) for s in data["coefficients"])
-        form = cls.from_coeffs(coeffs)
-        if form.degree != int(data["degree"]):
+        """Form from {"degree": int, "coefficients": ["p/q", ...]}; raises
+        TypeError or ValueError on any other shape."""
+        coeffs, degree = data["coefficients"], data["degree"]
+        if not (isinstance(coeffs, list)
+                and all(isinstance(s, str) for s in coeffs)):
+            raise TypeError("coefficients must be a list of strings")
+        if type(degree) is not int:
+            raise TypeError("degree must be an integer")
+        form = cls.from_coeffs(tuple(parse_rational(s) for s in coeffs))
+        if form.degree != degree:
             raise ValueError("degree field disagrees with coefficient count")
         return form
 
@@ -81,7 +88,7 @@ def sl2_transform(f: BinaryForm, g: Sequence) -> BinaryForm:
     # coefficients of (a*x + b*y)^i * (c*x + d*y)^(m-i), accumulated exactly
     out = [0 * f.coefficients[0] for _ in range(m + 1)]
     for i, ci in enumerate(f.coefficients):
-        if _is_zero(ci):
+        if ci == 0:
             continue
         fac = [1]
         for _ in range(i):
@@ -148,7 +155,7 @@ def det_fraction_free(M):
                     swap = i
                     break
             if swap is None:
-                if all(_is_zero(A[i][k]) for i in range(k, n)):
+                if all(A[i][k] == 0 for i in range(k, n)):
                     return A[0][0] * 0
                 raise DegeneratePivotError("no invertible pivot available")
             A[k], A[swap] = A[swap], A[k]
@@ -165,14 +172,6 @@ def det_fraction_free(M):
         prev = pivot
     det = A[n - 1][n - 1]
     return -det if sign < 0 else det
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, MultiPoly):
-        return x.is_zero
-    if isinstance(x, DualScalar):
-        return x.value == 0 and x.derivative == 0
-    return x == 0
 
 
 def _is_unit_pivot(x) -> bool:
@@ -222,7 +221,7 @@ def discriminant(f: BinaryForm):
         raise ValueError("discriminant needs degree >= 2")
     a0, ad = f.coefficients[0], f.coefficients[-1]
     denom = a0 * ad
-    if not isinstance(denom, MultiPoly) and _is_zero(denom):
+    if not isinstance(denom, MultiPoly) and denom == 0:
         raise NumericDegenerateError("a_0 * a_d = 0")
     return _exact_div(signed_resultant(f, f.x_dx()), denom)
 
@@ -273,7 +272,7 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
         (f_n, lam), (f_m, mu) = _cleared(f_n), _cleared(f_m)
     a0, an = f_n.coefficients[0], f_n.coefficients[-1]
     denom = a0 * an
-    if not isinstance(denom, MultiPoly) and _is_zero(denom):
+    if not isinstance(denom, MultiPoly) and denom == 0:
         raise NumericDegenerateError("a_0 * a_n = 0")
     xdx = f_n.x_dx().coefficients
     samples = []

@@ -38,10 +38,6 @@ def symbol_name(s: Symbol) -> str:
     return f"{s[0]}{s[1]}"
 
 
-def parse_symbol(name: str) -> Symbol:
-    return (name[0], int(name[1:]))
-
-
 def coordinate_vars(s: Symbol) -> Tuple[str, str]:
     """Names of the two coordinate variables of a symbol."""
     return (f"{s[0]}{s[1]}_0", f"{s[0]}{s[1]}_1")
@@ -167,11 +163,25 @@ def subsets_colex(n: int, r: int):
                   key=lambda I: tuple(reversed(I)))
 
 
-def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
-    """Bracket-sum expression of the r-th discriminant-resultant.
+def term_factors(n: int, I: Sequence[int]) -> List[Tuple[Symbol, Symbol]]:
+    """Bracket factors of the bracket-sum term of the subset I of [n]:
+    prod_{j in J, i != j} [a_i, a_j] * prod_{i in I, k in [n-2]} [b_k, a_i],
+    where J is the complement of I."""
+    J = sorted(set(range(1, n + 1)) - set(I))
+    factors = []
+    for j in J:
+        for i in range(1, n + 1):
+            if i != j:
+                factors.append((alpha(i), alpha(j)))
+    for i in I:
+        for k in range(1, n - 1):
+            factors.append((beta(k), alpha(i)))
+    return factors
 
-    Sum over I disjoint-union J = [n] with |I| = r of
-    prod_{j in J, i != j} [a_i, a_j] * prod_{i in I, k in [n-2]} [b_k, a_i].
+
+def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
+    """Bracket-sum expression of the r-th discriminant-resultant: the sum
+    of the term_factors products over the size-r subsets I of [n].
     """
     if not (2 <= n and 0 <= r <= n):
         raise ValueError("need n >= 2 and 0 <= r <= n")
@@ -179,46 +189,21 @@ def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
         raise BracketSumUndefinedError(
             "the (n, r) = (2, 2) entry equals f_0^2, not a bracket sum")
     p = BracketPolynomial(n)
-    full = set(range(1, n + 1))
     for I in subsets_colex(n, r):
-        J = sorted(full - set(I))
-        factors = []
-        for j in J:
-            for i in range(1, n + 1):
-                if i != j:
-                    factors.append((alpha(i), alpha(j)))
-        for i in I:
-            for k in range(1, n - 1):
-                factors.append((beta(k), alpha(i)))
-        p.add_term(factors)
+        p.add_term(term_factors(n, I))
     return p
 
 
-def expand_form_coefficients(family: str, m: int) -> List[MultiPoly]:
-    """Coefficients a_0..a_m of prod_j (s_{j,0} x - s_{j,1} y) as
-    polynomials in the 2m coordinate variables of the family."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    coeffs = [MultiPoly.constant(1)]
-    for j in range(1, m + 1):
-        u = MultiPoly.variable(f"{family}{j}_0")
-        v = MultiPoly.variable(f"{family}{j}_1")
-        nxt = [MultiPoly.zero() for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c * u
-            nxt[i] = nxt[i] - c * v
-        coeffs = nxt
-    return coeffs
-
-
 def forms_from_assignment(assignment: Assignment, n: int):
-    """Numeric (f_n, f_{n-2}) obtained by expanding the symbol products."""
-    f_n = _expand_numeric([assignment[alpha(i)] for i in range(1, n + 1)])
-    f_m = _expand_numeric([assignment[beta(k)] for k in range(1, n - 1)])
-    return f_n, f_m
+    """(f_n, f_{n-2}) obtained by expanding the symbol products; the
+    coordinates may be ints, Fractions or MultiPoly."""
+    f_n = _expand([assignment[alpha(i)] for i in range(1, n + 1)])
+    f_m = _expand([assignment[beta(k)] for k in range(1, n - 1)])
+    return BinaryForm.from_coeffs(f_n), BinaryForm.from_coeffs(f_m)
 
 
-def _expand_numeric(pairs: Sequence[Tuple[int, int]]) -> BinaryForm:
+def _expand(pairs: Sequence[tuple]) -> list:
+    """Coefficients c_0..c_m of prod_j (u_j x - v_j y)."""
     coeffs = [1]
     for u, v in pairs:
         nxt = [0] * (len(coeffs) + 1)
@@ -226,7 +211,7 @@ def _expand_numeric(pairs: Sequence[Tuple[int, int]]) -> BinaryForm:
             nxt[i + 1] += c * u
             nxt[i] += -c * v
         coeffs = nxt
-    return BinaryForm.from_coeffs(coeffs)
+    return coeffs
 
 
 def derive_seed(master: int, index) -> int:
@@ -277,12 +262,9 @@ def verify_theorem1(n: int, trials: int = 100, seed: int = 0,
     sums = {r: dr_bracket_sum(n, r)
             for r in range(n + 1) if (n, r) != (2, 2)}
     if mode == "symbolic":
-        a_coeffs = expand_form_coefficients("a", n)
-        f_n = BinaryForm.from_coeffs(a_coeffs)
-        if n == 2:
-            f_m = BinaryForm.from_coeffs([MultiPoly.constant(1)])
-        else:
-            f_m = BinaryForm.from_coeffs(expand_form_coefficients("b", n - 2))
+        coordinates = {s: tuple(MultiPoly.variable(x) for x in coordinate_vars(s))
+                       for s in all_symbols(n)}
+        f_n, f_m = forms_from_assignment(coordinates, n)
         series = dr_series(f_n, f_m, mode="symbolic")
         for r in range(n + 1):
             if (n, r) == (2, 2):

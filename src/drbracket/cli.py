@@ -8,20 +8,16 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
 
 from . import __version__
 from .binforms import BinaryForm, NumericDegenerateError, dr_series
-from .brackets import (bracket_eval, derive_seed, dr_bracket_sum,
-                       forms_from_assignment, plucker_relation,
-                       random_generic_assignment, verify_theorem1)
 from .independence import run_independence_suite
-from .laurent import PolygonModel, laurent_expand_bracket
 from .multipoly import MultiPoly
 from .rationals import format_rational
+from .verify import CHECKS, NotApplicable, passed
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -58,10 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="verify one of the library's identities")
-    p.add_argument("target", choices=("theorem1", "vanishing", "plucker",
-                                      "invariance", "laurent"))
+    p.add_argument("target", choices=tuple(CHECKS))
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--r", type=int, default=None)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--mode", choices=("symbolic", "numeric"), default="numeric")
     common(p)
@@ -125,126 +119,17 @@ def cmd_dr_series(args) -> tuple:
     return {"n": args.n, "mode": args.mode, "entries": entries}, EXIT_OK
 
 
-def _verify_vanishing(args) -> dict:
-    """DR_{n,1} = 0: symbolically for small n, at random points otherwise."""
-    n = args.n
-    failures = []
-    symbolic = args.mode == "symbolic" or n <= 4
-    if symbolic:
-        bs = dr_bracket_sum(n, 1)
-        if not bs.expand_to_coordinates().is_zero:
-            failures.append({"kind": "symbolic", "n": n})
-    for trial in range(args.trials if not symbolic else 0):
-        assignment = random_generic_assignment(n, derive_seed(args.seed, trial))
-        if dr_bracket_sum(n, 1).evaluate(assignment) != 0:
-            failures.append({"trial": trial})
-    return {"target": "vanishing", "n": n, "mode": "symbolic" if symbolic
-            else "numeric", "failures": failures}
-
-
-def _verify_plucker(args) -> dict:
-    from random import Random
-
-    from .brackets import alpha
-    rng = Random(derive_seed(args.seed, "plucker"))
-    syms = [alpha(i) for i in range(1, 5)]
-    rel = plucker_relation(*syms)
-    failures = []
-    for trial in range(args.trials):
-        assignment = {s: (rng.randint(-50, 50), rng.randint(-50, 50))
-                      for s in syms}
-        if rel.evaluate(assignment) != 0:
-            failures.append({"trial": trial})
-    return {"target": "plucker", "trials": args.trials, "failures": failures}
-
-
-def _verify_invariance(args) -> dict:
-    from random import Random
-
-    from .binforms import sl2_transform
-    n = args.n
-    rng = Random(derive_seed(args.seed, "invariance"))
-    failures = []
-    for trial in range(args.trials):
-        assignment = random_generic_assignment(n, derive_seed(args.seed, trial))
-        f_n, f_m = forms_from_assignment(assignment, n)
-        base = dr_series(f_n, f_m, mode="numeric")
-        b, c, d = (rng.randint(-3, 3) for _ in range(3))
-        g = _unimodular(b, c, d)
-        try:
-            moved = dr_series(sl2_transform(f_n, g), sl2_transform(f_m, g)
-                              if f_m.degree >= 1 else f_m, mode="numeric")
-        except NumericDegenerateError:
-            continue  # transformed a_0*a_n hit zero; skip the sample
-        if moved.entries != base.entries:
-            failures.append({"trial": trial, "g": list(g)})
-    return {"target": "invariance", "n": n, "trials": args.trials,
-            "failures": failures}
-
-
-def _unimodular(b: int, c: int, d: int) -> tuple:
-    """Product of three shears; determinant 1 by construction."""
-    m1 = ((1, b), (0, 1))
-    m2 = ((1, 0), (c, 1))
-    m3 = ((1, d), (0, 1))
-
-    def mul(p, q):
-        return tuple(tuple(sum(p[i][k] * q[k][j] for k in range(2))
-                           for j in range(2)) for i in range(2))
-    m = mul(mul(m1, m2), m3)
-    return (m[0][0], m[0][1], m[1][0], m[1][1])
-
-
-def _verify_laurent(args) -> dict:
-    from .brackets import all_symbols
-    n = args.n
-    if n < 3:
-        raise UsageError("laurent verification needs --n >= 3")
-    model = PolygonModel(n)
-    defs = model.defining_brackets()
-    inv = set(model.invertible_vars())
-    failures = []
-    syms = all_symbols(n)
-    expansions = {(x, y): laurent_expand_bracket(model, x, y)
-                  for x, y in itertools.combinations(syms, 2)}
-    for (x, y), lp in expansions.items():
-        for mono in lp.terms:
-            for v, e in mono.exponents:
-                if e < 0 and v not in inv:
-                    failures.append({"kind": "denominator", "bracket":
-                                     [f"{x[0]}{x[1]}", f"{y[0]}{y[1]}"],
-                                     "variable": f"{v[0]}{v[1]}"})
-    for trial in range(args.trials):
-        assignment = random_generic_assignment(n, derive_seed(args.seed, trial))
-        values = {v: bracket_eval(s, t, assignment)
-                  for v, (s, t) in defs.items()}
-        for (x, y), lp in expansions.items():
-            if lp.evaluate(values) != bracket_eval(x, y, assignment):
-                failures.append({"kind": "evaluation", "trial": trial,
-                                 "bracket": [f"{x[0]}{x[1]}", f"{y[0]}{y[1]}"]})
-    return {"target": "laurent", "n": n, "trials": args.trials,
-            "failures": failures}
-
-
 def cmd_verify(args) -> tuple:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
-    if args.target == "theorem1":
-        report = verify_theorem1(args.n, trials=args.trials, seed=args.seed,
-                                 mode=args.mode)
-        report["target"] = "theorem1"
-    elif args.target == "vanishing":
-        report = _verify_vanishing(args)
-    elif args.target == "plucker":
-        report = _verify_plucker(args)
-    elif args.target == "invariance":
-        report = _verify_invariance(args)
-    else:
-        report = _verify_laurent(args)
-    code = EXIT_OK if not report["failures"] else EXIT_FAILURE
-    return report, code
+    try:
+        report = CHECKS[args.target](args.n, args.trials, seed=args.seed,
+                                     mode=args.mode)
+    except NotApplicable as exc:
+        raise UsageError(str(exc))
+    return report, EXIT_OK if passed(report) else EXIT_FAILURE
 
 
 def cmd_independence(args) -> tuple:

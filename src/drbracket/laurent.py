@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .brackets import BracketPolynomial, Symbol, alpha, beta, symbol_name
+from .brackets import (BracketPolynomial, Symbol, alpha, beta, symbol_name,
+                       term_factors)
 from .rationals import format_rational
 
 Var = Tuple[str, int]  # ("A", i), ("B", k), ("C", i), ("D", k)
@@ -422,24 +423,11 @@ def per_term_A_degree(n: int, I: Iterable[int], l: int) -> int:
     return t1 - t2 + t3
 
 
-def _term_bracket_factors(n: int, I: Sequence[int]):
-    J = sorted(set(range(1, n + 1)) - set(I))
-    factors = []
-    for j in J:
-        for i in range(1, n + 1):
-            if i != j:
-                factors.append((alpha(i), alpha(j)))
-    for i in I:
-        for k in range(1, n - 1):
-            factors.append((beta(k), alpha(i)))
-    return factors
-
-
 def term_leading_monomial(model: PolygonModel, n: int, I: Sequence[int]) -> LaurentMonomial:
     """lm of one bracket-sum term, as the product of per-bracket lms
     (leading monomials are multiplicative under lex)."""
     mono = LaurentMonomial.one()
-    for s, t in _term_bracket_factors(n, I):
+    for s, t in term_factors(n, I):
         p = laurent_expand_bracket(model, s, t)
         mono = mono * lex_leading_monomial(p, model)
     return mono

@@ -73,11 +73,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(other)
@@ -315,7 +310,7 @@ def interpolate_in_t(samples: Iterable[tuple]):
             nxt[j] = coeffs[j - 1] - coeffs[j] * k
         nxt[0] = newton[k] - coeffs[0] * k
         coeffs = nxt
-    while len(coeffs) > 1 and _value_is_zero(coeffs[-1]):
+    while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
@@ -328,8 +323,3 @@ def _div_factorial(d, fact: int):
         return q
     return d * Fraction(1, fact)
 
-
-def _value_is_zero(v) -> bool:
-    if isinstance(v, MultiPoly):
-        return v.is_zero
-    return v == 0

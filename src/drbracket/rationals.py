@@ -9,10 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Scalarish = Union[int, Fraction]
-
 
 def parse_rational(s: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction."""

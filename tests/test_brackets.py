@@ -6,12 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from drbracket.brackets import (BracketPolynomial, BracketSumUndefinedError,
-                                alpha, beta, bracket_eval, canonicalize,
-                                derive_seed, dr_bracket_sum,
-                                expand_form_coefficients,
-                                forms_from_assignment, plucker_relation,
-                                random_generic_assignment, subsets_colex,
-                                verify_theorem1)
+                                _expand, alpha, beta, bracket_eval,
+                                canonicalize, coordinate_vars, derive_seed,
+                                dr_bracket_sum, forms_from_assignment,
+                                plucker_relation, random_generic_assignment,
+                                subsets_colex, verify_theorem1)
 from drbracket.multipoly import MultiPoly
 
 
@@ -129,9 +128,7 @@ class TestForms:
              for j in range(i + 1, 4)})
 
     def test_single_factor(self):
-        from drbracket.brackets import _expand_numeric
-        f = _expand_numeric([(F(1), F(5))])
-        assert f.coefficients == (F(-5), F(1))  # x - 5y
+        assert _expand([(F(1), F(5))]) == [F(-5), F(1)]  # x - 5y
 
     def test_empty_beta_family_gives_constant_one(self):
         A = {alpha(1): (F(1), F(1)), alpha(2): (F(1), F(2))}
@@ -148,6 +145,13 @@ class TestForms:
              alpha(3): (F(1), F(7)), beta(1): (F(2), F(5))}
         f, _ = forms_from_assignment(A, 3)
         assert f.coefficients[-1] == 1
+
+
+def expand_form_coefficients(family, m):
+    """Coefficients of prod_j (u_j x - v_j y) over symbolic coordinates."""
+    return _expand([tuple(MultiPoly.variable(x)
+                          for x in coordinate_vars((family, j)))
+                    for j in range(1, m + 1)])
 
 
 class TestExpandFormCoefficients:

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drbracket import verify
 from drbracket.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -81,6 +86,20 @@ class TestDRSeries:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and out == ""
 
+    @pytest.mark.parametrize("f_n", [
+        {"degree": 2, "coefficients": [1, 0, 1]},
+        {"degree": 2, "coefficients": [None, "0", "1"]},
+        {"degree": 2, "coefficients": "101"},
+        {"degree": 2.5, "coefficients": ["1", "0", "1"]},
+    ])
+    def test_mistyped_form_fields_are_usage_errors(self, capsys, f_n):
+        forms = json.dumps({"f_n": f_n,
+                            "f_m": {"degree": 0, "coefficients": ["3"]}})
+        code, out, err = run(capsys, "dr-series", "--n", "2",
+                             "--mode", "numeric", "--forms", forms)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
     def test_degenerate_input_fails(self, capsys):
         forms = json.dumps({
             "f_n": {"degree": 2, "coefficients": ["0", "1", "1"]},
@@ -89,6 +108,30 @@ class TestDRSeries:
         code, _, _ = run(capsys, "dr-series", "--n", "2",
                          "--mode", "numeric", "--forms", forms)
         assert code == EXIT_FAILURE
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8)
+form_slots = json_values | st.fixed_dictionaries({
+    "degree": st.integers(-1, 3) | json_values,
+    "coefficients": st.lists(st.sampled_from(["0", "1", "-2", "1/3", "1/0",
+                                              "x", ""]) | json_values,
+                             max_size=4) | json_values})
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_slots, form_slots)
+def test_arbitrary_form_json_never_escapes(f_n, f_m):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["dr-series", "--n", "2", "--mode", "numeric",
+                     "--forms", json.dumps({"f_n": f_n, "f_m": f_m})])
+    assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""
 
 
 class TestVerify:
@@ -125,6 +168,17 @@ class TestVerify:
         assert code == EXIT_OK
         assert "target: plucker" in out
 
+    def test_zero_checks_made_is_a_failure(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.CHECKS, "plucker",
+                            lambda n, trials, seed=0, mode="numeric":
+                            {"target": "plucker", "trials": 0, "failures": []})
+        code, _, _ = run(capsys, "verify", "plucker", "--trials", "3")
+        assert code == EXIT_FAILURE
+
+    def test_r_flag_is_gone(self, capsys):
+        code, _, _ = run(capsys, "verify", "theorem1", "--r", "2")
+        assert code == EXIT_USAGE
+
 
 class TestIndependence:
     def test_n3(self, capsys):
@@ -152,6 +206,20 @@ class TestDeterminism:
                 "--seed", "7", "--format", "json"]
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
+        assert out1 == out2
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("argv", [
+        ["dr-series", "--n", "3"],
+        ["dr-series", "--n", "2", "--mode", "numeric", "--forms",
+         '{"f_n": {"degree": 2, "coefficients": ["1", "1/2", "3"]},'
+         ' "f_m": {"degree": 0, "coefficients": ["-2/3"]}}'],
+        ["independence", "--n", "4", "--trials", "1"],
+    ] + [["verify", target, "--n", "3", "--trials", "3", "--seed", "5"]
+         for target in verify.CHECKS], ids=lambda argv: " ".join(argv[:3]))
+    def test_every_command_is_byte_deterministic(self, capsys, argv, fmt):
+        _, out1, _ = run(capsys, *argv, "--format", fmt)
+        _, out2, _ = run(capsys, *argv, "--format", fmt)
         assert out1 == out2
 
     def test_seed_changes_witness_points(self, capsys):
