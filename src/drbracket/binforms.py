@@ -13,16 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .multipoly import MultiPoly, NotDivisibleError, interpolate_in_t
+from .multipoly import MultiPoly, exact_div, interpolate_in_t
 from .rationals import DualScalar, format_rational, parse_rational
 
 
 class NumericDegenerateError(ArithmeticError):
-    """a_0*a_n vanished where the construction needs to divide by it."""
-
-
-class DegeneratePivotError(ArithmeticError):
-    """Elimination hit a non-invertible pivot (dual-number path only)."""
+    """a_0*a_n vanished where the construction needs to divide by it, or
+    no pivot with a nonzero value part was left (dual numbers only)."""
 
 
 @dataclass(frozen=True)
@@ -134,10 +131,11 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm):
 def det_fraction_free(M):
     """Exact determinant by Bareiss elimination.
 
-    Works over any integral domain whose elements support *, - and exact
-    division: ints (every division is an exact integer division, so an
+    Works over any integral domain whose elements support *, - and
+    exact_div: ints (every division is an exact integer division, so an
     integer matrix never leaves the integers), Fractions and MultiPoly.
-    Dual numbers work when every pivot has a nonzero value part.
+    Dual numbers work when every pivot has a nonzero value part; otherwise
+    NumericDegenerateError is raised.
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -157,7 +155,7 @@ def det_fraction_free(M):
             if swap is None:
                 if all(A[i][k] == 0 for i in range(k, n)):
                     return A[0][0] * 0
-                raise DegeneratePivotError("no invertible pivot available")
+                raise NumericDegenerateError("no pivot with a nonzero value")
             A[k], A[swap] = A[swap], A[k]
             sign = -sign
         pivot_row = A[k]
@@ -168,33 +166,14 @@ def det_fraction_free(M):
             lead = row[k]
             for j in range(k + 1, n):
                 num = row[j] * pivot - lead * pivot_row[j]
-                row[j] = num if prev is None else _exact_div(num, prev)
+                row[j] = num if prev is None else exact_div(num, prev)
         prev = pivot
     det = A[n - 1][n - 1]
     return -det if sign < 0 else det
 
 
 def _is_unit_pivot(x) -> bool:
-    if isinstance(x, MultiPoly):
-        return not x.is_zero
-    if isinstance(x, DualScalar):
-        return x.value != 0
-    return x != 0
-
-
-def _exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise NotDivisibleError(f"{a} not divisible by {b}")
-        return q
-    if isinstance(a, MultiPoly) or isinstance(b, MultiPoly):
-        if not isinstance(a, MultiPoly):
-            a = MultiPoly.constant(a)
-        if not isinstance(b, MultiPoly):
-            b = MultiPoly.constant(b)
-        return a.exact_div(b)
-    return a / b
+    return (x.value if isinstance(x, DualScalar) else x) != 0
 
 
 def signed_resultant(f: BinaryForm, g: BinaryForm):
@@ -223,7 +202,7 @@ def discriminant(f: BinaryForm):
     denom = a0 * ad
     if not isinstance(denom, MultiPoly) and denom == 0:
         raise NumericDegenerateError("a_0 * a_d = 0")
-    return _exact_div(signed_resultant(f, f.x_dx()), denom)
+    return exact_div(signed_resultant(f, f.x_dx()), denom)
 
 
 @dataclass(frozen=True)
@@ -284,7 +263,7 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
             for j in range(1, n):
                 gc[j] = gc[j] + f_m.coefficients[j - 1] * t
         res = signed_resultant(f_n, BinaryForm.from_coeffs(gc))
-        samples.append((t, _exact_div(res, denom)))
+        samples.append((t, exact_div(res, denom)))
     entries = interpolate_in_t(samples)
     entries += [entries[0] * 0] * (n + 1 - len(entries))
     if lam != 1 or mu != 1:

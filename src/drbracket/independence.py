@@ -1,5 +1,5 @@
 """Rank certificates: multiplicative independence of leading monomials and
-the Jacobian criterion at random rational points.
+the Jacobian criterion at random integer points.
 
 Rank over the rationals suffices for multiplicative independence of
 Laurent monomials (the target group is torsion-free), so plain exact
@@ -14,14 +14,15 @@ from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence
 
-from .binforms import BinaryForm, DegeneratePivotError, dr_series
+from .binforms import BinaryForm, NumericDegenerateError, dr_series
 from .brackets import derive_seed
 from .laurent import (LaurentMonomial, degree_matrix_P, dr_rows,
                       lm_dr_closed_form)
 from .rationals import DualScalar
 
-# Largest n at which run_independence_suite runs the Jacobian check; the
-# Fraction-based Jacobian takes about 30 s at n = 7 with 10 points.
+# Largest n at which run_independence_suite runs the Jacobian check, which
+# grows steeply with n (2n series per point, each a Bareiss determinant of
+# order 2n at n + 1 values of t).
 JACOBIAN_N_MAX = 7
 
 
@@ -117,8 +118,11 @@ def jacobian_rank(n: int, points: int = 10, seed: int = 0,
                   bound: int = 20) -> dict:
     """Jacobian of {DR_{n,r} : r = 0, 2, ..., n} at random integer points.
 
-    Partial derivatives run dual numbers through the numeric series, one
-    direction per coefficient a_0..a_n, b_0..b_{n-2}.  One full-rank point
+    Partial derivatives run integer dual numbers through the numeric
+    series, one direction per coefficient a_0..a_n, b_0..b_{n-2}; every
+    entry and every intermediate is an integer polynomial in the
+    coefficients, so all divisions are exact.  A point where elimination
+    finds no pivot with a nonzero value is resampled.  One full-rank point
     certifies algebraic independence.
     """
     if n < 2:
@@ -137,14 +141,14 @@ def jacobian_rank(n: int, points: int = 10, seed: int = 0,
         try:
             jac_cols = []
             for direction in range(2 * n):
-                ac = [DualScalar.seed(x, 1 if direction == i else 0)
+                ac = [DualScalar(x, int(direction == i))
                       for i, x in enumerate(a)]
-                bc = [DualScalar.seed(x, 1 if direction == n + 1 + i else 0)
+                bc = [DualScalar(x, int(direction == n + 1 + i))
                       for i, x in enumerate(b)]
                 series = dr_series(BinaryForm.from_coeffs(ac),
                                    BinaryForm.from_coeffs(bc), mode="numeric")
                 jac_cols.append([series.entries[r].derivative for r in rows])
-        except (DegeneratePivotError, ZeroDivisionError):
+        except NumericDegenerateError:
             continue
         jac = [[jac_cols[c][r] for c in range(2 * n)] for r in range(len(rows))]
         rank, _, _ = _eliminate(jac)

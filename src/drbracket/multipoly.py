@@ -11,11 +11,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import DualScalar, format_rational, parse_rational
-
-
-class NotDivisibleError(ArithmeticError):
-    """Raised when an exact polynomial quotient does not exist."""
+from .rationals import (DualScalar, NotDivisibleError, format_rational,
+                        parse_rational)
 
 
 class MissingVariableError(KeyError):
@@ -161,10 +158,11 @@ class MultiPoly:
             k >>= 1
         return out
 
-    def exact_div(self, q: "MultiPoly") -> "MultiPoly":
-        """Return r with self == q*r, or raise NotDivisibleError."""
+    def exact_div(self, q) -> "MultiPoly":
+        """Return r with self == q*r, or raise NotDivisibleError.  An int or
+        Fraction q scales the coefficients by 1/q."""
         if isinstance(q, (int, Fraction)):
-            q = MultiPoly.constant(q)
+            return self * Fraction(1, q)
         if q.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         a, b = _align(self, q)
@@ -201,7 +199,7 @@ class MultiPoly:
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, point: Mapping[str, object]):
-        """Exact value at a point; values may be Fraction, int or DualScalar."""
+        """Exact value at a point; values may be Fraction or int."""
         vals = []
         for v in self.variables:
             if v not in point:
@@ -217,17 +215,6 @@ class MultiPoly:
         if acc is None:
             return Fraction(0)
         return acc
-
-    def eval_with_dual(self, point: Mapping[str, Fraction], direction: str) -> DualScalar:
-        """Value and exact partial derivative along one variable."""
-        if direction not in self.variables and direction not in point:
-            raise MissingVariableError(direction)
-        lifted = {v: DualScalar.seed(x, 1 if v == direction else 0)
-                  for v, x in point.items()}
-        out = self.evaluate(lifted)
-        if not isinstance(out, DualScalar):
-            out = DualScalar.lift(out)
-        return out
 
     # -- serialization ---------------------------------------------------------
     def to_json(self) -> dict:
@@ -284,10 +271,10 @@ def interpolate_in_t(samples: Iterable[tuple]):
 
     Nodes must be exactly 0, 1, ..., m-1, in order.  Values may be ints,
     Fractions, MultiPoly or DualScalar.  Uses Newton forward differences:
-    the k-th difference at node 0 is k! times the k-th Newton coefficient.
-    Int differences are divided exactly (NotDivisibleError if the
-    interpolant does not have integer coefficients); other kinds are
-    multiplied by 1/k!.  Every coefficient combines all samples (even the
+    the k-th difference at node 0 is k! times the k-th Newton coefficient,
+    and is divided by k! with exact_div (so int and DualScalar samples
+    raise NotDivisibleError if the interpolant does not have integer
+    coefficients).  Every coefficient combines all samples (even the
     constant term is c_0 - 0*c), so with mixed kinds each has the widest
     kind.  Returns the coefficient list of the unique polynomial of degree
     < m in the interpolation parameter, trailing zeros trimmed.
@@ -301,7 +288,7 @@ def interpolate_in_t(samples: Iterable[tuple]):
     for k in range(1, m):
         for i in range(m - 1, k - 1, -1):
             diffs[i] = diffs[i] - diffs[i - 1]
-    newton = [_div_factorial(d, math.factorial(k)) for k, d in enumerate(diffs)]
+    newton = [exact_div(d, math.factorial(k)) for k, d in enumerate(diffs)]
     # Horner in the Newton basis: p = c_0 + t*(c_1 + (t-1)*(c_2 + ...))
     coeffs = newton[-1:]
     for k in range(m - 2, -1, -1):
@@ -315,11 +302,19 @@ def interpolate_in_t(samples: Iterable[tuple]):
     return coeffs
 
 
-def _div_factorial(d, fact: int):
-    if isinstance(d, int):
-        q, r = divmod(d, fact)
+def exact_div(a, b):
+    """The exact quotient a / b, by the one rule every layer divides with:
+    ints, DualScalar and MultiPoly raise NotDivisibleError when b does not
+    divide a in their ring; Fractions divide with /."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
         if r:
-            raise NotDivisibleError(f"{d} not divisible by {fact}")
+            raise NotDivisibleError(f"{a} not divisible by {b}")
         return q
-    return d * Fraction(1, fact)
-
+    if isinstance(b, MultiPoly) and not isinstance(a, MultiPoly):
+        a = MultiPoly.constant(a)
+    if isinstance(b, DualScalar):
+        a = DualScalar.lift(a)
+    if isinstance(a, (MultiPoly, DualScalar)):
+        return a.exact_div(b)
+    return a / b

@@ -1,14 +1,19 @@
 """Exact scalar types: rational parsing/formatting and dual numbers.
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator).  ``DualScalar`` adjoins a square-zero nilpotent for exact
-directional derivatives.
+denominator).  ``DualScalar`` adjoins a square-zero nilpotent to the
+integers for exact directional derivatives of integer polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+class NotDivisibleError(ArithmeticError):
+    """Raised when an exact quotient does not exist."""
+
 
 def parse_rational(s: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction."""
@@ -25,21 +30,18 @@ def format_rational(q: Fraction) -> str:
 
 @dataclass(frozen=True)
 class DualScalar:
-    """value + derivative*eps with eps**2 = 0."""
+    """value + derivative*eps with eps**2 = 0, over the integers."""
 
-    value: Fraction
-    derivative: Fraction = Fraction(0)
+    value: int
+    derivative: int = 0
 
     @staticmethod
     def lift(x) -> "DualScalar":
         if isinstance(x, DualScalar):
             return x
-        return DualScalar(Fraction(x))
-
-    @staticmethod
-    def seed(x, rate=1) -> "DualScalar":
-        """A dual number tracking d/dt at t=0 of x + rate*t."""
-        return DualScalar(Fraction(x), Fraction(rate))
+        if not isinstance(x, int):
+            raise TypeError(f"not an integer dual number: {x!r}")
+        return DualScalar(x)
 
     def __add__(self, other):
         o = DualScalar.lift(other)
@@ -65,27 +67,15 @@ class DualScalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = DualScalar.lift(other)
-        if o.value == 0:
-            raise ZeroDivisionError("dual division by a nilpotent")
-        v = self.value / o.value
-        return DualScalar(v, (self.derivative - v * o.derivative) / o.value)
-
-    def __rtruediv__(self, other):
-        return DualScalar.lift(other) / self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("dual powers need a non-negative integer exponent")
-        out = DualScalar(Fraction(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    def exact_div(self, q) -> "DualScalar":
+        """The r with self == q*r, or NotDivisibleError when r would leave
+        the integers: v = a // b and d = (a' - v*b') // b, both exact."""
+        o = DualScalar.lift(q)
+        v, rem = divmod(self.value, o.value)
+        d, drem = divmod(self.derivative - v * o.derivative, o.value)
+        if rem or drem:
+            raise NotDivisibleError(f"{self} not divisible by {o}")
+        return DualScalar(v, d)
 
     def __eq__(self, other):
         o = DualScalar.lift(other)
@@ -93,6 +83,3 @@ class DualScalar:
 
     def __hash__(self):
         return hash((self.value, self.derivative))
-
-    def __bool__(self):
-        return bool(self.value) or bool(self.derivative)

@@ -1,12 +1,12 @@
 """The library's identity checks, one implementation each.
 
 Every check has the signature ``check(n, trials, seed=0, mode="numeric")``
-and returns a JSON-ready report whose ``trials`` is the number of checks
-actually made and whose ``failures`` lists the witnesses of each failed
-one.  A check that discards degenerate samples also reports them as
-``skipped``.  A report counts as a pass only under ``passed``: at least one
-check made and no failure.  Checks that do not apply at the given n raise
-``NotApplicable``.
+and returns a JSON-ready report that echoes ``n`` and ``mode``, whose
+``trials`` is the number of checks actually made and whose ``failures``
+lists the witnesses of each failed one.  A check that discards degenerate
+samples also reports them as ``skipped``.  A report counts as a pass only
+under ``passed``: at least one check made and no failure.  Checks that
+do not apply at the given n or mode raise ``NotApplicable``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 from random import Random
 
 from .binforms import dr_series, sl2_transform
-from .brackets import (alpha, all_symbols, bracket_eval, derive_seed,
+from .brackets import (all_symbols, bracket_eval, derive_seed,
                        dr_bracket_sum, forms_from_assignment,
                        plucker_relation, random_generic_assignment,
                        symbol_name, verify_theorem1)
@@ -23,7 +23,7 @@ from .laurent import PolygonModel, laurent_expand_bracket, var_name
 
 
 class NotApplicable(ValueError):
-    """The check has nothing to verify at this n."""
+    """The check has nothing to verify at this n or in this mode."""
 
 
 def passed(report: dict) -> bool:
@@ -56,17 +56,21 @@ def vanishing(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict
 
 
 def plucker(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
-    """The Pluecker relation on a_1..a_4 at random integer points (any n)."""
+    """The Pluecker relation on four of the symbols of n, drawn per trial,
+    at random integer points."""
+    if mode != "numeric" or n < 3:
+        raise NotApplicable("plucker is checked in numeric mode, for n >= 3")
     rng = Random(derive_seed(seed, "plucker"))
-    syms = [alpha(i) for i in range(1, 5)]
-    rel = plucker_relation(*syms)
     failures = []
     for trial in range(trials):
+        syms = rng.sample(all_symbols(n), 4)
         assignment = {s: (rng.randint(-50, 50), rng.randint(-50, 50))
                       for s in syms}
-        if rel.evaluate(assignment) != 0:
-            failures.append({"trial": trial})
-    return {"target": "plucker", "trials": trials, "failures": failures}
+        if plucker_relation(*syms).evaluate(assignment) != 0:
+            failures.append({"trial": trial,
+                             "symbols": [symbol_name(s) for s in syms]})
+    return {"target": "plucker", "n": n, "mode": mode, "trials": trials,
+            "failures": failures}
 
 
 def invariance(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
@@ -75,6 +79,8 @@ def invariance(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dic
     A draw whose transformed f_n has a_0 * a_n = 0 is skipped and redrawn,
     at most 50 * trials draws in all, as jacobian_rank does.
     """
+    if mode != "numeric":
+        raise NotApplicable("invariance is checked in numeric mode only")
     rng = Random(derive_seed(seed, "invariance"))
     failures = []
     checked = skipped = 0
@@ -91,15 +97,15 @@ def invariance(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dic
                 != dr_series(f_n, f_m).entries):
             failures.append({"trial": checked, "g": list(g)})
         checked += 1
-    return {"target": "invariance", "n": n, "trials": checked,
+    return {"target": "invariance", "n": n, "mode": mode, "trials": checked,
             "skipped": skipped, "failures": failures}
 
 
 def laurent(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
     """Every bracket's polygon Laurent expansion inverts only the invertible
     diagonals, and re-evaluates to the bracket at `trials` random points."""
-    if n < 3:
-        raise NotApplicable("laurent verification needs n >= 3")
+    if mode != "numeric" or n < 3:
+        raise NotApplicable("laurent is checked in numeric mode, for n >= 3")
     model = PolygonModel(n)
     defs = model.defining_brackets()
     inv = set(model.invertible_vars())
@@ -121,7 +127,7 @@ def laurent(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
             if lp.evaluate(values) != bracket_eval(x, y, assignment):
                 failures.append({"kind": "evaluation", "trial": trial,
                                  "bracket": [symbol_name(x), symbol_name(y)]})
-    return {"target": "laurent", "n": n, "trials": trials,
+    return {"target": "laurent", "n": n, "mode": mode, "trials": trials,
             "failures": failures}
 
 

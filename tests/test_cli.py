@@ -152,6 +152,13 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "laurent", "--n", "2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("target", ["plucker", "invariance", "laurent"])
+    def test_symbolic_mode_not_applicable(self, capsys, target):
+        code, out, err = run(capsys, "verify", target, "--n", "3",
+                             "--mode", "symbolic")
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_is_usage_error(self, capsys, trials):
         code, out, err = run(capsys, "verify", "theorem1", "--n", "3",
@@ -221,6 +228,16 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *argv, "--format", fmt)
         _, out2, _ = run(capsys, *argv, "--format", fmt)
         assert out1 == out2
+
+    def test_budget_overrun_warns_on_stderr(self, capsys):
+        argv = ["dr-series", "--n", "3", "--budget", "0", "--format", "json"]
+        code1, out1, err1 = run(capsys, *argv)
+        code2, out2, err2 = run(capsys, *argv)
+        assert code1 == code2 == EXIT_OK
+        assert out1 == out2 and "budget_exceeded" not in out1
+        assert json.loads(out1)["config"]["budget"] == 0
+        for err in (err1, err2):
+            assert err.startswith("warning:") and len(err.splitlines()) == 1
 
     def test_seed_changes_witness_points(self, capsys):
         _, out1, _ = run(capsys, "independence", "--n", "3", "--trials", "2",

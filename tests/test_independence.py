@@ -3,13 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from drbracket import independence
+from drbracket import binforms, independence
 from drbracket.independence import (IndependenceCertificate,
                                     integer_matrix_rank, jacobian_rank,
                                     multiplicative_independence,
                                     run_independence_suite)
 from drbracket.laurent import (LaurentMonomial, PolygonModel, degree_matrix_P,
                                dr_rows, lm_dr_closed_form)
+from drbracket.multipoly import NotDivisibleError
+from drbracket.rationals import DualScalar
 
 
 def mono(**kw):
@@ -123,6 +125,32 @@ class TestJacobian:
         for p in rep["per_point"]:
             a = p["point"]["a"]
             assert a[0] != 0 and a[-1] != 0
+
+    def test_degenerate_pivot_is_resampled(self, monkeypatch):
+        # the first determinant sees a first column with zero value parts
+        # and nonzero derivatives, so elimination has no pivot there
+        plain = jacobian_rank(3, points=3, seed=6)
+        det = binforms.det_fraction_free
+        calls = []
+
+        def degenerate_once(M):
+            calls.append(1)
+            if len(calls) == 1:
+                M = [[DualScalar(0, 1)] + row[1:] for row in M]
+            return det(M)
+        monkeypatch.setattr(binforms, "det_fraction_free", degenerate_once)
+        rep = jacobian_rank(3, points=2, seed=6)
+        assert rep["points"] == 2
+        assert rep["per_point"] == plain["per_point"][1:]
+
+    @pytest.mark.parametrize("divisor, error", [
+        (DualScalar(2), NotDivisibleError), (0, ZeroDivisionError)])
+    def test_division_errors_propagate(self, monkeypatch, divisor, error):
+        # an inexact or zero division is a bug, not a degenerate point
+        monkeypatch.setattr(binforms, "exact_div",
+                            lambda a, b: DualScalar(1, 1).exact_div(divisor))
+        with pytest.raises(error):
+            jacobian_rank(3, points=1, seed=0)
 
 
 class TestSuite:

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drbracket.binforms import BinaryForm, dr_series
 from drbracket.multipoly import (MissingVariableError, MultiPoly,
-                                 NotDivisibleError, interpolate_in_t)
+                                 NotDivisibleError, exact_div,
+                                 interpolate_in_t)
 from drbracket.rationals import DualScalar
 
 x = MultiPoly.variable("x")
@@ -84,6 +87,44 @@ class TestExactDivide:
         assert numerator == expected
         assert numerator.exact_div(a0 * a2) == a0 * a2 * 4 - a1 ** 2
 
+    def test_constant_divisor_scales_like_long_division(self):
+        p = x ** 2 * F(3, 2) - y * 6
+        for q in (3, F(-3, 4)):
+            scaled = p.exact_div(q)
+            assert scaled == p.exact_div(MultiPoly.constant(q))
+            assert scaled.variables == p.variables
+        with pytest.raises(ZeroDivisionError):
+            p.exact_div(0)
+
+
+class TestExactDivRule:
+    def test_ints_divide_exactly(self):
+        assert exact_div(-12, 4) == -3 and type(exact_div(12, 4)) is int
+        with pytest.raises(NotDivisibleError):
+            exact_div(7, 2)
+
+    def test_fractions_divide(self):
+        assert exact_div(F(7), 2) == F(7, 2)
+        assert exact_div(3, F(3, 4)) == 4
+
+    def test_polynomials_and_constants(self):
+        assert exact_div(x * 6, 4) == x * F(3, 2)
+        assert exact_div(x * y, x) == y
+        assert exact_div(F(0), x) == 0
+        with pytest.raises(NotDivisibleError):
+            exact_div(F(1), x)
+
+    def test_duals(self):
+        # (2 + eps)(3 + eps) = 6 + 5 eps
+        assert exact_div(DualScalar(6, 5), DualScalar(2, 1)) == DualScalar(3, 1)
+        assert exact_div(DualScalar(6, 4), 2) == DualScalar(3, 2)
+        assert exact_div(4, DualScalar(2, 1)) == DualScalar(2, -1)
+        for a, b in ((DualScalar(7, 1), 2), (DualScalar(6, 1), DualScalar(2))):
+            with pytest.raises(NotDivisibleError):
+                exact_div(a, b)
+        with pytest.raises(ZeroDivisionError):
+            exact_div(DualScalar(6, 1), DualScalar(0, 1))
+
 
 class TestEvaluate:
     def test_point_value(self):
@@ -139,10 +180,14 @@ class TestInterpolation:
         assert all(isinstance(c, MultiPoly) for c in out)
 
     def test_dual_samples(self):
-        out = interpolate_in_t([(t, DualScalar(F(1 + t * t), F(t)))
+        out = interpolate_in_t([(t, DualScalar(1 + t * t, t))
                                 for t in range(3)])
-        assert out == [DualScalar(F(1)), DualScalar(F(0), F(1)),
-                       DualScalar(F(1))]
+        assert out == [DualScalar(1), DualScalar(0, 1), DualScalar(1)]
+        assert all(type(c.value) is int and type(c.derivative) is int
+                   for c in out)
+        with pytest.raises(NotDivisibleError):
+            interpolate_in_t([(t, DualScalar(0, t * (t - 1) // 2 % 2))
+                              for t in range(3)])
 
     def test_random_degree_8_roundtrip(self):
         import random
@@ -158,32 +203,40 @@ class TestInterpolation:
 
 
 class TestDual:
-    def test_square(self):
-        d = (x ** 2).eval_with_dual({"x": F(3)}, "x")
-        assert (d.value, d.derivative) == (9, 6)
-
-    def test_product(self):
-        d = (x * y).eval_with_dual({"x": F(2), "y": F(3)}, "y")
-        assert (d.value, d.derivative) == (6, 2)
-
-    def test_constant(self):
-        d = MultiPoly.constant(7).eval_with_dual({"x": F(1)}, "x")
-        assert (d.value, d.derivative) == (7, 0)
-
     def test_nilpotent_square(self):
-        eps = DualScalar(F(0), F(1))
-        assert eps * eps == DualScalar(F(0), F(0))
+        eps = DualScalar(0, 1)
+        assert eps * eps == DualScalar(0, 0) == 0
+
+    def test_lift_accepts_only_ints(self):
+        assert DualScalar.lift(3) == DualScalar(3, 0)
+        for bad in (F(1, 2), F(2), x):
+            with pytest.raises(TypeError):
+                DualScalar.lift(bad)
 
     def test_matches_symbolic_derivative(self):
-        import random
+        # at seeded integer points, every dual series entry is the symbolic
+        # entry and its partial derivative along the dual direction
         rng = random.Random(11)
-        for _ in range(100):
-            p = rand_poly(rng)
-            point = {v: F(rng.randint(-5, 5)) for v in ("x", "y", "z")}
-            var = rng.choice(["x", "y", "z"])
-            d = p.eval_with_dual(point, var)
-            assert d.value == p.evaluate(point)
-            assert d.derivative == p.derivative(var).evaluate(point)
+        for n in (2, 3, 4):
+            f_n = BinaryForm.generic(n, "a")
+            f_m = BinaryForm.generic(n - 2, "b")
+            symbolic = dr_series(f_n, f_m, mode="symbolic").entries
+            names = [c.variables[0]
+                     for c in f_n.coefficients + f_m.coefficients]
+            for _ in range(2):
+                point = {v: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+                         for v in names}
+                for var in names:
+                    a, b = ([DualScalar(point[c.variables[0]],
+                                        int(c.variables == (var,)))
+                             for c in form.coefficients]
+                            for form in (f_n, f_m))
+                    dual = dr_series(BinaryForm.from_coeffs(a),
+                                     BinaryForm.from_coeffs(b)).entries
+                    for d, e in zip(dual, symbolic):
+                        assert d.value == e.evaluate(point)
+                        assert (d.derivative
+                                == e.derivative(var).evaluate(point))
 
 
 small_polys = st.builds(

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from drbracket import verify
+from drbracket.brackets import all_symbols
 from drbracket.verify import CHECKS, NotApplicable, passed
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "verify_identities.py"
@@ -31,6 +32,38 @@ class TestRegistry:
     def test_laurent_not_applicable_below_3(self):
         with pytest.raises(NotApplicable):
             CHECKS["laurent"](2, 3)
+
+    def test_plucker_needs_four_symbols(self):
+        with pytest.raises(NotApplicable):
+            CHECKS["plucker"](2, 3)  # n = 2 has the symbols a1, a2 only
+
+    @pytest.mark.parametrize("name", ["plucker", "invariance", "laurent"])
+    def test_numeric_only_checks_refuse_symbolic(self, name):
+        with pytest.raises(NotApplicable):
+            CHECKS[name](3, 3, mode="symbolic")
+
+    @pytest.mark.parametrize("mode", ["numeric", "symbolic"])
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_reports_echo_n_and_mode(self, name, mode):
+        try:
+            report = CHECKS[name](3, 2, seed=1, mode=mode)
+        except NotApplicable:
+            return
+        # vanishing says when it ran symbolically, as it does for n <= 4
+        ran = "symbolic" if name == "vanishing" else mode
+        assert report["n"] == 3 and report["mode"] == ran
+
+    def test_plucker_draws_symbols_of_n(self, monkeypatch):
+        drawn = set()
+
+        def recording(*syms):
+            drawn.update(syms)
+            return real(*syms)
+        real = verify.plucker_relation
+        monkeypatch.setattr(verify, "plucker_relation", recording)
+        assert passed(CHECKS["plucker"](6, 30, seed=2))
+        assert drawn <= set(all_symbols(6))
+        assert len(drawn) > 4
 
     def test_invariance_counts_checked_and_skipped(self, monkeypatch):
         calls = {"sl2": 0, "series": 0}
@@ -69,8 +102,9 @@ class TestScript:
         assert header[1:-1] == list(CHECKS)
         row2 = dict(zip(header, lines[1].split()))
         row3 = dict(zip(header, lines[2].split()))
-        assert row2["laurent"] == "n/a"
-        assert all(row2[name] == "ok" for name in CHECKS if name != "laurent")
+        assert row2["laurent"] == row2["plucker"] == "n/a"
+        assert all(row2[name] == "ok" for name in CHECKS
+                   if name not in ("laurent", "plucker"))
         assert all(row3[name] == "ok" for name in CHECKS)
         assert code == 0 and lines[-1] == "all checks passed"
 
