@@ -114,21 +114,42 @@ def multiplicative_independence(monomials: Sequence[LaurentMonomial],
                                    "dependent", tuple(kernel))
 
 
+def jacobian_matrix(a: Sequence[int], b: Sequence[int]) -> list:
+    """Jacobian of {DR_{n,r} : r = 0, 2, ..., n} at the integer point with
+    coefficients a = a_0..a_n of f_n and b = b_0..b_{n-2} of f_m.
+
+    Row i holds the partial derivatives of DR_{n, dr_rows(n)[i]}; column c
+    is the direction a_c for c <= n and b_{c-n-1} after, 2n columns in all.
+    Each column runs integer dual numbers, seeded 1 in that one direction,
+    through one numeric series; every entry and every intermediate is an
+    integer polynomial in the coefficients, so all divisions are exact.
+    Raises NumericDegenerateError where elimination finds no pivot with a
+    nonzero value.
+    """
+    n = len(a) - 1
+    rows = dr_rows(n)
+    cols = []
+    for direction in range(2 * n):
+        ac = [DualScalar(x, int(direction == i)) for i, x in enumerate(a)]
+        bc = [DualScalar(x, int(direction == n + 1 + i))
+              for i, x in enumerate(b)]
+        series = dr_series(BinaryForm.from_coeffs(ac),
+                           BinaryForm.from_coeffs(bc), mode="numeric")
+        cols.append([series.entries[r].derivative for r in rows])
+    return [[col[i] for col in cols] for i in range(len(rows))]
+
+
 def jacobian_rank(n: int, points: int = 10, seed: int = 0,
                   bound: int = 20) -> dict:
-    """Jacobian of {DR_{n,r} : r = 0, 2, ..., n} at random integer points.
+    """Rank of jacobian_matrix at random integer points.
 
-    Partial derivatives run integer dual numbers through the numeric
-    series, one direction per coefficient a_0..a_n, b_0..b_{n-2}; every
-    entry and every intermediate is an integer polynomial in the
-    coefficients, so all divisions are exact.  A point where elimination
-    finds no pivot with a nonzero value is resampled.  One full-rank point
-    certifies algebraic independence.
+    A point with a_0*a_n = 0, or where elimination finds no pivot with a
+    nonzero value, is resampled.  One full-rank point certifies algebraic
+    independence.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     rng = Random(derive_seed(seed, f"jacobian:{n}"))
-    rows = dr_rows(n)
     ranks = []
     sampled = 0
     budget = 50 * points
@@ -139,22 +160,13 @@ def jacobian_rank(n: int, points: int = 10, seed: int = 0,
         if a[0] == 0 or a[n] == 0:
             continue
         try:
-            jac_cols = []
-            for direction in range(2 * n):
-                ac = [DualScalar(x, int(direction == i))
-                      for i, x in enumerate(a)]
-                bc = [DualScalar(x, int(direction == n + 1 + i))
-                      for i, x in enumerate(b)]
-                series = dr_series(BinaryForm.from_coeffs(ac),
-                                   BinaryForm.from_coeffs(bc), mode="numeric")
-                jac_cols.append([series.entries[r].derivative for r in rows])
+            jac = jacobian_matrix(a, b)
         except NumericDegenerateError:
             continue
-        jac = [[jac_cols[c][r] for c in range(2 * n)] for r in range(len(rows))]
         rank, _, _ = _eliminate(jac)
         ranks.append({"point": {"a": a, "b": b}, "rank": rank})
     return {"n": n, "seed": seed, "points": len(ranks),
-            "expected_rank": len(rows),
+            "expected_rank": len(dr_rows(n)),
             "max_rank": max((p["rank"] for p in ranks), default=0),
             "per_point": ranks}
 

@@ -1,14 +1,19 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials with exact rational coefficients,
+stored as ints.
 
 Terms are keyed by exponent tuples over a sorted variable namespace;
 arithmetic union-merges namespaces so callers never pre-align them.
-All values are immutable after construction.
+A coefficient is a plain int, and a reduced Fraction only when it is not
+an integer, so integer polynomials (every Bareiss intermediate and every
+DR entry) never build a Fraction.  All values are immutable after
+construction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .rationals import (DualScalar, NotDivisibleError, format_rational,
@@ -19,20 +24,37 @@ class MissingVariableError(KeyError):
     """Raised when an evaluation point omits a variable."""
 
 
-def _coeff(x) -> Fraction:
+def _coeff(x):
+    """A coefficient in canonical form: an int, or a non-integral Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"not a rational coefficient: {x!r}")
 
 
+def _canonical(terms: dict) -> dict:
+    """Drop zero coefficients and turn integral Fractions into ints."""
+    return {e: c.numerator if c.__class__ is Fraction and c.denominator == 1
+            else c for e, c in terms.items() if c}
+
+
+def _quotient(a, b):
+    """a / b for coefficients: an int when it is one, never a float."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a, b))
+
+
 class MultiPoly:
-    """Immutable sparse polynomial over Q."""
+    """Immutable sparse polynomial with rational coefficients, held as
+    ints wherever they are integers."""
 
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Fraction]):
+    def __init__(self, variables: Sequence[str], terms: Mapping[tuple, object]):
         vs = tuple(variables)
         if list(vs) != sorted(vs):
             raise ValueError("variable namespace must be sorted")
@@ -48,6 +70,17 @@ class MultiPoly:
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _make(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """Constructor for results of arithmetic, which trusts its inputs:
+        a sorted namespace, non-negative exponent tuples of its length and
+        nonzero canonical coefficients (see _coeff).  Skips the checks of
+        __init__."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
 
@@ -59,7 +92,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -90,59 +123,59 @@ class MultiPoly:
             return self
         vs = tuple(self.variables[i] for i in used)
         terms = {tuple(e[i] for i in used): c for e, c in self.terms.items()}
-        return MultiPoly(vs, terms)
+        return MultiPoly._make(vs, terms)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
+        return self._combine(other, False)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return MultiPoly._make(self.variables,
+                               {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self._combine(other, True)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _combine(self, other, negate: bool):
+        """self + other, or self - other when negate is set."""
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = _align(self, other)
         out = dict(a.terms)
+        get = out.get
         for e, c in b.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = get(e, 0) - c if negate else get(e, 0) + c
+            if s.__class__ is Fraction and s.denominator == 1:
+                s = s.numerator
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return MultiPoly(a.variables, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+                del out[e]
+        return MultiPoly._make(a.variables, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
-            if not c:
-                return MultiPoly(self.variables, {})
-            return MultiPoly(self.variables,
-                             {e: c * v for e, v in self.terms.items()})
+            return MultiPoly._make(self.variables, _canonical(
+                {e: c * v for e, v in self.terms.items()}))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = _align(self, other)
         out: dict = {}
+        get = out.get
+        b_terms = list(b.terms.items())
         for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultiPoly(a.variables, out)
+            for e2, c2 in b_terms:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return MultiPoly._make(a.variables, _canonical(out))
 
     __rmul__ = __mul__
 
@@ -162,40 +195,43 @@ class MultiPoly:
         """Return r with self == q*r, or raise NotDivisibleError.  An int or
         Fraction q scales the coefficients by 1/q."""
         if isinstance(q, (int, Fraction)):
-            return self * Fraction(1, q)
+            if not q:
+                raise ZeroDivisionError("division by zero")
+            return MultiPoly._make(self.variables, {
+                e: _quotient(c, q) for e, c in self.terms.items()})
         if q.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         a, b = _align(self, q)
         rem = dict(a.terms)
+        get = rem.get
         lt_q = max(b.terms)  # lex-leading exponent
         c_q = b.terms[lt_q]
+        q_terms = list(b.terms.items())
         quo: dict = {}
         while rem:
             lt_r = max(rem)
-            diff = tuple(x - y for x, y in zip(lt_r, lt_q))
-            if any(d < 0 for d in diff):
+            diff = tuple(map(sub, lt_r, lt_q))
+            if diff and min(diff) < 0:
                 raise NotDivisibleError("no exact quotient")
-            c = rem[lt_r] / c_q
+            c = _quotient(rem[lt_r], c_q)
             quo[diff] = c
-            for e, cq in b.terms.items():
-                tgt = tuple(x + y for x, y in zip(e, diff))
-                s = rem.get(tgt, Fraction(0)) - c * cq
+            for e, cq in q_terms:
+                tgt = tuple(map(add, e, diff))
+                s = get(tgt, 0) - c * cq
                 if s:
                     rem[tgt] = s
                 else:
-                    rem.pop(tgt, None)
-        return MultiPoly(a.variables, quo)
+                    del rem[tgt]
+        return MultiPoly._make(a.variables, quo)
 
     def derivative(self, var: str) -> "MultiPoly":
         if var not in self.variables:
-            return MultiPoly(self.variables, {})
+            return MultiPoly._make(self.variables, {})
         i = self.variables.index(var)
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[e2] = out.get(e2, Fraction(0)) + c * e[i]
-        return MultiPoly(self.variables, out)
+        # lowering the exponent of var is one-to-one on the terms it keeps
+        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+               for e, c in self.terms.items() if e[i]}
+        return MultiPoly._make(self.variables, _canonical(out))
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, point: Mapping[str, object]):
@@ -205,15 +241,13 @@ class MultiPoly:
             if v not in point:
                 raise MissingVariableError(v)
             vals.append(point[v])
-        acc = None
-        for e, c in sorted(self.terms.items()):
+        acc = 0
+        for e, c in self.terms.items():
             term = c
             for x, k in zip(vals, e):
                 if k:
                     term = term * x ** k
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return Fraction(0)
+            acc = acc + term
         return acc
 
     # -- serialization ---------------------------------------------------------
@@ -263,7 +297,7 @@ def _remap(p: MultiPoly, vs: tuple) -> MultiPoly:
         for i, k in zip(idx, e):
             ne[i] = k
         terms[tuple(ne)] = c
-    return MultiPoly(vs, terms)
+    return MultiPoly._make(vs, terms)
 
 
 def interpolate_in_t(samples: Iterable[tuple]):

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from drbracket import binforms, independence
+from drbracket.binforms import BinaryForm, dr_series
 from drbracket.independence import (IndependenceCertificate,
-                                    integer_matrix_rank, jacobian_rank,
+                                    integer_matrix_rank, jacobian_matrix,
+                                    jacobian_rank,
                                     multiplicative_independence,
                                     run_independence_suite)
 from drbracket.laurent import (LaurentMonomial, PolygonModel, degree_matrix_P,
@@ -142,6 +144,39 @@ class TestJacobian:
         rep = jacobian_rank(3, points=2, seed=6)
         assert rep["points"] == 2
         assert rep["per_point"] == plain["per_point"][1:]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_columns_are_symbolic_partials(self, n):
+        # column c of the matrix at a point is the MultiPoly derivative of
+        # every row's symbolic entry along coefficient c, evaluated there
+        entries = dr_series(BinaryForm.generic(n, "a"),
+                            BinaryForm.generic(n - 2, "b"),
+                            mode="symbolic").entries
+        names = [f"a{i}" for i in range(n + 1)] + [f"b{i}" for i in range(n - 1)]
+        rng = random.Random(n)
+        for _ in range(3):
+            a = [rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for _ in range(n + 1)]
+            b = [rng.randint(-4, 4) for _ in range(n - 1)]
+            point = dict(zip(names, a + b))
+            jac = jacobian_matrix(a, b)
+            assert len(jac) == len(dr_rows(n))
+            assert all(len(row) == 2 * n for row in jac)
+            for row, r in zip(jac, dr_rows(n)):
+                assert row == [entries[r].derivative(v).evaluate(point)
+                               for v in names]
+
+    def test_two_n_series_per_point(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dr_series(*args, **kwargs)
+        monkeypatch.setattr(independence, "dr_series", counted)
+        for n in (3, 4):
+            calls.clear()
+            rep = jacobian_rank(n, points=3, seed=1)
+            assert rep["points"] == 3
+            assert len(calls) == 2 * n * 3
 
     @pytest.mark.parametrize("divisor, error", [
         (DualScalar(2), NotDivisibleError), (0, ZeroDivisionError)])

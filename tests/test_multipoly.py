@@ -140,6 +140,13 @@ class TestEvaluate:
         with pytest.raises(MissingVariableError):
             (x * y).evaluate({"x": F(1)})
 
+    def test_integer_polynomial_at_integer_point_is_int(self):
+        for p in (MultiPoly.zero(), x - x, MultiPoly.constant(F(4)),
+                  x ** 2 * y * 3 - 5):
+            v = p.evaluate({"x": 2, "y": -3})
+            assert type(v) is int
+        assert MultiPoly.zero().evaluate({}) == 0
+
 
 class TestInterpolation:
     def test_quadratic(self):
@@ -260,3 +267,147 @@ def test_mul_then_divide_roundtrip(q, r):
     if q.is_zero:
         q = q + 1
     assert (q * r).exact_div(q) == r
+
+
+# -- reference model: a dict from monomials to Fractions ---------------------
+# A monomial is a sorted tuple of (variable, exponent > 0) pairs, so the
+# reference needs no namespace and never stores an int.
+
+def ref_of(p: MultiPoly) -> dict:
+    return {tuple((v, k) for v, k in zip(p.variables, e) if k): F(c)
+            for e, c in p.terms.items()}
+
+
+def ref_add(p: dict, q: dict, sign=1) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, F(0)) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for v, k in m2:
+                exps[v] = exps.get(v, 0) + k
+            m = tuple(sorted(exps.items()))
+            out[m] = out.get(m, F(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_derivative(p: dict, var: str) -> dict:
+    out = {}
+    for m, c in p.items():
+        exps = dict(m)
+        k = exps.get(var, 0)
+        if k:
+            exps[var] = k - 1
+            d = tuple((v, e) for v, e in sorted(exps.items()) if e)
+            out[d] = out.get(d, F(0)) + c * k
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_to_json(p: dict) -> dict:
+    vs = sorted({v for m in p for v, _ in m})
+    recs = sorted((tuple(dict(m).get(v, 0) for v in vs), c)
+                  for m, c in p.items())
+    return {"variables": vs,
+            "terms": [{"coefficient": str(c.numerator) if c.denominator == 1
+                       else f"{c.numerator}/{c.denominator}",
+                       "exponents": list(e)} for e, c in recs]}
+
+
+def assert_canonical(p: MultiPoly):
+    """Coefficients are nonzero ints or Fractions that are not integers."""
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is F and c.denominator != 1), c
+
+
+# ints, integral Fractions (which must be stored as ints) and non-integral
+# Fractions, over random sub-namespaces of {u, v, w}
+coefficients = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-30, 30).map(F),
+    st.builds(F, st.integers(-30, 30), st.integers(1, 6)))
+mixed_polys = st.sampled_from(
+    [("u",), ("v", "w"), ("u", "v"), ("u", "v", "w")]).flatmap(
+    lambda vs: st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * len(vs)), coefficients,
+        max_size=6).map(lambda terms: MultiPoly(vs, terms)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys, mixed_polys)
+def test_arithmetic_matches_fraction_reference(p, q):
+    rp, rq = ref_of(p), ref_of(q)
+    for result, expected in ((p + q, ref_add(rp, rq)),
+                             (p - q, ref_add(rp, rq, -1)),
+                             (p * q, ref_mul(rp, rq)),
+                             (p.derivative("v"), ref_derivative(rp, "v"))):
+        assert_canonical(result)
+        assert ref_of(result) == expected
+        assert result.to_json() == ref_to_json(expected)
+    assert_canonical(p)
+    assert p.to_json() == ref_to_json(rp)
+    assert MultiPoly.from_json(p.to_json()) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys, mixed_polys)
+def test_exact_div_matches_fraction_reference(p, q):
+    if q.is_zero:
+        return
+    quotient = (p * q).exact_div(q)
+    assert_canonical(quotient)
+    assert ref_of(quotient) == ref_of(p)
+    if q.terms.keys() != {(0,) * len(q.variables)}:
+        # q is not a constant, so it does not divide p*q + 1
+        with pytest.raises(NotDivisibleError):
+            (p * q + 1).exact_div(q)
+
+
+class TestIntCoefficients:
+    def test_integral_fractions_are_stored_as_ints(self):
+        p = MultiPoly(("x",), {(1,): F(6, 3), (0,): F(1, 2)})
+        assert p.terms == {(1,): 2, (0,): F(1, 2)}
+        assert type(p.terms[(1,)]) is int
+        assert type(MultiPoly.constant(F(-4)).terms[()]) is int
+        assert type(x.terms[(1,)]) is int
+        half = x * F(1, 2)
+        assert_canonical(half + half)
+        assert_canonical((half * 2).derivative("x"))
+
+    def test_quotient_of_ints_is_a_fraction_not_a_float(self):
+        q = x.exact_div(x * 2)
+        (c,) = q.terms.values()
+        assert q == F(1, 2) and type(c) is F
+        r = (x * 6 + 4).exact_div(MultiPoly.constant(4))
+        assert r.terms == {(1,): F(3, 2), (0,): 1}
+        assert type(r.terms[(0,)]) is int
+        assert (x * 6).exact_div(3).terms == {(1,): 2}
+        assert type((x * 6).exact_div(3).terms[(1,)]) is int
+
+    def test_non_divisor_raises(self):
+        with pytest.raises(NotDivisibleError):
+            (x * y + 1).exact_div(x * 2)
+        with pytest.raises(NotDivisibleError):
+            (x ** 2 * 3).exact_div(x * y)
+
+    def test_to_json_of_int_matches_fraction(self):
+        p = x ** 2 * 3 - y * F(5, 2) + 7
+        assert p.to_json() == {
+            "variables": ["x", "y"],
+            "terms": [{"coefficient": "7", "exponents": [0, 0]},
+                      {"coefficient": "-5/2", "exponents": [0, 1]},
+                      {"coefficient": "3", "exponents": [2, 0]}]}
+
+    def test_public_constructor_keeps_its_checks(self):
+        for vs, terms, err in ((("y", "x"), {}, ValueError),
+                               (("x",), {(1, 0): 1}, ValueError),
+                               (("x",), {(-1,): 1}, ValueError),
+                               (("x",), {(1,): 0.5}, TypeError)):
+            with pytest.raises(err):
+                MultiPoly(vs, terms)
