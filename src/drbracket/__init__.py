@@ -6,8 +6,9 @@ and machine-checkable algebraic-independence certificates.
 __version__ = "0.1.0"
 
 from .binforms import (BinaryForm, DRSeries, NumericDegenerateError,
-                       det_fraction_free, discriminant, dr_series,
-                       signed_resultant, sl2_transform, sylvester_matrix)
+                       bezout_matrix, det_fraction_free, discriminant,
+                       dr_series, signed_resultant, sl2_transform,
+                       sylvester_matrix)
 from .brackets import (BracketMonomial, BracketPolynomial,
                        BracketSumUndefinedError, alpha, beta, bracket_eval,
                        canonicalize, dr_bracket_sum, forms_from_assignment,

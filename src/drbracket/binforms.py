@@ -1,9 +1,15 @@
-"""Binary forms, Sylvester matrices, fraction-free determinants and the
-discriminant-resultant series.
+"""Binary forms, Bezout and Sylvester matrices, fraction-free determinants
+and the discriminant-resultant series.
 
 A degree-m form is f = sum_i a_i x^i y^(m-i).  The resultant is
 sign-normalized so that it agrees with the bracket product of the symbols
-of the two forms: signed_resultant = (-1)^(d*e) * det(Sylvester).
+of the two forms: signed_resultant = (-1)^(d*e) * det(Sylvester).  It is
+computed as the determinant of the d x d hybrid Bezout matrix, half the
+order of the Sylvester matrix (Chionh, Zhang & Goldman, J. Symbolic
+Computation 2002); the Sylvester matrix is kept as the reference it is
+tested against.  The Bezout matrix is linear in its second form, so the
+DR series, whose second form is linear in t, builds it twice and samples
+det(B0 + t*B1).
 """
 
 from __future__ import annotations
@@ -110,7 +116,8 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm):
     """(d+e) x (d+e) Sylvester matrix: e shifted rows of f, then d of g.
 
     Rows carry the coefficients of the forms read as degree-d (resp. e)
-    polynomials in x at y = 1, highest power first.
+    polynomials in x at y = 1, highest power first.  It is the reference
+    that the Bezout resultant is tested against.
     """
     d, e = f.degree, g.degree
     if d < 1 or e < 1:
@@ -128,14 +135,45 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm):
     return M
 
 
+def bezout_matrix(f: BinaryForm, g: BinaryForm):
+    """d x d hybrid Bezout matrix of f and g, for d = deg f >= e = deg g >= 1.
+
+    Column i holds the coefficient of x^i (at y = 1).  The first d - e rows
+    are x^s * g for s = 0..d-e-1.  With G = x^(d-e) * g, both read as
+    polynomials of formal degree d, and c_pq = f_p G_q - f_q G_p, Bezout
+    row k = 1..e holds at column i the value -sum_{j<k} c_{d-k+1+j, i-j};
+    row k is row k-1 shifted one column right, minus c_{d-k+1, i}, so the
+    whole matrix costs 2*d*e ring multiplications.
+    det(bezout_matrix(f, g)) = (-1)^((d+1)*e) * res(f, g), the resultant of
+    the Sylvester matrix.  Every entry is linear in g, so a zero g is
+    allowed (it gives a matrix of zeros in the Bezout rows).
+    """
+    d, e = f.degree, g.degree
+    if not 1 <= e <= d:
+        raise ValueError("bezout_matrix needs deg f >= deg g >= 1")
+    a, b = f.coefficients, g.coefficients
+    G = (0,) * (d - e) + b
+    M = [[0] * s + list(b) + [0] * (d - e - 1 - s) for s in range(d - e)]
+    row = [0] * d
+    for k in range(1, e + 1):
+        p = d - k + 1
+        ap, Gp = a[p], G[p]
+        row = [0] + row[:-1]
+        row = [row[i] - (ap * G[i] - a[i] * Gp) for i in range(d)]
+        M.append(row)
+    return M
+
+
 def det_fraction_free(M):
-    """Exact determinant by Bareiss elimination.
+    """Exact determinant by Bareiss elimination (Bareiss, Math. Comp. 1968).
 
     Works over any integral domain whose elements support *, - and
     exact_div: ints (every division is an exact integer division, so an
     integer matrix never leaves the integers), Fractions and MultiPoly.
     Dual numbers work when every pivot has a nonzero value part; otherwise
-    NumericDegenerateError is raised.
+    NumericDegenerateError is raised.  An order-N matrix takes about N^3/3
+    updates, each two products and one exact division; resultants and the
+    DR series call it on Bezout matrices of order max(d, e).
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -179,7 +217,9 @@ def _is_unit_pivot(x) -> bool:
 def signed_resultant(f: BinaryForm, g: BinaryForm):
     """Resultant normalized to the bracket product of the forms' symbols.
 
-    Equals (-1)^(d*e) * det(sylvester_matrix(f, g)); degree-0 arguments are
+    Equals (-1)^(d*e) * det(sylvester_matrix(f, g)), computed as
+    (-1)^((d+1)*e) * det(bezout_matrix(f, g)) for d >= e, and through
+    res(f, g) = (-1)^(d*e) * res(g, f) for d < e.  Degree-0 arguments are
     handled as empty products: res(f, c) = c^d and res(c, g) = c^e.
     """
     d, e = f.degree, g.degree
@@ -189,8 +229,13 @@ def signed_resultant(f: BinaryForm, g: BinaryForm):
         return g.coefficients[0] ** d
     if d == 0:
         return f.coefficients[0] ** e
-    det = det_fraction_free(sylvester_matrix(f, g))
-    return -det if (d * e) % 2 else det
+    if f.is_zero() or g.is_zero():
+        raise ValueError("zero form")
+    if d < e:
+        res = signed_resultant(g, f)
+        return -res if (d * e) % 2 else res
+    det = det_fraction_free(bezout_matrix(f, g))
+    return -det if ((d + 1) * e) % 2 else det
 
 
 def discriminant(f: BinaryForm):
@@ -200,7 +245,7 @@ def discriminant(f: BinaryForm):
         raise ValueError("discriminant needs degree >= 2")
     a0, ad = f.coefficients[0], f.coefficients[-1]
     denom = a0 * ad
-    if not isinstance(denom, MultiPoly) and denom == 0:
+    if denom == 0:
         raise NumericDegenerateError("a_0 * a_d = 0")
     return exact_div(signed_resultant(f, f.x_dx()), denom)
 
@@ -229,8 +274,12 @@ class DRSeries:
 def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeries:
     """Series of res(f_n, x*d/dx f_n + t*x*y*f_m) / (a_0*a_n) in t.
 
-    f_m must have degree n-2.  Computed by evaluating at t = 0..n, dividing
-    each sample exactly by a_0*a_n and interpolating in t.  Each entry is an
+    f_m must have degree n-2.  The Bezout matrix is linear in its second
+    form, so with B0 = bezout_matrix(f_n, x*d/dx f_n) and
+    B1 = bezout_matrix(f_n, x*y*f_m), built once, the resultant at t is
+    det(B0 + t*B1), of order n (its sign (-1)^((n+1)*n) is 1).  It is
+    evaluated at t = 0..n, each sample is divided exactly by a_0*a_n, and
+    the samples are interpolated in t.  Each entry is an
     integer polynomial in the coefficients, so integer forms stay in the
     integers throughout.  Forms with rational coefficients are first scaled
     to integer forms lambda*f_n and mu*f_m (lambda, mu the lcm of each
@@ -251,19 +300,17 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
         (f_n, lam), (f_m, mu) = _cleared(f_n), _cleared(f_m)
     a0, an = f_n.coefficients[0], f_n.coefficients[-1]
     denom = a0 * an
-    if not isinstance(denom, MultiPoly) and denom == 0:
+    if denom == 0:
         raise NumericDegenerateError("a_0 * a_n = 0")
-    xdx = f_n.x_dx().coefficients
+    # x*y*f_m has the coefficients 0, b_0, ..., b_{n-2}, 0
+    xy_fm = BinaryForm.from_coeffs((0,) + f_m.coefficients + (0,))
+    B0, B1 = bezout_matrix(f_n, f_n.x_dx()), bezout_matrix(f_n, xy_fm)
     samples = []
+    Bt = B0
     for t in range(n + 1):
-        # coefficient of x^j y^(n-j) in x*dx(f_n) + t*x*y*f_m is
-        # j*a_j + t*b_{j-1} (b out of range contributes 0)
-        gc = list(xdx)
-        if t:
-            for j in range(1, n):
-                gc[j] = gc[j] + f_m.coefficients[j - 1] * t
-        res = signed_resultant(f_n, BinaryForm.from_coeffs(gc))
-        samples.append((t, exact_div(res, denom)))
+        if t:  # B0 + t*B1, one addition per entry
+            Bt = [[u + v for u, v in zip(r, r1)] for r, r1 in zip(Bt, B1)]
+        samples.append((t, exact_div(det_fraction_free(Bt), denom)))
     entries = interpolate_in_t(samples)
     entries += [entries[0] * 0] * (n + 1 - len(entries))
     if lam != 1 or mu != 1:

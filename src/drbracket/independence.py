@@ -22,7 +22,7 @@ from .rationals import DualScalar
 
 # Largest n at which run_independence_suite runs the Jacobian check, which
 # grows steeply with n (2n series per point, each a Bareiss determinant of
-# order 2n at n + 1 values of t).
+# order n at n + 1 values of t).
 JACOBIAN_N_MAX = 7
 
 

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from drbracket.binforms import (BinaryForm, NumericDegenerateError,
-                                det_fraction_free, discriminant, dr_series,
-                                signed_resultant, sl2_transform,
-                                sylvester_matrix)
+                                bezout_matrix, det_fraction_free,
+                                discriminant, dr_series, signed_resultant,
+                                sl2_transform, sylvester_matrix)
 from drbracket.multipoly import MultiPoly
+from drbracket.rationals import DualScalar
 
 
 def form_from_roots(pairs):
@@ -155,6 +156,136 @@ def _mul_forms(g, h):
     return BinaryForm.from_coeffs(coeffs)
 
 
+def sylvester_resultant(f, g):
+    """The reference: (-1)^(d*e) * det of the order-(d+e) Sylvester matrix."""
+    det = det_fraction_free(sylvester_matrix(f, g))
+    return -det if (f.degree * g.degree) % 2 else det
+
+
+def _int_coeffs(rng, k, name):
+    return [rng.randint(-9, 9) for _ in range(k)]
+
+
+def _fraction_coeffs(rng, k, name):
+    return [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k)]
+
+
+def _partly_symbolic_coeffs(rng, k, name):
+    # integers, with one coefficient replaced by a symbol
+    coeffs = [MultiPoly.constant(rng.randint(-9, 9)) for _ in range(k)]
+    coeffs[rng.randrange(k)] = MultiPoly.variable(name)
+    return coeffs
+
+
+COEFFICIENT_KINDS = [_int_coeffs, _fraction_coeffs, _partly_symbolic_coeffs]
+
+
+def _random_pair(rng, d, e, coeffs):
+    while True:
+        f = BinaryForm.from_coeffs(coeffs(rng, d + 1, "s"))
+        g = BinaryForm.from_coeffs(coeffs(rng, e + 1, "u"))
+        if not (f.is_zero() or g.is_zero()):
+            return f, g
+
+
+def _common_root_pair(rng, d, e, coeffs):
+    """Forms of degrees d and e that share the factor u*x - v*y."""
+    u, v = rng.randint(1, 3), rng.randint(-3, 3)
+
+    def times_factor(rest):
+        out = [0] * (len(rest) + 1)
+        for j, c in enumerate(rest):
+            out[j + 1] = out[j + 1] + c * u
+            out[j] = out[j] - c * v
+        return BinaryForm.from_coeffs(out)
+    while True:
+        f = times_factor(coeffs(rng, d, "s"))
+        g = times_factor(coeffs(rng, e, "u"))
+        if not (f.is_zero() or g.is_zero()):
+            return f, g
+
+
+class TestBezout:
+    def test_shifted_rows_come_first(self):
+        f = BinaryForm.from_coeffs([1, 2, 3, 4, 5])
+        g = BinaryForm.from_coeffs([6, 7])
+        B = bezout_matrix(f, g)
+        assert len(B) == 4 and all(len(row) == 4 for row in B)
+        assert B[:3] == [[6, 7, 0, 0], [0, 6, 7, 0], [0, 0, 6, 7]]
+
+    def test_degree_one_pair(self):
+        # f = a0*y + a1*x, g = b0*y + b1*x: one Bezout row -c_{1,0}
+        a0, a1, b0, b1 = map(MultiPoly.variable, ("a0", "a1", "b0", "b1"))
+        B = bezout_matrix(BinaryForm.from_coeffs((a0, a1)),
+                          BinaryForm.from_coeffs((b0, b1)))
+        assert B == [[a0 * b1 - a1 * b0]]
+
+    def test_linear_in_second_form(self):
+        rng = random.Random(45)
+        for d in range(1, 7):
+            for e in range(1, d + 1):
+                f = BinaryForm.from_coeffs(_int_coeffs(rng, d + 1, ""))
+                g = _int_coeffs(rng, e + 1, "")
+                h = _int_coeffs(rng, e + 1, "")
+                t = rng.randint(-5, 5)
+                lhs = bezout_matrix(f, BinaryForm.from_coeffs(
+                    [x + t * y for x, y in zip(g, h)]))
+                B0 = bezout_matrix(f, BinaryForm.from_coeffs(g))
+                B1 = bezout_matrix(f, BinaryForm.from_coeffs(h))
+                assert lhs == [[u + t * v for u, v in zip(r0, r1)]
+                               for r0, r1 in zip(B0, B1)]
+
+    def test_zero_second_form(self):
+        B = bezout_matrix(BinaryForm.from_coeffs([1, 2, 3]),
+                          BinaryForm.from_coeffs([0, 0, 0]))
+        assert B == [[0, 0], [0, 0]]
+
+    def test_second_degree_must_not_exceed_first(self):
+        with pytest.raises(ValueError):
+            bezout_matrix(BinaryForm.generic(2), BinaryForm.generic(3, "b"))
+        with pytest.raises(ValueError):
+            bezout_matrix(BinaryForm.generic(2), BinaryForm.from_coeffs([1]))
+
+
+class TestResultantMatchesSylvester:
+    """signed_resultant (Bezout, order max(d, e)) against the Sylvester
+    determinant, for every pair of degrees 1 <= d, e <= 7."""
+
+    DEGREES = [(d, e) for d in range(1, 8) for e in range(1, 8)]
+
+    @pytest.mark.parametrize("coeffs", COEFFICIENT_KINDS)
+    def test_random_pairs(self, coeffs):
+        rng = random.Random(51)
+        for d, e in self.DEGREES:
+            f, g = _random_pair(rng, d, e, coeffs)
+            assert signed_resultant(f, g) == sylvester_resultant(f, g), (d, e)
+
+    @pytest.mark.parametrize("coeffs", COEFFICIENT_KINDS)
+    def test_common_root_pairs_vanish(self, coeffs):
+        rng = random.Random(53)
+        for d, e in self.DEGREES:
+            f, g = _common_root_pair(rng, d, e, coeffs)
+            assert sylvester_resultant(f, g) == 0
+            assert signed_resultant(f, g) == 0, (d, e)
+
+    def test_dual_numbers(self):
+        # value and derivative both agree; a pair whose value resultant is
+        # zero is drawn again, since elimination then has no unit pivot
+        rng = random.Random(55)
+        for d, e in self.DEGREES:
+            while True:
+                f, g = (BinaryForm.from_coeffs(
+                    [DualScalar(rng.randint(-9, 9), rng.randint(-3, 3))
+                     for _ in range(k + 1)]) for k in (d, e))
+                values = [BinaryForm.from_coeffs(
+                    [c.value for c in h.coefficients]) for h in (f, g)]
+                if sylvester_resultant(*values) != 0:
+                    break
+            got, want = signed_resultant(f, g), sylvester_resultant(f, g)
+            assert (got.value, got.derivative) == (want.value, want.derivative)
+            assert got.value == signed_resultant(*values)
+
+
 class TestDiscriminant:
     def test_generic_degree_two(self):
         a0, a1, a2 = (MultiPoly.variable(f"a{i}") for i in range(3))
@@ -184,6 +315,13 @@ class TestDiscriminant:
 
     def test_numeric_degenerate(self):
         f = BinaryForm.from_coeffs((F(0), F(1), F(1)))
+        with pytest.raises(NumericDegenerateError):
+            discriminant(f)
+
+    def test_zero_multipoly_end_coefficient(self):
+        f = BinaryForm.from_coeffs((MultiPoly.constant(0),
+                                    MultiPoly.variable("a1"),
+                                    MultiPoly.variable("a2")))
         with pytest.raises(NumericDegenerateError):
             discriminant(f)
 
@@ -246,6 +384,29 @@ class TestDRSeries:
         f = BinaryForm.from_coeffs((F(0), F(1), F(1)))
         with pytest.raises(NumericDegenerateError):
             dr_series(f, BinaryForm.from_coeffs((F(1),)))
+
+    def test_zero_multipoly_end_coefficient(self):
+        a = [MultiPoly.variable(f"a{i}") for i in range(4)]
+        b = BinaryForm.generic(1, "b")
+        for zeroed in (0, 3):
+            a_z = list(a)
+            a_z[zeroed] = MultiPoly.constant(0)
+            with pytest.raises(NumericDegenerateError):
+                dr_series(BinaryForm.from_coeffs(a_z), b, mode="symbolic")
+
+    def test_zero_companion(self):
+        # f_m = 0 leaves only the discriminant; at n = 2 the companion is
+        # the degree-0 form [0]
+        rng = random.Random(47)
+        for n in range(2, 7):
+            f = rand_form(rng, n, require_ends=True)
+            zero = BinaryForm.from_coeffs([0] * (n - 1))
+            assert dr_series(f, zero).entries == (discriminant(f),) + (0,) * n
+        for n in (2, 3):
+            f = BinaryForm.generic(n)
+            zero = BinaryForm.from_coeffs([MultiPoly.zero()] * (n - 1))
+            entries = dr_series(f, zero, mode="symbolic").entries
+            assert entries == (discriminant(f),) + (MultiPoly.zero(),) * n
 
     def test_common_factor_kills_top_entry(self):
         common = (F(1), F(2))

@@ -204,6 +204,12 @@ class TestVerifyTheorem1:
         rep = verify_theorem1(3, mode="symbolic")
         assert rep["failures"] == []
 
+    def test_symbolic_n4(self):
+        # an exact polynomial identity in the 12 root coordinates
+        rep = verify_theorem1(4, mode="symbolic")
+        assert rep == {"n": 4, "mode": "symbolic", "trials": 1, "seed": 0,
+                       "failures": []}
+
     def test_detects_injected_perturbation(self):
         # corrupting one bracket-sum coefficient must produce a witness
         from drbracket.binforms import dr_series
