@@ -8,8 +8,10 @@ b_1 < ... < b_{n-2}.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from random import Random
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -76,6 +78,20 @@ def canonicalize(factors: Iterable[Tuple[Symbol, Symbol]]) -> BracketMonomial:
     return BracketMonomial(tuple(sorted(out)), sign)
 
 
+class _BracketValues(dict):
+    """Bracket values at one assignment, each computed on first lookup."""
+
+    __slots__ = ("assignment",)
+
+    def __init__(self, assignment: Assignment):
+        super().__init__()
+        self.assignment = assignment
+
+    def __missing__(self, pair: Tuple[Symbol, Symbol]):
+        value = self[pair] = bracket_eval(pair[0], pair[1], self.assignment)
+        return value
+
+
 class BracketPolynomial:
     """Integer (or rational) combination of canonical bracket monomials."""
 
@@ -104,18 +120,9 @@ class BracketPolynomial:
 
     def evaluate(self, assignment: Assignment):
         """Exact value; integer coefficients and coordinates give an int."""
-        cache: Dict[Tuple[Symbol, Symbol], object] = {}
-        total = 0
-        for factors, coeff in self.terms.items():
-            prod = coeff
-            for pair in factors:
-                v = cache.get(pair)
-                if v is None:
-                    v = bracket_eval(pair[0], pair[1], assignment)
-                    cache[pair] = v
-                prod *= v
-            total += prod
-        return total
+        values = _BracketValues(assignment)
+        return sum(coeff * math.prod(map(values.__getitem__, factors))
+                   for factors, coeff in self.terms.items())
 
     def expand_to_coordinates(self) -> MultiPoly:
         """Expansion as a polynomial in the symbols' coordinate variables."""
@@ -179,18 +186,56 @@ def term_factors(n: int, I: Sequence[int]) -> List[Tuple[Symbol, Symbol]]:
     return factors
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_tables(n: int):
+    """The canonical pairs of all_symbols(n) in itertools.combinations
+    order, which is their sorted order, and two tables of their numbers
+    in it: alpha_pairs[j - 1] holds the factors of prod_{i != j} [a_i, a_j]
+    and beta_pairs[i - 1] the factors [a_i, b_k], k in [n - 2]."""
+    pairs = tuple(itertools.combinations(all_symbols(n), 2))
+    number = {pair: k for k, pair in enumerate(pairs)}
+    alpha_pairs = tuple(
+        tuple(number[alpha(min(i, j)), alpha(max(i, j))]
+              for i in range(1, n + 1) if i != j)
+        for j in range(1, n + 1))
+    beta_pairs = tuple(
+        tuple(number[alpha(i), beta(k)] for k in range(1, n - 1))
+        for i in range(1, n + 1))
+    return pairs, alpha_pairs, beta_pairs
+
+
 def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
     """Bracket-sum expression of the r-th discriminant-resultant: the sum
-    of the term_factors products over the size-r subsets I of [n].
+    of the term_factors products over the size-r subsets I of [n], in
+    subsets_colex order, with equal monomials merged.
+
+    Each term's key comes out already canonical, without canonicalize:
+    sorting its factors' numbers from _pair_tables sorts its factors.
+    Canonicalizing term_factors(n, I) would swap [a_i, a_j] for the n - j
+    indices i > j of each j in the complement J of I, and all r(n - 2)
+    factors [b_k, a_i], so the term's sign is
+    (-1)^(sum_{j in J} (n - j) + r(n - 2)).
     """
     if not (2 <= n and 0 <= r <= n):
         raise ValueError("need n >= 2 and 0 <= r <= n")
     if (n, r) == (2, 2):
         raise BracketSumUndefinedError(
             "the (n, r) = (2, 2) entry equals f_0^2, not a bracket sum")
+    pairs, alpha_pairs, beta_pairs = _pair_tables(n)
     p = BracketPolynomial(n)
+    terms = p.terms
     for I in subsets_colex(n, r):
-        p.add_term(term_factors(n, I))
+        J = [j for j in range(1, n + 1) if j not in I]
+        chunks = ([alpha_pairs[j - 1] for j in J]
+                  + [beta_pairs[i - 1] for i in I])
+        key = tuple(map(pairs.__getitem__,
+                        sorted(itertools.chain.from_iterable(chunks))))
+        parity = sum(n - j for j in J) + r * (n - 2)
+        s = terms.get(key, 0) + (-1 if parity % 2 else 1)
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)
     return p
 
 
@@ -247,16 +292,27 @@ def random_generic_assignment(n: int, seed: int, bound: int = 10,
     raise RuntimeError("resampling budget exhausted; raise the bound")
 
 
+def check_mode_and_trials(mode: str, trials: int) -> None:
+    """Reject a mode other than numeric or symbolic and a negative number
+    of trials, so that no report echoes a run that did not happen."""
+    if mode not in ("numeric", "symbolic"):
+        raise ValueError(f"unknown mode {mode!r}: use 'numeric' or 'symbolic'")
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
+
+
 def verify_theorem1(n: int, trials: int = 100, seed: int = 0,
                     mode: str = "numeric") -> dict:
     """Check the bracket-sum expression against the resultant-based series.
 
     Numeric mode compares values at random generic assignments; symbolic
     mode compares full expansions over the 4n-4 coordinate variables.
-    Failures are reported (with witnesses), never raised.
+    Failures are reported (with witnesses), never raised; an unknown mode
+    or a negative number of trials raises ValueError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    check_mode_and_trials(mode, trials)
     report = {"n": n, "mode": mode, "trials": trials if mode == "numeric" else 1,
               "seed": seed, "failures": []}
     sums = {r: dr_bracket_sum(n, r)

@@ -6,7 +6,9 @@ and returns a JSON-ready report that echoes ``n`` and ``mode``, whose
 lists the witnesses of each failed one.  A check that discards degenerate
 samples also reports them as ``skipped``.  A report counts as a pass only
 under ``passed``: at least one check made and no failure.  Checks that
-do not apply at the given n or mode raise ``NotApplicable``.
+do not apply at the given n or mode raise ``NotApplicable``; a mode other
+than ``numeric`` or ``symbolic`` and a negative ``trials`` raise a plain
+``ValueError`` in every check.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import itertools
 from random import Random
 
 from .binforms import dr_series, sl2_transform
-from .brackets import (all_symbols, bracket_eval, derive_seed,
-                       dr_bracket_sum, forms_from_assignment,
+from .brackets import (all_symbols, bracket_eval, check_mode_and_trials,
+                       derive_seed, dr_bracket_sum, forms_from_assignment,
                        plucker_relation, random_generic_assignment,
                        symbol_name, verify_theorem1)
 from .laurent import PolygonModel, laurent_expand_bracket, var_name
@@ -40,6 +42,7 @@ def theorem1(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
 def vanishing(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
     """DR_{n,1} = 0: one full symbolic expansion in symbolic mode or for
     n <= 4, otherwise evaluation at `trials` random generic points."""
+    check_mode_and_trials(mode, trials)
     poly = dr_bracket_sum(n, 1)
     failures = []
     if mode == "symbolic" or n <= 4:
@@ -58,6 +61,7 @@ def vanishing(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict
 def plucker(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
     """The Pluecker relation on four of the symbols of n, drawn per trial,
     at random integer points."""
+    check_mode_and_trials(mode, trials)
     if mode != "numeric" or n < 3:
         raise NotApplicable("plucker is checked in numeric mode, for n >= 3")
     rng = Random(derive_seed(seed, "plucker"))
@@ -79,6 +83,7 @@ def invariance(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dic
     A draw whose transformed f_n has a_0 * a_n = 0 is skipped and redrawn,
     at most 50 * trials draws in all, as jacobian_rank does.
     """
+    check_mode_and_trials(mode, trials)
     if mode != "numeric":
         raise NotApplicable("invariance is checked in numeric mode only")
     rng = Random(derive_seed(seed, "invariance"))
@@ -104,6 +109,7 @@ def invariance(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dic
 def laurent(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
     """Every bracket's polygon Laurent expansion inverts only the invertible
     diagonals, and re-evaluates to the bracket at `trials` random points."""
+    check_mode_and_trials(mode, trials)
     if mode != "numeric" or n < 3:
         raise NotApplicable("laurent is checked in numeric mode, for n >= 3")
     model = PolygonModel(n)

@@ -6,11 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from drbracket.brackets import (BracketPolynomial, BracketSumUndefinedError,
-                                _expand, alpha, beta, bracket_eval,
-                                canonicalize, coordinate_vars, derive_seed,
-                                dr_bracket_sum, forms_from_assignment,
-                                plucker_relation, random_generic_assignment,
-                                subsets_colex, verify_theorem1)
+                                _expand, all_symbols, alpha, beta,
+                                bracket_eval, canonicalize, coordinate_vars,
+                                derive_seed, dr_bracket_sum,
+                                forms_from_assignment, plucker_relation,
+                                random_generic_assignment, subsets_colex,
+                                term_factors, verify_theorem1)
 from drbracket.multipoly import MultiPoly
 
 
@@ -118,6 +119,86 @@ class TestBracketSum:
         assert p.evaluate({}) == 0
 
 
+def reference_bracket_sum(n, r):
+    """The bracket sum term by term, through canonicalize."""
+    p = BracketPolynomial(n)
+    for I in subsets_colex(n, r):
+        p.add_term(term_factors(n, I))
+    return p
+
+
+def reference_evaluate(poly, assignment):
+    """Value of a bracket polynomial, one bracket factor at a time."""
+    total = 0
+    for factors, coeff in poly.terms.items():
+        prod = coeff
+        for s, t in factors:
+            prod *= bracket_eval(s, t, assignment)
+        total += prod
+    return total
+
+
+class TestBracketSumTables:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_canonicalized_terms(self, n):
+        # same keys, coefficients and insertion order
+        for r in range(n + 1):
+            if (n, r) == (2, 2):
+                continue
+            assert (list(dr_bracket_sum(n, r).terms.items())
+                    == list(reference_bracket_sum(n, r).terms.items()))
+
+    def test_n2_r1_cancels(self):
+        assert dr_bracket_sum(2, 1).terms == {}
+
+    def test_calls_return_independent_objects(self):
+        p, q = dr_bracket_sum(5, 2), dr_bracket_sum(5, 2)
+        assert p is not q and p.terms is not q.terms
+        p.terms[next(iter(p.terms))] += 1
+        p.add_term([(alpha(1), beta(1))])
+        assert q == dr_bracket_sum(5, 2) == reference_bracket_sum(5, 2)
+        assert p != q
+
+
+class TestEvaluate:
+    @staticmethod
+    def polynomials():
+        yield BracketPolynomial(4)
+        yield plucker_relation(alpha(1), alpha(3), beta(1), beta(2))
+        for n in (3, 4, 5, 6):
+            for r in range(n + 1):
+                yield dr_bracket_sum(n, r)
+        p = dr_bracket_sum(4, 2)
+        p.add_term([(alpha(1), alpha(2)), (alpha(2), beta(2))], F(3, 7))
+        p.add_term([], -5)
+        yield p
+
+    @pytest.mark.parametrize("kind", [int, F])
+    def test_matches_per_factor_loop(self, kind):
+        rng = random.Random(3)
+        for poly in self.polynomials():
+            A = {s: (kind(rng.randint(-9, 9)), kind(rng.randint(-9, 9)))
+                 for s in all_symbols(6)}
+            got, want = poly.evaluate(A), reference_evaluate(poly, A)
+            assert got == want
+            assert type(got) is type(want)
+
+    def test_each_bracket_computed_once(self, monkeypatch):
+        import drbracket.brackets as brackets
+        A = random_generic_assignment(5, 1)
+        seen = Counter()
+
+        def counting(s, t, assignment):
+            seen[s, t] += 1
+            return real(s, t, assignment)
+        real = brackets.bracket_eval
+        monkeypatch.setattr(brackets, "bracket_eval", counting)
+        p = dr_bracket_sum(5, 2)
+        p.evaluate(A)
+        assert set(seen) == {f for factors in p.terms for f in factors}
+        assert set(seen.values()) == {1}
+
+
 class TestForms:
     def test_discriminant_double_counts(self):
         p = dr_bracket_sum(3, 0)
@@ -221,6 +302,16 @@ class TestVerifyTheorem1:
         f, g = forms_from_assignment(A, n)
         series = dr_series(f, g)
         assert corrupted.evaluate(A) != series.entries[r]
+
+    @pytest.mark.parametrize("mode", ["bogus", "Numeric", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="mode"):
+            verify_theorem1(3, trials=1, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["numeric", "symbolic"])
+    def test_negative_trials_rejected(self, mode):
+        with pytest.raises(ValueError, match="trials"):
+            verify_theorem1(3, trials=-1, mode=mode)
 
     def test_colex_subset_order(self):
         assert subsets_colex(4, 2) == [(1, 2), (1, 3), (2, 3),

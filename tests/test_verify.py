@@ -29,6 +29,20 @@ class TestRegistry:
         # n = 5 keeps vanishing on its randomized path
         assert not passed(CHECKS[name](5, 0))
 
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_unknown_mode_is_an_error(self, name):
+        # not NotApplicable, which the script shows as "n/a"
+        with pytest.raises(ValueError, match="mode") as exc:
+            CHECKS[name](3, 1, mode="bogus")
+        assert type(exc.value) is ValueError
+
+    @pytest.mark.parametrize("mode", ["numeric", "symbolic"])
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_negative_trials_is_an_error(self, name, mode):
+        with pytest.raises(ValueError, match="trials") as exc:
+            CHECKS[name](3, -1, mode=mode)
+        assert type(exc.value) is ValueError
+
     def test_laurent_not_applicable_below_3(self):
         with pytest.raises(NotApplicable):
             CHECKS["laurent"](2, 3)
