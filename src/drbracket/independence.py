@@ -2,15 +2,18 @@
 the Jacobian criterion at random integer points.
 
 Rank over the rationals suffices for multiplicative independence of
-Laurent monomials (the target group is torsion-free), so plain exact
-Gaussian elimination with a deterministic pivot scan does all the work.
+Laurent monomials (the target group is torsion-free), so exact Gaussian
+elimination with a deterministic pivot scan does all the work.  It runs
+fraction-free over the integers, cross-multiplying rows as Bareiss does
+(Math. Comp. 1968) and dividing each updated row by the gcd of its
+entries; a dependent system's kernel vector comes out primitive, with a
+fixed sign.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence
 
@@ -26,19 +29,33 @@ from .rationals import DualScalar
 JACOBIAN_N_MAX = 7
 
 
-def _eliminate(M: Sequence[Sequence[Fraction]]):
-    """Forward elimination; returns (rank, pivot trail, kernel).
+def _eliminate(M: Sequence[Sequence[int]]):
+    """Fraction-free forward elimination over the integers; returns
+    (rank, pivot trail, kernel).
 
+    Works on the rows of [M | I]: each row below the pivot row p becomes
+    p[c]*row - row[c]*p and is then divided by the gcd of its entries, so
+    every row is a primitive integer multiple of the row rational
+    elimination would hold there.
     Pivots are chosen by a row-major scan for the first nonzero entry in
-    the current column, so certificates are byte-for-byte reproducible.
-    Each row carries the combination of input rows it equals, so when the
-    rows are dependent, the first zero row's combination is a primitive
-    integer kernel vector v with v.M = 0; kernel is None otherwise.
+    the current column, so rank and trail are those of rational
+    elimination and certificates are byte-for-byte reproducible.
+    The I part records which combination of input rows each row equals.
+    When the rows are dependent, the kernel is the first zero row's
+    combination divided by its gcd, signed so that the coefficient on
+    that row's own input index is positive: a primitive integer vector v
+    with v.M = 0.  kernel is None otherwise.  Entries must be ints
+    (TypeError otherwise).
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    A = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(rows)]
+    for row in M:
+        for x in row:
+            if not isinstance(x, int):
+                raise TypeError(f"not an integer matrix entry: {x!r}")
+    A = [list(row) + [int(i == j) for j in range(rows)]
          for i, row in enumerate(M)]
+    origin = list(range(rows))
     rank = 0
     trail = []
     for c in range(cols):
@@ -50,26 +67,32 @@ def _eliminate(M: Sequence[Sequence[Fraction]]):
         if pivot is None:
             continue
         A[rank], A[pivot] = A[pivot], A[rank]
+        origin[rank], origin[pivot] = origin[pivot], origin[rank]
         trail.append((pivot, c))
-        pv = A[rank][c]
+        prow = A[rank]
+        pv = prow[c]
         for r in range(rank + 1, rows):
-            if A[r][c]:
-                f = A[r][c] / pv
-                A[r] = [x - f * y for x, y in zip(A[r], A[rank])]
+            f = A[r][c]
+            if f:
+                row = [pv * x - f * y for x, y in zip(A[r], prow)]
+                g = math.gcd(*row)
+                A[r] = [x // g for x in row] if g != 1 else row
         rank += 1
         if rank == rows:
             break
     if rank == rows:
         return rank, trail, None
     combo = A[rank][cols:]
-    scale = math.lcm(*(x.denominator for x in combo))
-    ints = [int(x * scale) for x in combo]
-    g = math.gcd(*ints)
-    return rank, trail, [x // g for x in ints]
+    g = math.gcd(*combo)
+    if combo[origin[rank]] < 0:
+        g = -g
+    return rank, trail, [x // g for x in combo]
 
 
 def integer_matrix_rank(M: Sequence[Sequence[int]]):
-    """Rank over the rationals plus the deterministic pivot trail."""
+    """Rank over the rationals plus the deterministic pivot trail, by the
+    fraction-free integer elimination of _eliminate; entries must be ints
+    (TypeError otherwise)."""
     rank, trail, _ = _eliminate(M)
     return rank, trail
 

@@ -20,17 +20,13 @@ from .brackets import (BracketPolynomial, Symbol, alpha, beta, symbol_name,
                        term_factors)
 from .rationals import format_rational
 
-Var = Tuple[str, int]  # ("A", i), ("B", k), ("C", i), ("D", k)
-
-_FAMILY_RANK = {"A": 0, "B": 1, "C": 2, "D": 3}
+# ("A", i), ("B", k), ("C", i), ("D", k); the family letters sort in lex
+# priority, so plain tuple order is the canonical variable order
+Var = Tuple[str, int]
 
 
 def var_name(v: Var) -> str:
     return f"{v[0]}{v[1]}"
-
-
-def _var_key(v: Var):
-    return (_FAMILY_RANK[v[0]], v[1])
 
 
 @dataclass(frozen=True)
@@ -41,9 +37,7 @@ class LaurentMonomial:
 
     @classmethod
     def from_dict(cls, exps: Mapping[Var, int]) -> "LaurentMonomial":
-        items = tuple(sorted(((v, e) for v, e in exps.items() if e),
-                             key=lambda it: _var_key(it[0])))
-        return cls(items)
+        return cls(tuple(sorted((v, e) for v, e in exps.items() if e)))
 
     @classmethod
     def one(cls) -> "LaurentMonomial":
@@ -74,11 +68,16 @@ class LaurentMonomial:
 
 
 class LaurentPoly:
-    """Mapping from monomials to nonzero rational coefficients."""
+    """Mapping from monomials to nonzero coefficients.
+
+    Coefficients are plain ints (a Fraction a caller passes in is kept as
+    it is).  ``evaluate`` clears every denominator at once: it multiplies
+    each term by one common denominator, sums integers and divides once.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[LaurentMonomial, Fraction] = None):
+    def __init__(self, terms: Dict[LaurentMonomial, int] = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
@@ -87,7 +86,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, mono: LaurentMonomial, coeff=1) -> "LaurentPoly":
-        return cls({mono: Fraction(coeff)})
+        return cls({mono: coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -99,7 +98,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, 0) + c
             if s:
                 out[m] = s
             else:
@@ -111,13 +110,12 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return LaurentPoly({m: c * v for m, v in self.terms.items()})
+            return LaurentPoly({m: other * v for m, v in self.terms.items()})
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
@@ -126,14 +124,36 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, values: Mapping[Var, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            prod = c
+    def evaluate(self, values: Mapping[Var, int]):
+        """Value at the given variable values.
+
+        With k_v the largest power to which a term inverts v, the common
+        denominator is D = prod v**k_v; each term times D is a polynomial
+        in the values, so the integer terms are summed and divided by D
+        once.  Returns an int when D divides the sum and a reduced
+        Fraction otherwise; raises ZeroDivisionError when D is 0.
+        """
+        shift: Dict[Var, int] = {}
+        for m in self.terms:
             for v, e in m.exponents:
-                prod *= Fraction(values[v]) ** e
-            total += prod
-        return total
+                if e < 0 and -e > shift.get(v, 0):
+                    shift[v] = -e
+        total = 0
+        for m, c in self.terms.items():
+            exps = dict(shift)
+            for v, e in m.exponents:
+                exps[v] = exps.get(v, 0) + e
+            for v, e in exps.items():
+                if e:
+                    c *= values[v] ** e
+            total += c
+        den = 1
+        for v, k in shift.items():
+            den *= values[v] ** k
+        if not den:
+            raise ZeroDivisionError("an inverted variable takes the value 0")
+        q, rem = divmod(total, den)
+        return Fraction(total, den) if rem else q
 
     def to_json(self) -> list:
         recs = []
@@ -423,13 +443,25 @@ def per_term_A_degree(n: int, I: Iterable[int], l: int) -> int:
     return t1 - t2 + t3
 
 
-def term_leading_monomial(model: PolygonModel, n: int, I: Sequence[int]) -> LaurentMonomial:
+def term_leading_monomial(model: PolygonModel, n: int, I: Sequence[int],
+                          cache: Dict[tuple, LaurentMonomial] = None
+                          ) -> LaurentMonomial:
     """lm of one bracket-sum term, as the product of per-bracket lms
-    (leading monomials are multiplicative under lex)."""
+    (leading monomials are multiplicative under lex).
+
+    ``cache``, when given, maps each bracket pair to its lm and is filled
+    as brackets are met, so callers ranking many terms of one model
+    expand each bracket once.
+    """
+    if cache is None:
+        cache = {}
     mono = LaurentMonomial.one()
-    for s, t in term_factors(n, I):
-        p = laurent_expand_bracket(model, s, t)
-        mono = mono * lex_leading_monomial(p, model)
+    for pair in term_factors(n, I):
+        lm = cache.get(pair)
+        if lm is None:
+            lm = cache[pair] = lex_leading_monomial(
+                laurent_expand_bracket(model, pair[0], pair[1]), model)
+        mono = mono * lm
     return mono
 
 
@@ -441,8 +473,9 @@ def dominance_check(n: int, r: int) -> dict:
     model = PolygonModel(n)
     ordered = model.all_vars()
     ranking = []
+    cache: Dict[tuple, LaurentMonomial] = {}
     for I in subsets_colex(n, r):
-        mono = term_leading_monomial(model, n, I)
+        mono = term_leading_monomial(model, n, I, cache)
         ranking.append((list(I), mono))
     ranking.sort(key=lambda it: _exp_vector(it[1], ordered), reverse=True)
     lead = ranking[0]

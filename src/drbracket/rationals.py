@@ -7,7 +7,6 @@ integers for exact directional derivatives of integer polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -28,12 +27,22 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
 class DualScalar:
-    """value + derivative*eps with eps**2 = 0, over the integers."""
+    """value + derivative*eps with eps**2 = 0, over the integers.
 
-    value: int
-    derivative: int = 0
+    A plain ``__slots__`` class: arithmetic between two dual numbers reads
+    the operands directly, and only ints go through ``lift``.
+    """
+
+    __slots__ = ("value", "derivative")
+
+    def __init__(self, value: int, derivative: int = 0):
+        self.value = value
+        self.derivative = derivative
+
+    def __repr__(self):
+        return (f"DualScalar(value={self.value!r}, "
+                f"derivative={self.derivative!r})")
 
     @staticmethod
     def lift(x) -> "DualScalar":
@@ -44,8 +53,10 @@ class DualScalar:
         return DualScalar(x)
 
     def __add__(self, other):
-        o = DualScalar.lift(other)
-        return DualScalar(self.value + o.value, self.derivative + o.derivative)
+        if not isinstance(other, DualScalar):
+            other = DualScalar.lift(other)
+        return DualScalar(self.value + other.value,
+                          self.derivative + other.derivative)
 
     __radd__ = __add__
 
@@ -53,16 +64,22 @@ class DualScalar:
         return DualScalar(-self.value, -self.derivative)
 
     def __sub__(self, other):
-        return self + (-DualScalar.lift(other))
+        if not isinstance(other, DualScalar):
+            other = DualScalar.lift(other)
+        return DualScalar(self.value - other.value,
+                          self.derivative - other.derivative)
 
     def __rsub__(self, other):
-        return DualScalar.lift(other) + (-self)
+        other = DualScalar.lift(other)
+        return DualScalar(other.value - self.value,
+                          other.derivative - self.derivative)
 
     def __mul__(self, other):
-        o = DualScalar.lift(other)
+        if not isinstance(other, DualScalar):
+            other = DualScalar.lift(other)
         return DualScalar(
-            self.value * o.value,
-            self.value * o.derivative + self.derivative * o.value,
+            self.value * other.value,
+            self.value * other.derivative + self.derivative * other.value,
         )
 
     __rmul__ = __mul__
@@ -70,7 +87,7 @@ class DualScalar:
     def exact_div(self, q) -> "DualScalar":
         """The r with self == q*r, or NotDivisibleError when r would leave
         the integers: v = a // b and d = (a' - v*b') // b, both exact."""
-        o = DualScalar.lift(q)
+        o = q if isinstance(q, DualScalar) else DualScalar.lift(q)
         v, rem = divmod(self.value, o.value)
         d, drem = divmod(self.derivative - v * o.derivative, o.value)
         if rem or drem:

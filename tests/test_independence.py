@@ -1,11 +1,16 @@
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drbracket import binforms, independence
 from drbracket.binforms import BinaryForm, dr_series
-from drbracket.independence import (IndependenceCertificate,
+from drbracket.independence import (IndependenceCertificate, _eliminate,
                                     integer_matrix_rank, jacobian_matrix,
                                     jacobian_rank,
                                     multiplicative_independence,
@@ -19,6 +24,79 @@ from drbracket.rationals import DualScalar
 def mono(**kw):
     return LaurentMonomial.from_dict(
         {(name[0], int(name[1:])): e for name, e in kw.items()})
+
+
+def sha256_json(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def eliminate_fraction(M):
+    """Rational Gaussian elimination on [M | I] with the same pivot scan:
+    the reference the integer elimination must reproduce exactly."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    A = [[F(x) for x in row] + [F(i == j) for j in range(rows)]
+         for i, row in enumerate(M)]
+    rank = 0
+    trail = []
+    for c in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if A[r][c]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        trail.append((pivot, c))
+        pv = A[rank][c]
+        for r in range(rank + 1, rows):
+            if A[r][c]:
+                f = A[r][c] / pv
+                A[r] = [x - f * y for x, y in zip(A[r], A[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    if rank == rows:
+        return rank, trail, None
+    combo = A[rank][cols:]
+    scale = math.lcm(*(x.denominator for x in combo))
+    ints = [int(x * scale) for x in combo]
+    g = math.gcd(*ints)
+    return rank, trail, [x // g for x in ints]
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Small int matrices salted with repeated and proportional rows, zero
+    rows and zero columns."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    entry = st.integers(-6, 6)
+    M = [draw(st.lists(entry, min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    for i in range(rows):
+        kind = draw(st.sampled_from(("keep", "keep", "copy", "scale", "zero")))
+        src = M[draw(st.integers(0, rows - 1))]
+        if kind == "copy":
+            M[i] = list(src)
+        elif kind == "scale":
+            k = draw(st.sampled_from((-3, -2, -1, 2, 5)))
+            M[i] = [k * x for x in src]
+        elif kind == "zero":
+            M[i] = [0] * cols
+    for c in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in M:
+            row[c] = 0
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_matrices())
+def test_integer_elimination_matches_fraction_reference(M):
+    # rank, pivot trail and kernel, its sign included, are those of
+    # rational elimination
+    assert _eliminate(M) == eliminate_fraction(M)
 
 
 class TestIntegerRank:
@@ -45,6 +123,18 @@ class TestIntegerRank:
             rng.shuffle(perm)
             scaled = [[rng.choice((1, 2, -3)) * x for x in M[i]] for i in perm]
             assert integer_matrix_rank(scaled)[0] == rank
+
+    @pytest.mark.parametrize("bad", [F(1, 2), F(3), 1.0])
+    def test_non_int_entry_rejected(self, bad):
+        with pytest.raises(TypeError):
+            integer_matrix_rank([[1, 2], [3, bad]])
+
+    def test_kernel_sign_follows_the_zero_row(self):
+        # the zero row is input row 1, so its own coefficient is positive
+        assert _eliminate([[1, 1], [-2, -2]]) == (1, [(0, 0)], [2, 1])
+        assert _eliminate([[0, 3], [0, 1]]) == (1, [(0, 1)], [-1, 3])
+        # a negative pivot leaves the raw combination at (-2, -1)
+        assert _eliminate([[-1, 1], [2, -2]]) == (1, [(0, 0)], [2, 1])
 
 
 class TestMultiplicativeIndependence:
@@ -186,6 +276,36 @@ class TestJacobian:
                             lambda a, b: DualScalar(1, 1).exact_div(divisor))
         with pytest.raises(error):
             jacobian_rank(3, points=1, seed=0)
+
+
+# sha256 of the sorted-key JSON of each report, recorded with the Fraction
+# elimination and Fraction Laurent evaluation that the integer code replaced
+JACOBIAN_DIGESTS = {
+    (2, 0): "2624b491b008437afdc1426b7e71d8605470e49a8aa0d80a6bfdd0bfc4d32952",
+    (2, 5): "cc651b853a3c705004d7b6dec430dd1dd2c35fd1e96eb81ecb64b6d5c807f2f5",
+    (3, 0): "79d1af0dc871e141e5c84e9a030b614e8e16a00cd270401d0b435dee5da09860",
+    (3, 5): "8ae9605caabc3bfdecf900ae2a5402a25b88e68aced9f003c1785e05131166cd",
+    (4, 0): "4d4bfaf50703f85d8130caceb08c9afc6e13d776e4cad5454eab59067ab96f62",
+    (4, 5): "c67ed4d26414cc8e08d3131d0ea32abb24ae4481e7927645f7dccf7d2524af87",
+    (5, 0): "236b01c24d1fb8be7e4e7c75d3ad39646a59de34610adf08b074a559e45fb603",
+    (5, 5): "e28563688fb8116f51a65fdbeb7ff983a7518cde4ba9f631ec0122da0506a417",
+    (6, 0): "9bee3b3c7784806b398b35b74ba1cbe3a9d59dd7939ffa4dcbc00ee529103699",
+    (6, 5): "12e95f1d1d4afc6bcef067a86fc1f66028303214f15f5557a01e46d650499883",
+    (7, 0): "11f88245653a298830b71979a3b58e45f488af1f2dad65b4f48fd0a7e1609898",
+    (7, 5): "5e44ebacf4f7730bd1c73773f39485f80b6f7ad9a4222cf569217ec645042e12",
+}
+SUITE_12_DIGEST = ("62b12251da62ce291958685e41d4d093"
+                   "e1825ea4d03f6b9456f927e7d67f0b2b")
+
+
+class TestRecordedReports:
+    @pytest.mark.parametrize("n, seed", sorted(JACOBIAN_DIGESTS))
+    def test_jacobian_rank(self, n, seed):
+        assert (sha256_json(jacobian_rank(n, seed=seed))
+                == JACOBIAN_DIGESTS[n, seed])
+
+    def test_suite_to_12(self):
+        assert sha256_json(run_independence_suite(12)) == SUITE_12_DIGEST
 
 
 class TestSuite:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,7 +8,8 @@ import pytest
 
 from drbracket.brackets import (all_symbols, alpha, beta, bracket_eval,
                                 derive_seed, dr_bracket_sum,
-                                random_generic_assignment, subsets_colex)
+                                random_generic_assignment, subsets_colex,
+                                term_factors)
 from drbracket.laurent import (LaurentMonomial, LaurentPoly, PolygonModel,
                                boundary_path, degree_formulas,
                                degree_matrix_P, dominance_check, dr_rows,
@@ -27,6 +30,15 @@ def mono(**kw):
 def bracket_values(model, assignment):
     return {v: bracket_eval(s, t, assignment)
             for v, (s, t) in model.defining_brackets().items()}
+
+
+def test_monomial_variables_sort_in_lex_priority():
+    m = LaurentMonomial.from_dict({("D", 1): 1, ("A", 10): 2, ("C", 3): 0,
+                                   ("B", 2): -1, ("A", 2): 1, ("C", 1): 4})
+    assert m.exponents == ((("A", 2), 1), (("A", 10), 2), (("B", 2), -1),
+                           (("C", 1), 4), (("D", 1), 1))
+    assert [v for v, _ in m.exponents] == [
+        v for v in PolygonModel(12).all_vars() if v in m.as_dict()]
 
 
 class TestBoundaryPath:
@@ -111,6 +123,61 @@ class TestExpansion:
         from drbracket.brackets import BracketPolynomial
         m = PolygonModel(4)
         assert laurent_expand_poly(m, BracketPolynomial(4)).is_zero
+
+
+def evaluate_fraction(p, values):
+    """Per-term rational evaluation, the reference for LaurentPoly.evaluate."""
+    total = F(0)
+    for m, c in p.terms.items():
+        term = F(c)
+        for v, e in m.exponents:
+            term *= F(values[v]) ** e
+        total += term
+    return total
+
+
+class TestEvaluate:
+    VARS = [("A", 1), ("A", 2), ("A", 10), ("B", 1), ("C", 1), ("D", 2)]
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(71)
+        kinds = set()
+        for _ in range(400):
+            p = LaurentPoly.zero()
+            for _ in range(rng.randint(1, 5)):
+                exps = {v: rng.randint(-3, 3)
+                        for v in rng.sample(self.VARS, rng.randint(0, 3))}
+                p = p + LaurentPoly.monomial(LaurentMonomial.from_dict(exps),
+                                             rng.randint(-9, 9))
+            values = {v: rng.choice([-4, -3, -2, -1, 1, 2, 3, 5])
+                      for v in self.VARS}
+            got = p.evaluate(values)
+            want = evaluate_fraction(p, values)
+            assert got == want
+            if want.denominator == 1:
+                assert type(got) is int
+            else:
+                assert type(got) is F
+                assert (got.numerator, got.denominator) == \
+                    (want.numerator, want.denominator)
+            kinds.add(type(got))
+        assert kinds == {int, F}
+
+    def test_fraction_coefficient(self):
+        p = LaurentPoly.monomial(mono(A1=1, A2=-1), F(1, 2))
+        assert p.evaluate({("A", 1): 3, ("A", 2): 3}) == F(1, 2)
+        assert p.evaluate({("A", 1): 4, ("A", 2): 1}) == 2
+
+    def test_zero_inverted_value_raises(self):
+        p = (LaurentPoly.monomial(mono(A1=1))
+             + LaurentPoly.monomial(mono(A2=-1, C1=2)))
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate({("A", 1): 1, ("A", 2): 0, ("C", 1): 3})
+        # a zero value is fine where the variable is not inverted
+        assert p.evaluate({("A", 1): 0, ("A", 2): 2, ("C", 1): 0}) == 0
+
+    def test_zero_polynomial(self):
+        assert LaurentPoly.zero().evaluate({}) == 0
 
 
 class TestLeadingMonomial:
@@ -244,6 +311,31 @@ class TestDominance:
         for n in (3, 4, 5, 6):
             for r in dr_rows(n):
                 assert dominance_check(n, r)["dominant"]
+
+    # sha256 of the sorted-key JSON of [dominance_check(n, r) for r in
+    # dr_rows(n)], recorded when every term re-expanded its brackets
+    DIGESTS = {
+        3: "b1b08461764e37148051028509b11df3f7caae4a5b5415d1cd397789784aaac9",
+        4: "ede0a1b388c502babc081b0456e60764518585dbc4b3b0a95fb38d09eb3e46a4",
+        5: "fe792ec3b8433325980b800b9150146723e0213633ad2729ad96710d7fac731c",
+        6: "12f0d2f6fc38056155fd4fda393afde76530c926fbae4140771a0d166d081a5d",
+    }
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_recorded_reports(self, n):
+        reports = [dominance_check(n, r) for r in dr_rows(n)]
+        digest = hashlib.sha256(
+            json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert digest == self.DIGESTS[n]
+
+    def test_term_lm_cache_is_filled_and_reused(self):
+        m = PolygonModel(5)
+        cache = {}
+        first = term_leading_monomial(m, 5, [1, 2], cache)
+        assert first == term_leading_monomial(m, 5, [1, 2])
+        assert set(cache) == set(term_factors(5, [1, 2]))
+        cache[alpha(1), alpha(3)] = mono(D1=7)  # a reused entry shows up
+        assert term_leading_monomial(m, 5, [1, 2], cache) != first
 
 
 class TestDegreeMatrix:

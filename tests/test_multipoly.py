@@ -220,6 +220,35 @@ class TestDual:
             with pytest.raises(TypeError):
                 DualScalar.lift(bad)
 
+    def test_value_semantics(self):
+        d = DualScalar(3, -2)
+        assert repr(d) == "DualScalar(value=3, derivative=-2)"
+        assert str(DualScalar(5)) == "DualScalar(value=5, derivative=0)"
+        assert d == DualScalar(3, -2) and d != DualScalar(3, 2)
+        assert DualScalar(4) == 4 and DualScalar(4, 1) != 4
+        assert hash(d) == hash(DualScalar(3, -2)) == hash((3, -2))
+        assert len({d, DualScalar(3, -2), DualScalar(3)}) == 2
+        with pytest.raises(TypeError):
+            d == F(1, 2)
+        with pytest.raises(TypeError):
+            d + F(1, 2)
+
+    def test_arithmetic_with_ints(self):
+        d = DualScalar(3, -2)
+        assert d + 1 == 1 + d == DualScalar(4, -2)
+        assert d - 1 == DualScalar(2, -2)
+        assert 1 - d == DualScalar(-2, 2)
+        assert d - DualScalar(1, 1) == DualScalar(2, -3)
+        assert 2 * d == d * 2 == DualScalar(6, -4)
+        assert d * DualScalar(2, 5) == DualScalar(6, 11)
+
+    def test_not_divisible_message_shows_repr(self):
+        with pytest.raises(NotDivisibleError,
+                           match=r"DualScalar\(value=7, derivative=1\) not "
+                                 r"divisible by DualScalar\(value=2, "
+                                 r"derivative=0\)"):
+            DualScalar(7, 1).exact_div(2)
+
     def test_matches_symbolic_derivative(self):
         # at seeded integer points, every dual series entry is the symbolic
         # entry and its partial derivative along the dual direction
