@@ -93,23 +93,22 @@ def sl2_transform(f: BinaryForm, g: Sequence) -> BinaryForm:
     for i, ci in enumerate(f.coefficients):
         if ci == 0:
             continue
-        fac = [1]
-        for _ in range(i):
-            fac = _lin_mul(fac, a, b)
-        for _ in range(m - i):
-            fac = _lin_mul(fac, c, d)
+        fac = _expand([(a, -b)] * i + [(c, -d)] * (m - i))
         for j, w in enumerate(fac):
             out[j] = out[j] + ci * w
     return BinaryForm.from_coeffs(tuple(out))
 
 
-def _lin_mul(coeffs, u, v):
-    """Multiply a coefficient list (in x^j y^(k-j)) by u*x + v*y."""
-    out = [0] * (len(coeffs) + 1)
-    for j, c in enumerate(coeffs):
-        out[j + 1] += c * u
-        out[j] += c * v
-    return out
+def _expand(pairs: Sequence[tuple]) -> list:
+    """Coefficients c_0..c_m (of x^j y^(m-j)) of prod_j (u_j x - v_j y)."""
+    coeffs = [1]
+    for u, v in pairs:
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] += c * u
+            nxt[i] += -c * v
+        coeffs = nxt
+    return coeffs
 
 
 def sylvester_matrix(f: BinaryForm, g: BinaryForm):

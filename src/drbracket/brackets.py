@@ -11,17 +11,19 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import math
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .binforms import BinaryForm, dr_series
+from .binforms import BinaryForm, _expand, dr_series
 from .multipoly import MultiPoly
 from .rationals import format_rational
 
 Symbol = Tuple[str, int]
 Assignment = Mapping[Symbol, Tuple[int, int]]
+
+ASSIGNMENT_BOUND = 10
+ASSIGNMENT_BUDGET = 10000
 
 
 class BracketSumUndefinedError(ValueError):
@@ -52,6 +54,14 @@ def bracket_eval(s: Symbol, t: Symbol, assignment: Assignment):
     return us * vt - ut * vs
 
 
+def _coordinate_bracket(pair: Tuple[Symbol, Symbol]) -> MultiPoly:
+    """The bracket of pair = (s, t) as a polynomial in the coordinate
+    variables of s and t."""
+    us, vs = map(MultiPoly.variable, coordinate_vars(pair[0]))
+    ut, vt = map(MultiPoly.variable, coordinate_vars(pair[1]))
+    return us * vt - ut * vs
+
+
 @dataclass(frozen=True)
 class BracketMonomial:
     """Canonical product of brackets: ordered factors plus a sign.
@@ -76,20 +86,6 @@ def canonicalize(factors: Iterable[Tuple[Symbol, Symbol]]) -> BracketMonomial:
             sign = -sign
         out.append((s, t))
     return BracketMonomial(tuple(sorted(out)), sign)
-
-
-class _BracketValues(dict):
-    """Bracket values at one assignment, each computed on first lookup."""
-
-    __slots__ = ("assignment",)
-
-    def __init__(self, assignment: Assignment):
-        super().__init__()
-        self.assignment = assignment
-
-    def __missing__(self, pair: Tuple[Symbol, Symbol]):
-        value = self[pair] = bracket_eval(pair[0], pair[1], self.assignment)
-        return value
 
 
 class BracketPolynomial:
@@ -118,28 +114,32 @@ class BracketPolynomial:
     def __len__(self):
         return len(self.terms)
 
+    def substitute(self, image: Callable[[Tuple[Symbol, Symbol]], object],
+                   zero=0, one=1):
+        """Sum over the terms of coeff * prod(image(pair) for each factor),
+        computed in the ring of ``zero`` and ``one``; ``image`` is called
+        once per distinct pair."""
+        values: dict = {}
+        total = zero
+        for factors, coeff in self.terms.items():
+            prod = coeff * one
+            for pair in factors:
+                value = values.get(pair)
+                if value is None:
+                    value = values[pair] = image(pair)
+                prod = prod * value
+            total = total + prod
+        return total
+
     def evaluate(self, assignment: Assignment):
         """Exact value; integer coefficients and coordinates give an int."""
-        values = _BracketValues(assignment)
-        return sum(coeff * math.prod(map(values.__getitem__, factors))
-                   for factors, coeff in self.terms.items())
+        return self.substitute(
+            lambda pair: bracket_eval(pair[0], pair[1], assignment))
 
     def expand_to_coordinates(self) -> MultiPoly:
         """Expansion as a polynomial in the symbols' coordinate variables."""
-        cache: Dict[Tuple[Symbol, Symbol], MultiPoly] = {}
-        total = MultiPoly.zero()
-        for factors, coeff in self.terms.items():
-            prod = MultiPoly.constant(coeff)
-            for pair in factors:
-                b = cache.get(pair)
-                if b is None:
-                    u0, v0 = (MultiPoly.variable(x) for x in coordinate_vars(pair[0]))
-                    u1, v1 = (MultiPoly.variable(x) for x in coordinate_vars(pair[1]))
-                    b = u0 * v1 - u1 * v0
-                    cache[pair] = b
-                prod = prod * b
-            total = total + prod
-        return total
+        return self.substitute(_coordinate_bracket, MultiPoly.zero(),
+                               MultiPoly.constant(1))
 
     def to_json(self) -> list:
         recs = []
@@ -247,18 +247,6 @@ def forms_from_assignment(assignment: Assignment, n: int):
     return BinaryForm.from_coeffs(f_n), BinaryForm.from_coeffs(f_m)
 
 
-def _expand(pairs: Sequence[tuple]) -> list:
-    """Coefficients c_0..c_m of prod_j (u_j x - v_j y)."""
-    coeffs = [1]
-    for u, v in pairs:
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c * u
-            nxt[i] += -c * v
-        coeffs = nxt
-    return coeffs
-
-
 def derive_seed(master: int, index) -> int:
     """Stable per-trial seed (independent of interpreter hash salting)."""
     h = hashlib.sha256(f"{master}:{index}".encode()).digest()
@@ -269,15 +257,17 @@ def all_symbols(n: int) -> List[Symbol]:
     return [alpha(i) for i in range(1, n + 1)] + [beta(k) for k in range(1, n - 1)]
 
 
-def random_generic_assignment(n: int, seed: int, bound: int = 10,
-                              budget: int = 10000) -> Dict[Symbol, tuple]:
+def random_generic_assignment(n: int, seed: int) -> Dict[Symbol, tuple]:
     """Integer-coordinate assignment with all pairwise brackets nonzero and
-    all alpha coordinates nonzero (so a_0*a_n != 0).  Deterministic per seed."""
-    if bound < 2:
-        raise ValueError("bound too small to find generic assignments")
+    all alpha coordinates nonzero (so a_0*a_n != 0).  Deterministic per seed.
+
+    Coordinates are drawn from [-ASSIGNMENT_BOUND, ASSIGNMENT_BOUND]; after
+    ASSIGNMENT_BUDGET rejected candidates RuntimeError is raised.
+    """
     rng = Random(derive_seed(seed, "assignment"))
     symbols = all_symbols(n)
-    for _ in range(budget):
+    bound = ASSIGNMENT_BOUND
+    for _ in range(ASSIGNMENT_BUDGET):
         cand = {s: (rng.randint(-bound, bound), rng.randint(-bound, bound))
                 for s in symbols}
         if any(u == 0 or v == 0 for s, (u, v) in cand.items() if s[0] == "a"):
@@ -289,7 +279,7 @@ def random_generic_assignment(n: int, seed: int, bound: int = 10,
                 break
         if ok:
             return cand
-    raise RuntimeError("resampling budget exhausted; raise the bound")
+    raise RuntimeError("resampling budget exhausted; raise ASSIGNMENT_BOUND")
 
 
 def check_mode_and_trials(mode: str, trials: int) -> None:

@@ -71,6 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_forms(args) -> tuple:
     if args.infile and args.forms:
         raise UsageError("give either --in or --forms, not both")
+    if args.mode == "symbolic" and (args.infile or args.forms):
+        raise UsageError("--in and --forms give numeric forms: "
+                         "use --mode numeric")
     raw = None
     if args.infile:
         try:
@@ -110,12 +113,20 @@ def cmd_dr_series(args) -> tuple:
     except NumericDegenerateError as exc:
         return {"error": str(exc)}, EXIT_FAILURE
     entries = []
-    for r, e in enumerate(series.entries):
-        if isinstance(e, MultiPoly):
-            entries.append({"r": r, "value": e.to_json(), "text": str(e)})
-        else:
-            entries.append({"r": r, "value": format_rational(e),
-                            "text": format_rational(e)})
+    # print computed values in full: lift the interpreter's cap on the
+    # digits of an int turned into a string, but only here, so that input
+    # parsing keeps it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for r, e in enumerate(series.entries):
+            if isinstance(e, MultiPoly):
+                entries.append({"r": r, "value": e.to_json(), "text": str(e)})
+            else:
+                text = format_rational(e)
+                entries.append({"r": r, "value": text, "text": text})
+    finally:
+        sys.set_int_max_str_digits(limit)
     return {"n": args.n, "mode": args.mode, "entries": entries}, EXIT_OK
 
 
@@ -197,8 +208,12 @@ def main(argv=None) -> int:
     else:
         text = _render_text(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out file: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(text)
     return code

@@ -19,14 +19,15 @@ from typing import Optional, Sequence
 
 from .binforms import BinaryForm, NumericDegenerateError, dr_series
 from .brackets import derive_seed
-from .laurent import (LaurentMonomial, degree_matrix_P, dr_rows,
-                      lm_dr_closed_form)
+from .laurent import LaurentMonomial, degree_matrix_P, dr_rows
 from .rationals import DualScalar
 
 # Largest n at which run_independence_suite runs the Jacobian check, which
 # grows steeply with n (2n series per point, each a Bareiss determinant of
 # order n at n + 1 values of t).
 JACOBIAN_N_MAX = 7
+# jacobian_rank draws each coefficient from [-JACOBIAN_BOUND, JACOBIAN_BOUND]
+JACOBIAN_BOUND = 20
 
 
 def _eliminate(M: Sequence[Sequence[int]]):
@@ -115,26 +116,28 @@ class IndependenceCertificate:
         return out
 
 
+def _certify(rows: Sequence[Sequence[int]]) -> IndependenceCertificate:
+    """Independent iff the integer rows have full rank; dependent verdicts
+    carry a kernel vector that is checked to annihilate the rows."""
+    rows = tuple(map(tuple, rows))
+    rank, trail, kernel = _eliminate(rows)
+    if rank == len(rows):
+        return IndependenceCertificate(rows, rank, tuple(trail), "independent")
+    if (kernel is None or not any(kernel)
+            or any(sum(k * row[c] for k, row in zip(kernel, rows))
+                   for c in range(len(rows[0])))):
+        raise ArithmeticError("kernel vector fails to annihilate the rows")
+    return IndependenceCertificate(rows, rank, tuple(trail), "dependent",
+                                   tuple(kernel))
+
+
 def multiplicative_independence(monomials: Sequence[LaurentMonomial],
                                 variables: Sequence) -> IndependenceCertificate:
     """Independent iff the exponent matrix has full row rank; dependent
     verdicts carry a verified integer kernel vector."""
     if not monomials:
         raise ValueError("need at least one monomial")
-    rows = []
-    for m in monomials:
-        d = m.as_dict()
-        rows.append(tuple(d.get(v, 0) for v in variables))
-    rank, trail, kernel = _eliminate(rows)
-    if rank == len(rows):
-        return IndependenceCertificate(tuple(rows), rank, tuple(trail),
-                                       "independent")
-    if (kernel is None or not any(kernel)
-            or any(sum(k * row[c] for k, row in zip(kernel, rows))
-                   for c in range(len(rows[0])))):
-        raise ArithmeticError("kernel vector fails to annihilate the rows")
-    return IndependenceCertificate(tuple(rows), rank, tuple(trail),
-                                   "dependent", tuple(kernel))
+    return _certify([m.row(variables) for m in monomials])
 
 
 def jacobian_matrix(a: Sequence[int], b: Sequence[int]) -> list:
@@ -162,8 +165,7 @@ def jacobian_matrix(a: Sequence[int], b: Sequence[int]) -> list:
     return [[col[i] for col in cols] for i in range(len(rows))]
 
 
-def jacobian_rank(n: int, points: int = 10, seed: int = 0,
-                  bound: int = 20) -> dict:
+def jacobian_rank(n: int, points: int = 10, seed: int = 0) -> dict:
     """Rank of jacobian_matrix at random integer points.
 
     A point with a_0*a_n = 0, or where elimination finds no pivot with a
@@ -178,8 +180,8 @@ def jacobian_rank(n: int, points: int = 10, seed: int = 0,
     budget = 50 * points
     while len(ranks) < points and sampled < budget:
         sampled += 1
-        a = [rng.randint(-bound, bound) for _ in range(n + 1)]
-        b = [rng.randint(-bound, bound) for _ in range(n - 1)]
+        a = [rng.randint(-JACOBIAN_BOUND, JACOBIAN_BOUND) for _ in range(n + 1)]
+        b = [rng.randint(-JACOBIAN_BOUND, JACOBIAN_BOUND) for _ in range(n - 1)]
         if a[0] == 0 or a[n] == 0:
             continue
         try:
@@ -205,20 +207,12 @@ def run_independence_suite(n_max: int, seed: int = 0,
     for n in range(3, n_max + 1):
         method = "direct" if n == 3 else "closed_form"
         P = degree_matrix_P(n, method)
-        rank, trail = integer_matrix_rank(P.matrix())
-        monos = ([lm_dr_closed_form(n, r) for r in dr_rows(n)]
-                 if method == "closed_form" else None)
-        if monos is None:
-            # reuse the direct rows as exponent vectors
-            monos = [LaurentMonomial.from_dict(
-                {v: d for v, d in zip(P.columns, degrees) if d})
-                for _, degrees in P.rows]
-        cert = multiplicative_independence(monos, P.columns)
+        cert = _certify(P.matrix())
         entry = {
             "n": n,
             "method": method,
             "degree_matrix": P.to_json(),
-            "rank": rank,
+            "rank": cert.rank,
             "expected_rank": len(P.rows),
             "certificate": cert.to_json(),
             "verdict": cert.verdict,

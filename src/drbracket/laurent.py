@@ -1,5 +1,6 @@
 """Triangulated-polygon Laurent model: bracket expansion, lexicographic
-leading monomials, closed-form degree formulas and the degree matrix.
+leading monomials, the closed-form leading monomial of each DR_{n,r} and
+the degree matrix.
 
 Vertices a_1..a_n, b_1..b_{n-2} sit counter-clockwise on a (2n-2)-gon;
 the fan triangulation draws every diagonal through gamma = b_{n-2}.
@@ -14,15 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .brackets import (BracketPolynomial, Symbol, alpha, beta, symbol_name,
-                       term_factors)
+from .brackets import (BracketPolynomial, Symbol, alpha, beta,
+                       dr_bracket_sum, subsets_colex, term_factors)
 from .rationals import format_rational
 
 # ("A", i), ("B", k), ("C", i), ("D", k); the family letters sort in lex
 # priority, so plain tuple order is the canonical variable order
 Var = Tuple[str, int]
+
+# Largest n at which degree_matrix_P expands the bracket sums directly; the
+# expansion grows steeply with n (several seconds at n = 5).
+DIRECT_N_MAX = 6
 
 
 def var_name(v: Var) -> str:
@@ -43,20 +48,16 @@ class LaurentMonomial:
     def one(cls) -> "LaurentMonomial":
         return cls(())
 
-    def as_dict(self) -> Dict[Var, int]:
-        return dict(self.exponents)
-
-    def degree(self, v: Var) -> int:
-        return dict(self.exponents).get(v, 0)
+    def row(self, columns: Sequence[Var]) -> tuple:
+        """Exponent of each variable of ``columns``, in that order."""
+        exps = dict(self.exponents)
+        return tuple(exps.get(v, 0) for v in columns)
 
     def __mul__(self, other: "LaurentMonomial") -> "LaurentMonomial":
         exps = dict(self.exponents)
         for v, e in other.exponents:
             exps[v] = exps.get(v, 0) + e
         return LaurentMonomial.from_dict(exps)
-
-    def __pow__(self, k: int) -> "LaurentMonomial":
-        return LaurentMonomial.from_dict({v: e * k for v, e in self.exponents})
 
     def __str__(self):
         if not self.exponents:
@@ -301,23 +302,9 @@ def laurent_expand_bracket(model: PolygonModel, x: Symbol, y: Symbol) -> Laurent
 
 def laurent_expand_poly(model: PolygonModel, bp: BracketPolynomial) -> LaurentPoly:
     """Multiplicative-additive extension of the per-bracket expansion."""
-    cache: Dict[tuple, LaurentPoly] = {}
-    total = LaurentPoly.zero()
-    for factors, coeff in bp.terms.items():
-        prod = LaurentPoly.monomial(LaurentMonomial.one(), coeff)
-        for pair in factors:
-            b = cache.get(pair)
-            if b is None:
-                b = laurent_expand_bracket(model, pair[0], pair[1])
-                cache[pair] = b
-            prod = prod * b
-        total = total + prod
-    return total
-
-
-def _exp_vector(mono: LaurentMonomial, ordered_vars: Sequence[Var]) -> tuple:
-    d = mono.as_dict()
-    return tuple(d.get(v, 0) for v in ordered_vars)
+    return bp.substitute(
+        lambda pair: laurent_expand_bracket(model, pair[0], pair[1]),
+        LaurentPoly.zero(), LaurentPoly.monomial(LaurentMonomial.one()))
 
 
 def lex_leading_monomial(p: LaurentPoly, model: PolygonModel) -> LaurentMonomial:
@@ -325,47 +312,7 @@ def lex_leading_monomial(p: LaurentPoly, model: PolygonModel) -> LaurentMonomial
     if p.is_zero:
         raise ValueError("zero polynomial has no leading monomial")
     ordered = model.all_vars()
-    return max(p.terms, key=lambda m: _exp_vector(m, ordered))
-
-
-def lm_bracket_closed_form(model: PolygonModel, x: Symbol, y: Symbol) -> LaurentMonomial:
-    """Closed form of the leading monomial of a bracket expansion.
-
-    Signs are ignored; [x, y] and [y, x] share a leading monomial.
-    """
-    n = model.n
-    if x > y:
-        x, y = y, x
-
-    def mono(*pairs) -> LaurentMonomial:
-        exps: Dict[Var, int] = {}
-        for v, e in pairs:
-            exps[v] = exps.get(v, 0) + e
-        return LaurentMonomial.from_dict(exps)
-
-    if x[0] == "a" and y[0] == "a":
-        i, j = x[1], y[1]
-        if i == j or not (1 <= i < j <= n):
-            raise ValueError("invalid alpha indices")
-        return mono((("A", i), 1), (("A", j - 1), -1), (("C", j - 1), 1))
-    if x[0] == "a" and y[0] == "b":
-        i, k = x[1], y[1]
-        if not (1 <= i <= n and 1 <= k <= n - 2):
-            raise ValueError("invalid indices")
-        if k == n - 2:  # takes precedence when n = 3 makes the cases overlap
-            return mono((("A", i), 1))
-        if k == 1:
-            return mono((("A", i), 1), (("A", n), -1), (("C", n), 1))
-        return mono((("A", i), 1), (("B", k - 1), -1), (("D", k - 1), 1))
-    raise ValueError("closed form covers [a_i, a_j] and [a_i, b_k] only")
-
-
-def _b0_var(n: int) -> Var:
-    return ("A", n)  # convention B_0 := A_n
-
-
-def _d0_var(n: int) -> Var:
-    return ("C", n)  # convention D_0 := C_n
+    return max(p.terms, key=lambda m: m.row(ordered))
 
 
 def lm_dr_closed_form(n: int, r: int) -> LaurentMonomial:
@@ -390,57 +337,13 @@ def lm_dr_closed_form(n: int, r: int) -> LaurentMonomial:
             bump(("A", i - 1), -1)
             bump(("C", i - 1), 1)
     for k in range(1, n - 2):  # k in [n-3], with B_0 = A_n and D_0 = C_n
-        b = _b0_var(n) if k == 1 else ("B", k - 1)
-        d = _d0_var(n) if k == 1 else ("D", k - 1)
+        b = ("A", n) if k == 1 else ("B", k - 1)
+        d = ("C", n) if k == 1 else ("D", k - 1)
         bump(b, -r)
         bump(d, r)
     for i in range(1, r + 1):
         bump(("A", i), n - 2)
     return LaurentMonomial.from_dict(exps)
-
-
-def degree_formulas(n: int, r: int, l: int) -> dict:
-    """Closed-form degrees on lm(DR_{n,r}): c = deg_{C_l}, and the
-    auxiliary a_prime with deg_{A_l} = a_prime - c.
-
-    The closed forms assume n >= 4 (for n = 3 the B/D block of the
-    product is empty and the l = n cases degenerate; use the direct
-    method there).
-    """
-    if not (1 <= l <= n):
-        raise ValueError("l out of range")
-    if r == 1 or not (0 <= r <= n):
-        raise ValueError("valid r is 0 or 2..n")
-    if n < 4 and l == n:
-        raise ValueError("the l = n closed forms need n >= 4")
-    if l <= r - 1:
-        c = 0
-    elif l <= n - 1:
-        c = 2 * l - r
-    else:
-        c = r
-    if l <= r:
-        a_prime = 2 * n - r - 2
-    else:
-        a_prime = 2 * n - 2 * l
-    return {"c": c, "a_prime": a_prime}
-
-
-def per_term_A_degree(n: int, I: Iterable[int], l: int) -> int:
-    """deg_{A_l} of the leading monomial of the bracket-sum term for a
-    subset I of [n] (piecewise closed form)."""
-    I = set(I)
-    if not (1 <= l <= n):
-        raise ValueError("l out of range")
-    r = len(I)
-    J = set(range(1, n + 1)) - I
-    t1 = (n - 2) if l in I else (n - l)
-    t2 = l if (l + 1 in J) else 0
-    if l <= n - 1:
-        t3 = n - r - 2 * len(J & set(range(1, l + 1)))
-    else:
-        t3 = -r if n >= 4 else 0  # B_0 = A_n only occurs when n >= 4
-    return t1 - t2 + t3
 
 
 def term_leading_monomial(model: PolygonModel, n: int, I: Sequence[int],
@@ -468,8 +371,6 @@ def term_leading_monomial(model: PolygonModel, n: int, I: Sequence[int],
 def dominance_check(n: int, r: int) -> dict:
     """Enumerate all C(n, r) subsets and confirm the I = [r] term's
     leading monomial strictly lex-dominates every other term's."""
-    from .brackets import subsets_colex
-
     model = PolygonModel(n)
     ordered = model.all_vars()
     ranking = []
@@ -477,11 +378,11 @@ def dominance_check(n: int, r: int) -> dict:
     for I in subsets_colex(n, r):
         mono = term_leading_monomial(model, n, I, cache)
         ranking.append((list(I), mono))
-    ranking.sort(key=lambda it: _exp_vector(it[1], ordered), reverse=True)
+    ranking.sort(key=lambda it: it[1].row(ordered), reverse=True)
     lead = ranking[0]
     dominant = lead[0] == list(range(1, r + 1))
     strict = (len(ranking) == 1
-              or _exp_vector(lead[1], ordered) > _exp_vector(ranking[1][1], ordered))
+              or lead[1].row(ordered) > ranking[1][1].row(ordered))
     return {
         "n": n, "r": r,
         "dominant": dominant and strict,
@@ -510,11 +411,8 @@ class DegreeMatrix:
                 "rows": [{"r": r, "degrees": list(d)} for r, d in self.rows]}
 
 
-def degree_matrix_P(n: int, method: str = "closed_form",
-                    budget: int = 6) -> DegreeMatrix:
+def degree_matrix_P(n: int, method: str = "closed_form") -> DegreeMatrix:
     """Degree matrix of the leading monomials of all DR_{n,r}."""
-    from .brackets import dr_bracket_sum
-
     model = PolygonModel(n)
     columns = tuple(model.all_vars())
     rows = []
@@ -522,12 +420,11 @@ def degree_matrix_P(n: int, method: str = "closed_form",
         if method == "closed_form":
             mono = lm_dr_closed_form(n, r)
         elif method == "direct":
-            if n > budget:
-                raise ValueError(f"direct expansion budget is n <= {budget}")
+            if n > DIRECT_N_MAX:
+                raise ValueError(f"direct expansion needs n <= {DIRECT_N_MAX}")
             p = laurent_expand_poly(model, dr_bracket_sum(n, r))
             mono = lex_leading_monomial(p, model)
         else:
             raise ValueError(f"unknown method: {method}")
-        d = mono.as_dict()
-        rows.append((r, tuple(d.get(v, 0) for v in columns)))
+        rows.append((r, mono.row(columns)))
     return DegreeMatrix(n, columns, tuple(rows))

@@ -7,7 +7,10 @@ integers for exact directional derivatives of integer polynomials.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class NotDivisibleError(ArithmeticError):
@@ -15,8 +18,17 @@ class NotDivisibleError(ArithmeticError):
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(s.strip())
+    """Parse "p/q" or "p" (optional sign, ASCII digits, surrounding
+    whitespace ignored) into a Fraction.
+
+    Any other form, exponent notation included, raises ValueError, as
+    does a number past the interpreter's digit limit for int(str).
+    """
+    m = _RATIONAL.fullmatch(s.strip())
+    if m is None:
+        raise ValueError(f"not a rational of the form p or p/q: {s!r}")
+    num, den = m.groups()
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def format_rational(q: Fraction) -> str:

@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drbracket import verify
+from drbracket.binforms import BinaryForm, dr_series
 from drbracket.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from drbracket.rationals import format_rational, parse_rational
 
 
 def run(capsys, *argv):
@@ -100,6 +104,58 @@ class TestDRSeries:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and out == ""
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "dr-series", "--n", "2",
+                             "--out", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert out == "" and not path.exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "symbolic"]])
+    def test_symbolic_mode_with_forms_is_usage_error(self, capsys, mode):
+        forms = json.dumps({
+            "f_n": {"degree": 2, "coefficients": ["1", "0", "1"]},
+            "f_m": {"degree": 0, "coefficients": ["3"]},
+        })
+        code, out, err = run(capsys, "dr-series", "--n", "2", *mode,
+                             "--forms", forms)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
+    # exponent notation, and a literal past the digit cap on input
+    @pytest.mark.parametrize("coeff", ["1e5000", "1e999999999", "1" * 5000])
+    def test_coefficient_outside_p_or_p_q_is_usage_error(self, capsys, coeff):
+        forms = json.dumps({
+            "f_n": {"degree": 2, "coefficients": ["1", coeff, "1"]},
+            "f_m": {"degree": 0, "coefficients": ["3"]},
+        })
+        code, out, err = run(capsys, "dr-series", "--n", "2",
+                             "--mode", "numeric", "--forms", forms)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and out == ""
+
+    def test_results_past_the_digit_cap_print_in_full(self, capsys):
+        big = "7" * 1000
+        f_n = {"degree": 6, "coefficients": [big] + ["1"] * 5 + [big]}
+        f_m = {"degree": 4, "coefficients": ["1"] * 5}
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "dr-series", "--n", "6", "--mode",
+                           "numeric", "--forms",
+                           json.dumps({"f_n": f_n, "f_m": f_m}),
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit
+        values = [e["value"] for e in json.loads(out)["entries"]]
+        assert max(map(len, values)) > limit
+        series = dr_series(BinaryForm.from_json(f_n),
+                           BinaryForm.from_json(f_m), mode="numeric")
+        sys.set_int_max_str_digits(0)
+        try:
+            assert values == [format_rational(e) for e in series.entries]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_degenerate_input_fails(self, capsys):
         forms = json.dumps({
             "f_n": {"degree": 2, "coefficients": ["0", "1", "1"]},
@@ -108,6 +164,30 @@ class TestDRSeries:
         code, _, _ = run(capsys, "dr-series", "--n", "2",
                          "--mode", "numeric", "--forms", forms)
         assert code == EXIT_FAILURE
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text, value", [
+        ("3", Fraction(3)), ("-3/4", Fraction(-3, 4)), (" +6/4 ", Fraction(3, 2)),
+        ("0/5", Fraction(0)),
+    ])
+    def test_p_and_p_over_q(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1e5000", "1E3", "1.5", ".5", "1_000",
+                                      "3/-4", "/4", "4/", "", "x", "\u0663",
+                                      "inf", "nan", "1/2/3"])
+    def test_other_forms_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    def test_input_keeps_the_digit_cap(self):
+        with pytest.raises(ValueError):
+            parse_rational("1" * (sys.get_int_max_str_digits() + 1))
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            parse_rational("1/0")
 
 
 json_values = st.recursive(

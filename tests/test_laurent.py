@@ -8,14 +8,12 @@ import pytest
 
 from drbracket.brackets import (all_symbols, alpha, beta, bracket_eval,
                                 derive_seed, dr_bracket_sum,
-                                random_generic_assignment, subsets_colex,
-                                term_factors)
-from drbracket.laurent import (LaurentMonomial, LaurentPoly, PolygonModel,
-                               boundary_path, degree_formulas,
-                               degree_matrix_P, dominance_check, dr_rows,
+                                random_generic_assignment, term_factors)
+from drbracket.laurent import (DIRECT_N_MAX, LaurentMonomial, LaurentPoly,
+                               PolygonModel, boundary_path, degree_matrix_P,
+                               dominance_check, dr_rows,
                                laurent_expand_bracket, laurent_expand_poly,
-                               lex_leading_monomial, lm_bracket_closed_form,
-                               lm_dr_closed_form, per_term_A_degree,
+                               lex_leading_monomial, lm_dr_closed_form,
                                term_leading_monomial)
 
 
@@ -38,7 +36,15 @@ def test_monomial_variables_sort_in_lex_priority():
     assert m.exponents == ((("A", 2), 1), (("A", 10), 2), (("B", 2), -1),
                            (("C", 1), 4), (("D", 1), 1))
     assert [v for v, _ in m.exponents] == [
-        v for v in PolygonModel(12).all_vars() if v in m.as_dict()]
+        v for v in PolygonModel(12).all_vars() if v in dict(m.exponents)]
+
+
+def test_monomial_row_follows_the_columns():
+    m = mono(A2=1, B1=-3, D2=4)
+    assert m.row([("A", 1), ("A", 2), ("B", 1), ("C", 1), ("D", 2)]) == \
+        (0, 1, -3, 0, 4)
+    assert m.row([("D", 2), ("A", 2)]) == (4, 1)
+    assert LaurentMonomial.one().row([("A", 1)]) == (0,)
 
 
 class TestBoundaryPath:
@@ -215,25 +221,6 @@ class TestLeadingMonomial:
 
 
 class TestClosedForms:
-    def test_bracket_examples(self):
-        m = PolygonModel(5)
-        assert lm_bracket_closed_form(m, alpha(1), alpha(3)) == mono(A1=1, A2=-1, C2=1)
-        assert lm_bracket_closed_form(m, alpha(2), beta(1)) == mono(A2=1, A5=-1, C5=1)
-        assert lm_bracket_closed_form(m, alpha(2), m.gamma) == mono(A2=1)
-
-    def test_bracket_closed_forms_match_expansion(self):
-        for n in (4, 5, 6):
-            m = PolygonModel(n)
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    assert lm_bracket_closed_form(m, alpha(i), alpha(j)) == \
-                        lex_leading_monomial(
-                            laurent_expand_bracket(m, alpha(i), alpha(j)), m)
-                for k in range(1, n - 1):
-                    assert lm_bracket_closed_form(m, alpha(i), beta(k)) == \
-                        lex_leading_monomial(
-                            laurent_expand_bracket(m, alpha(i), beta(k)), m)
-
     def test_lm_dr_examples(self):
         assert lm_dr_closed_form(3, 0) == mono(A1=2, A2=-2, C1=2, C2=4)
         assert lm_dr_closed_form(3, 3) == mono(A1=1, A2=1, A3=1)
@@ -243,53 +230,14 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             lm_dr_closed_form(4, 1)
 
-    def test_lm_dr_matches_full_expansion(self):
-        for n in (4, 5):
-            m = PolygonModel(n)
+    def test_lm_dr_is_the_product_of_bracket_lms(self):
+        # the closed form equals the I = [r] term's leading monomial, the
+        # product of its brackets' expanded leading monomials
+        for n in range(3, 13):
+            model = PolygonModel(n)
             for r in dr_rows(n):
-                p = laurent_expand_poly(m, dr_bracket_sum(n, r))
-                assert lex_leading_monomial(p, m) == lm_dr_closed_form(n, r)
-
-
-class TestDegreeFormulas:
-    def test_examples(self):
-        assert degree_formulas(5, 2, 3)["c"] == 4
-        assert degree_formulas(5, 3, 2)["c"] == 0
-        assert degree_formulas(5, 2, 4)["a_prime"] == 2
-
-    def test_minus_reading_matches_closed_form(self):
-        # the degree relation that actually holds:
-        # deg_{A_l} lm(DR) = a'_{r,l} - c_{r,l}
-        for n in (4, 5, 6):
-            for r in dr_rows(n):
-                monoid = lm_dr_closed_form(n, r)
-                for l in range(1, n + 1):
-                    df = degree_formulas(n, r, l)
-                    assert monoid.degree(("C", l)) == df["c"]
-                    assert monoid.degree(("A", l)) == df["a_prime"] - df["c"]
-
-    def test_n3_top_degree_is_direct_only(self):
-        # closed-form c_{r,n} = r needs n >= 4: for n = 3 the direct
-        # expansion gives deg_{C_3} lm(DR_{3,3}) = 0
-        assert lm_dr_closed_form(3, 3).degree(("C", 3)) == 0
-        with pytest.raises(ValueError):
-            degree_formulas(3, 3, 3)
-
-
-class TestPerTermADegree:
-    def test_examples(self):
-        assert per_term_A_degree(3, {1, 2}, 1) == 2
-        assert per_term_A_degree(3, set(), 2) == -2
-        assert per_term_A_degree(3, {1, 2, 3}, 3) == 1
-
-    def test_matches_direct_expansion(self):
-        for n in (3, 4, 5):
-            m = PolygonModel(n)
-            for r in range(n + 1):
-                for I in subsets_colex(n, r):
-                    lm = term_leading_monomial(m, n, I)
-                    for l in range(1, n + 1):
-                        assert lm.degree(("A", l)) == per_term_A_degree(n, I, l)
+                assert (term_leading_monomial(model, n, range(1, r + 1))
+                        == lm_dr_closed_form(n, r))
 
 
 class TestDominance:
@@ -347,9 +295,18 @@ class TestDegreeMatrix:
         assert rows[3] == [1, 1, 1, 0, 0, 0]
 
     def test_methods_agree(self):
-        for n in (3, 4, 5):
-            assert degree_matrix_P(n, "closed_form").rows == \
-                degree_matrix_P(n, "direct").rows
+        # acceptance test_06 compares the direct expansion with the closed
+        # form at n = 4, 5
+        assert degree_matrix_P(3, "closed_form").rows == \
+            degree_matrix_P(3, "direct").rows
+
+    def test_direct_needs_small_n(self):
+        with pytest.raises(ValueError):
+            degree_matrix_P(DIRECT_N_MAX + 1, "direct")
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError):
+            degree_matrix_P(3, "guess")
 
     def test_json(self):
         data = degree_matrix_P(3, "closed_form").to_json()
