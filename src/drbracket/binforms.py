@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .multipoly import MultiPoly, exact_div, interpolate_in_t
+from .multipoly import MultiPoly, align_all, exact_div, interpolate_in_t
 from .rationals import DualScalar, format_rational, parse_rational
 
 
@@ -284,7 +284,8 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     to integer forms lambda*f_n and mu*f_m (lambda, mu the lcm of each
     form's denominators); each entry is then unscaled exactly by the grading
     DR_r(lambda*f, mu*g) = lambda^(2n-2-r) * mu^r * DR_r(f, g).  Forms with
-    MultiPoly or DualScalar coefficients are used as they are.
+    MultiPoly or DualScalar coefficients are used as they are, MultiPoly
+    coefficients lifted onto one namespace first.
     """
     n = f_n.degree
     if n < 2:
@@ -294,9 +295,15 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     if mode not in ("numeric", "symbolic"):
         raise ValueError(f"unknown mode: {mode}")
     lam = mu = 1
-    if all(isinstance(c, (int, Fraction))
-           for c in f_n.coefficients + f_m.coefficients):
+    coeffs = f_n.coefficients + f_m.coefficients
+    if all(isinstance(c, (int, Fraction)) for c in coeffs):
         (f_n, lam), (f_m, mu) = _cleared(f_n), _cleared(f_m)
+    else:
+        # one namespace for the whole series: no product, Bareiss division
+        # or interpolation step remaps its operands
+        coeffs = align_all(coeffs)
+        f_n = BinaryForm.from_coeffs(coeffs[:n + 1])
+        f_m = BinaryForm.from_coeffs(coeffs[n + 1:])
     a0, an = f_n.coefficients[0], f_n.coefficients[-1]
     denom = a0 * an
     if denom == 0:

@@ -16,7 +16,7 @@ from random import Random
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .binforms import BinaryForm, _expand, dr_series
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, align_all
 from .rationals import format_rational
 
 Symbol = Tuple[str, int]
@@ -51,14 +51,6 @@ def bracket_eval(s: Symbol, t: Symbol, assignment: Assignment):
     """[s, t] = u_s*v_t - u_t*v_s."""
     us, vs = assignment[s]
     ut, vt = assignment[t]
-    return us * vt - ut * vs
-
-
-def _coordinate_bracket(pair: Tuple[Symbol, Symbol]) -> MultiPoly:
-    """The bracket of pair = (s, t) as a polynomial in the coordinate
-    variables of s and t."""
-    us, vs = map(MultiPoly.variable, coordinate_vars(pair[0]))
-    ut, vt = map(MultiPoly.variable, coordinate_vars(pair[1]))
     return us * vt - ut * vs
 
 
@@ -137,9 +129,16 @@ class BracketPolynomial:
             lambda pair: bracket_eval(pair[0], pair[1], assignment))
 
     def expand_to_coordinates(self) -> MultiPoly:
-        """Expansion as a polynomial in the symbols' coordinate variables."""
-        return self.substitute(_coordinate_bracket, MultiPoly.zero(),
-                               MultiPoly.constant(1))
+        """Expansion as a polynomial in the symbols' coordinate variables,
+        which are lifted onto one namespace first."""
+        symbols = sorted({s for factors in self.terms
+                          for pair in factors for s in pair})
+        zero, one, *coords = align_all(
+            [MultiPoly.zero(), MultiPoly.constant(1)]
+            + [MultiPoly.variable(x) for s in symbols for x in coordinate_vars(s)])
+        coordinates = dict(zip(symbols, zip(coords[0::2], coords[1::2])))
+        return self.substitute(
+            lambda pair: bracket_eval(pair[0], pair[1], coordinates), zero, one)
 
     def to_json(self) -> list:
         recs = []

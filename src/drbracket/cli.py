@@ -77,9 +77,9 @@ def _load_forms(args) -> tuple:
     raw = None
     if args.infile:
         try:
-            with open(args.infile) as fh:
+            with open(args.infile, encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read --in file: {exc}")
     elif args.forms:
         raw = args.forms
@@ -97,7 +97,7 @@ def _load_forms(args) -> tuple:
         f_n = BinaryForm.from_json(data["f_n"])
         f_m = BinaryForm.from_json(data["f_m"])
     except (json.JSONDecodeError, KeyError, ValueError, TypeError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, RecursionError) as exc:
         raise UsageError(f"malformed form input: {exc}")
     if f_n.degree != args.n or f_m.degree != args.n - 2:
         raise UsageError("form degrees disagree with --n")

@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials with exact rational coefficients,
 stored as ints.
 
-Terms are keyed by exponent tuples over a sorted variable namespace;
-arithmetic union-merges namespaces so callers never pre-align them.
+Terms are keyed by exponent tuples over a sorted variable namespace.
+Arithmetic on two different namespaces remaps both operands onto their
+sorted union, so mixed namespaces always work; a long computation (a
+symbolic DR series, a coordinate expansion) lifts its inputs onto one
+namespace once with align_all, and its arithmetic then never remaps.
 A coefficient is a plain int, and a reduced Fraction only when it is not
 an integer, so integer polynomials (every Bareiss intermediate and every
 DR entry) never build a Fraction.  All values are immutable after
@@ -13,7 +16,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
+# the C core of heapq: importing heapq itself also loads its pure-Python
+# module, about 0.15 MiB more peak RSS for three functions
+from _heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .rationals import (DualScalar, NotDivisibleError, format_rational,
@@ -26,6 +32,8 @@ class MissingVariableError(KeyError):
 
 def _coeff(x):
     """A coefficient in canonical form: an int, or a non-integral Fraction."""
+    if x.__class__ is int:
+        return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
@@ -70,17 +78,6 @@ class MultiPoly:
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "terms", clean)
 
-    @classmethod
-    def _make(cls, variables: tuple, terms: dict) -> "MultiPoly":
-        """Constructor for results of arithmetic, which trusts its inputs:
-        a sorted namespace, non-negative exponent tuples of its length and
-        nonzero canonical coefficients (see _coeff).  Skips the checks of
-        __init__."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "variables", variables)
-        object.__setattr__(p, "terms", terms)
-        return p
-
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
 
@@ -104,10 +101,11 @@ class MultiPoly:
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
+        if other.__class__ is not MultiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = _coeff(other)
+            return self.terms == ({(0,) * len(self.variables): c} if c else {})
         a, b = _align(self, other)
         return a.terms == b.terms
 
@@ -123,7 +121,7 @@ class MultiPoly:
             return self
         vs = tuple(self.variables[i] for i in used)
         terms = {tuple(e[i] for i in used): c for e, c in self.terms.items()}
-        return MultiPoly._make(vs, terms)
+        return _make(vs, terms)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -132,8 +130,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._make(self.variables,
-                               {e: -c for e, c in self.terms.items()})
+        return _make(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self._combine(other, True)
@@ -143,14 +140,20 @@ class MultiPoly:
 
     def _combine(self, other, negate: bool):
         """self + other, or self - other when negate is set."""
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
-        if not isinstance(other, MultiPoly):
+        if other.__class__ is MultiPoly:
+            a, b = ((self, other) if other.variables == self.variables
+                    else _align(self, other))
+            pairs = b.terms.items()
+        elif isinstance(other, (int, Fraction)):
+            # a constant is the term at the zero exponent of self's namespace
+            a = self
+            c = _coeff(other)
+            pairs = (((0,) * len(self.variables), c),) if c else ()
+        else:
             return NotImplemented
-        a, b = _align(self, other)
         out = dict(a.terms)
         get = out.get
-        for e, c in b.terms.items():
+        for e, c in pairs:
             s = get(e, 0) - c if negate else get(e, 0) + c
             if s.__class__ is Fraction and s.denominator == 1:
                 s = s.numerator
@@ -158,24 +161,37 @@ class MultiPoly:
                 out[e] = s
             else:
                 del out[e]
-        return MultiPoly._make(a.variables, out)
+        return _make(a.variables, out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not MultiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = _coeff(other)
-            return MultiPoly._make(self.variables, _canonical(
+            return _make(self.variables, _canonical(
                 {e: c * v for e, v in self.terms.items()}))
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        a, b = _align(self, other)
+        a, b = ((self, other) if other.variables == self.variables
+                else _align(self, other))
+        a_terms, b_terms = a.terms, b.terms
+        if len(a_terms) == 1 or len(b_terms) == 1:
+            # a monomial times p: each term moves to a distinct exponent
+            # and no coefficient vanishes, so only a Fraction needs _canonical
+            if len(b_terms) != 1:
+                a_terms, b_terms = b_terms, a_terms
+            ((e2, c2),) = b_terms.items()
+            out = {tuple(map(add, e1, e2)): c1 * c2
+                   for e1, c1 in a_terms.items()}
+            if Fraction in map(type, out.values()):
+                out = _canonical(out)
+            return _make(a.variables, out)
         out: dict = {}
         get = out.get
-        b_terms = list(b.terms.items())
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b_terms:
+        b_items = list(b_terms.items())
+        for e1, c1 in a_terms.items():
+            for e2, c2 in b_items:
                 e = tuple(map(add, e1, e2))
                 out[e] = get(e, 0) + c1 * c2
-        return MultiPoly._make(a.variables, _canonical(out))
+        return _make(a.variables, _canonical(out))
 
     __rmul__ = __mul__
 
@@ -194,44 +210,70 @@ class MultiPoly:
     def exact_div(self, q) -> "MultiPoly":
         """Return r with self == q*r, or raise NotDivisibleError.  An int or
         Fraction q scales the coefficients by 1/q."""
-        if isinstance(q, (int, Fraction)):
+        if q.__class__ is not MultiPoly:
+            if not isinstance(q, (int, Fraction)):
+                raise TypeError(f"cannot divide a polynomial by {q!r}")
             if not q:
                 raise ZeroDivisionError("division by zero")
-            return MultiPoly._make(self.variables, {
+            return _make(self.variables, {
                 e: _quotient(c, q) for e, c in self.terms.items()})
         if q.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        a, b = _align(self, q)
-        rem = dict(a.terms)
-        get = rem.get
-        lt_q = max(b.terms)  # lex-leading exponent
+        a, b = (self, q) if q.variables == self.variables else _align(self, q)
+        if len(b.terms) == 1:
+            ((e_q, c_q),) = b.terms.items()
+            quo = {tuple(map(sub, e, e_q)): _quotient(c, c_q)
+                   for e, c in a.terms.items()}
+            if quo and any(e_q) and min(map(min, quo)) < 0:
+                raise NotDivisibleError("no exact quotient")
+            return _make(a.variables, quo)
+        # Long division by lex-leading terms.  The remainder is keyed by
+        # negated exponents, so the heap's smallest key is its lex-leading
+        # term.  Every key pushed lies below the term being divided out, so
+        # each key enters the heap once while it is live; a popped key that
+        # has since cancelled is skipped.
+        lt_q = max(b.terms)
         c_q = b.terms[lt_q]
-        q_terms = list(b.terms.items())
+        neg_lt_q = tuple(map(neg, lt_q))
+        q_rest = [(tuple(map(neg, e)), c) for e, c in b.terms.items()
+                  if e != lt_q]
+        rem = {tuple(map(neg, e)): c for e, c in a.terms.items()}
+        get = rem.get
+        heap = list(rem)
+        heapify(heap)
         quo: dict = {}
-        while rem:
-            lt_r = max(rem)
-            diff = tuple(map(sub, lt_r, lt_q))
+        while heap:
+            key = heappop(heap)
+            c_r = rem.pop(key, None)  # the leading term cancels exactly
+            if c_r is None:
+                continue
+            diff = tuple(map(sub, neg_lt_q, key))
             if diff and min(diff) < 0:
                 raise NotDivisibleError("no exact quotient")
-            c = _quotient(rem[lt_r], c_q)
+            c = _quotient(c_r, c_q)
             quo[diff] = c
-            for e, cq in q_terms:
-                tgt = tuple(map(add, e, diff))
-                s = get(tgt, 0) - c * cq
-                if s:
-                    rem[tgt] = s
+            for e, cq in q_rest:
+                tgt = tuple(map(sub, e, diff))
+                old = get(tgt)
+                if old is None:
+                    rem[tgt] = -c * cq
+                    heappush(heap, tgt)
                 else:
-                    del rem[tgt]
-        return MultiPoly._make(a.variables, quo)
+                    s = old - c * cq
+                    if s:
+                        rem[tgt] = s
+                    else:
+                        del rem[tgt]
+        return _make(a.variables, quo)
 
     def derivative(self, var: str) -> "MultiPoly":
         if var not in self.variables:
-            return MultiPoly._make(self.variables, {})
+            return _make(self.variables, {})
         i = self.variables.index(var)
         # lowering the exponent of var is one-to-one on the terms it keeps
         out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
                for e, c in self.terms.items() if e[i]}
-        return MultiPoly._make(self.variables, _canonical(out))
+        return _make(self.variables, _canonical(out))
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, point: Mapping[str, object]):
@@ -279,12 +321,41 @@ class MultiPoly:
     __repr__ = __str__
 
 
+_new = object.__new__
+_set_variables = MultiPoly.variables.__set__
+_set_terms = MultiPoly.terms.__set__
+
+
+def _make(variables: tuple, terms: dict) -> MultiPoly:
+    """Constructor for results of arithmetic, which trusts its inputs: a
+    sorted namespace, non-negative exponent tuples of its length and nonzero
+    canonical coefficients (see _coeff).  Skips the checks of __init__ and
+    sets the slots through their descriptors."""
+    p = _new(MultiPoly)
+    _set_variables(p, variables)
+    _set_terms(p, terms)
+    return p
+
+
 def _align(p: MultiPoly, q: MultiPoly):
     """Remap both polynomials onto the sorted union namespace."""
     if p.variables == q.variables:
         return p, q
     vs = tuple(sorted(set(p.variables) | set(q.variables)))
     return _remap(p, vs), _remap(q, vs)
+
+
+def align_all(values: Sequence) -> list:
+    """The values with every MultiPoly among them remapped onto the sorted
+    union of their namespaces; other values are kept as they are.  A long
+    computation lifts its inputs once, so that its arithmetic never meets
+    two different namespaces."""
+    names = set()
+    for v in values:
+        if v.__class__ is MultiPoly:
+            names.update(v.variables)
+    vs = tuple(sorted(names))
+    return [_remap(v, vs) if v.__class__ is MultiPoly else v for v in values]
 
 
 def _remap(p: MultiPoly, vs: tuple) -> MultiPoly:
@@ -297,7 +368,7 @@ def _remap(p: MultiPoly, vs: tuple) -> MultiPoly:
         for i, k in zip(idx, e):
             ne[i] = k
         terms[tuple(ne)] = c
-    return MultiPoly._make(vs, terms)
+    return _make(vs, terms)
 
 
 def interpolate_in_t(samples: Iterable[tuple]):

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from drbracket import binforms
 from drbracket.binforms import (BinaryForm, NumericDegenerateError,
                                 bezout_matrix, det_fraction_free,
                                 discriminant, dr_series, signed_resultant,
@@ -419,6 +422,48 @@ class TestDRSeries:
         data = f.to_json()
         assert data == {"degree": 2, "coefficients": ["1/2", "3", "-1"]}
         assert BinaryForm.from_json(data) == f
+
+
+class TestSymbolicSeriesBytes:
+    # sha256 of json.dumps(series.to_json(), sort_keys=True) for the generic
+    # symbolic series, recorded before dr_series lifted the forms'
+    # coefficients onto one namespace
+    GENERIC_DIGESTS = {
+        3: "3872a1ba75af9749ff14d074bc866647bb048e81a266acada7efeef7e21552bb",
+        4: "8f32dd4eb892d7547d989416f9645d2e5923ebe421dbb7a5d059b6196e0b3003",
+        5: "9c4cf7989ff1a184f92fbf807e0074457be03a9c4c7a70342c6c29a08a3e2023",
+    }
+
+    @pytest.mark.parametrize("n", sorted(GENERIC_DIGESTS))
+    def test_generic_series_is_pinned(self, n):
+        s = dr_series(BinaryForm.generic(n), BinaryForm.generic(n - 2, "b"),
+                      mode="symbolic")
+        text = json.dumps(s.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GENERIC_DIGESTS[n]
+
+    def test_lifted_entries_render_as_unlifted(self, monkeypatch):
+        # generic forms, and forms with some coefficients fixed to nonzero
+        # integers as in the benchmark's symbolic workload
+        rng = random.Random(53)
+        cases = [(BinaryForm.generic(n), BinaryForm.generic(n - 2, "b"))
+                 for n in (2, 3, 4)]
+        for n in (3, 4, 4):
+            names = [f"a{i}" for i in range(n + 1)] + [f"b{i}" for i in range(n - 1)]
+            coeffs = [MultiPoly.constant(rng.choice([-3, -1, 2, 5]))
+                      if rng.random() < 0.5 else MultiPoly.variable(v)
+                      for v in names]
+            cases.append((BinaryForm.from_coeffs(coeffs[:n + 1]),
+                          BinaryForm.from_coeffs(coeffs[n + 1:])))
+        lifted = [dr_series(f, g, mode="symbolic").entries for f, g in cases]
+        for entries in lifted:
+            assert len({e.variables for e in entries}) == 1
+        # the same series with every operation aligning its own operands
+        monkeypatch.setattr(binforms, "align_all", list)
+        for (f, g), entries in zip(cases, lifted):
+            plain = dr_series(f, g, mode="symbolic").entries
+            assert [e.to_json() for e in entries] == [e.to_json() for e in plain]
+            assert [str(e) for e in entries] == [str(e) for e in plain]
+            assert entries == plain
 
 
 class TestScalarDomains:

@@ -80,6 +80,22 @@ class TestDRSeries:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and out == ""
 
+    def test_input_file_not_utf8_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "forms.json"
+        path.write_bytes(b'{"f_n": "\xff\xfe"}')
+        code, out, err = run(capsys, "dr-series", "--n", "2",
+                             "--mode", "numeric", "--in", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert out == ""
+
+    def test_deeply_nested_forms_are_usage_error(self, capsys):
+        code, out, err = run(capsys, "dr-series", "--n", "2",
+                             "--mode", "numeric", "--forms", "[" * 100000)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert out == ""
+
     def test_zero_denominator_is_usage_error(self, capsys):
         forms = json.dumps({
             "f_n": {"degree": 2, "coefficients": ["1", "1/0", "1"]},

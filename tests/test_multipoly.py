@@ -361,11 +361,17 @@ coefficients = st.one_of(
     st.integers(-30, 30),
     st.integers(-30, 30).map(F),
     st.builds(F, st.integers(-30, 30), st.integers(1, 6)))
-mixed_polys = st.sampled_from(
-    [("u",), ("v", "w"), ("u", "v"), ("u", "v", "w")]).flatmap(
-    lambda vs: st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * len(vs)), coefficients,
-        max_size=6).map(lambda terms: MultiPoly(vs, terms)))
+
+
+def polys_over(namespaces, min_size=0, max_size=6):
+    return st.sampled_from(namespaces).flatmap(
+        lambda vs: st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * len(vs)), coefficients,
+            min_size=min_size, max_size=max_size).map(
+            lambda terms: MultiPoly(vs, terms)))
+
+
+mixed_polys = polys_over([("u",), ("v", "w"), ("u", "v"), ("u", "v", "w")])
 
 
 @settings(max_examples=150, deadline=None)
@@ -396,6 +402,48 @@ def test_exact_div_matches_fraction_reference(p, q):
         # q is not a constant, so it does not divide p*q + 1
         with pytest.raises(NotDivisibleError):
             (p * q + 1).exact_div(q)
+
+
+# Long division: dividends of three dense factors, which run past 64 terms,
+# divided by one-term divisors and by divisors over a variable x that the
+# dividends' own factors never use.  A dividend is rebuilt from its JSON, so
+# its namespace holds only the variables it uses, and a divisor whose
+# namespace lists a variable it does not use is not a subset of it.
+dense_polys = polys_over([("u", "v", "w")], min_size=4)
+divisor_namespaces = [("u",), ("v", "w"), ("u", "v", "w"),
+                      ("x",), ("u", "x"), ("v", "w", "x")]
+divisors = st.one_of(polys_over(divisor_namespaces, 1, 1),
+                     polys_over(divisor_namespaces, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(dense_polys, dense_polys, dense_polys), divisors)
+def test_exact_div_of_large_products(factors, q):
+    if q.is_zero:
+        return
+    p = factors[0] * factors[1] * factors[2]
+    dividend = MultiPoly.from_json((p * q).to_json())
+    quotient = dividend.exact_div(q)
+    assert_canonical(quotient)
+    assert quotient == p and ref_of(quotient) == ref_of(p)
+    if q.terms.keys() != {(0,) * len(q.variables)}:
+        with pytest.raises(NotDivisibleError):
+            (dividend + 1).exact_div(q)
+
+
+def test_long_remainders_and_one_term_divisors():
+    p = MultiPoly(("u", "v", "w"), {(0, 0, 0): 1, (1, 0, 0): 2, (0, 2, 0): 3,
+                                    (0, 0, 3): 5, (2, 1, 1): 7, (1, 3, 0): 11,
+                                    (3, 0, 2): -13})
+    cube = p * p * p
+    assert len(cube.terms) > 64
+    q = x * y - 1
+    assert (cube * q).exact_div(q) == cube
+    assert (cube * x * 3).exact_div(x * 3) == cube
+    assert (cube * 3).exact_div(x * 0 + 2) == cube * F(3, 2)
+    for divisor in (x, x * 2 + 1, MultiPoly.variable("u") * y):
+        with pytest.raises(NotDivisibleError):
+            cube.exact_div(divisor)
 
 
 class TestIntCoefficients:
