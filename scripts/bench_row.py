@@ -8,9 +8,11 @@ Each result file is one ``drbench/run.py --trace 0`` run, as written to
 in ``.bench_out/`` are read. Runs of the same source, workload, seed and
 machine form one row, which holds the commit, seed, nproc, CPU and Python of
 the runs, how many runs there were and how many were correct, and the median
-of each end-to-end metric with its unit. The rows are written, sorted, to
-``BENCH_<label>.json`` at the root of the checkout (or to ``--out``).
-Measure a parent and a change by passing the result files of both.
+and the first and third quartiles (q1, q3) of each end-to-end metric with its
+unit. The rows are written, sorted, to ``BENCH_<label>.json`` at the root of
+the checkout (or to ``--out``). Measure a parent and a change by passing the
+result files of both: a median difference smaller than the parent's q3 - q1
+is not resolved by the runs.
 """
 
 import argparse
@@ -45,6 +47,16 @@ def load_run(path: Path) -> dict:
     return {"key": key, "metrics": metrics, "correct": correct}
 
 
+def summary(values: list, unit: str) -> dict:
+    """Median and quartiles of one metric over a row's runs. The quartiles
+    interpolate between the sorted values (statistics.quantiles with the
+    inclusive method), so they lie within the runs' range; one run gives
+    q1 = median = q3."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "unit": unit}
+
+
 def rows(runs) -> list:
     groups = {}
     for run in runs:
@@ -58,8 +70,7 @@ def rows(runs) -> list:
         row["runs"] = len(group)
         row["correct_runs"] = sum(bool(r["correct"]) for r in group)
         row["metrics"] = {
-            name: {"median": statistics.median(r["metrics"][name][0] for r in group),
-                   "unit": unit}
+            name: summary([r["metrics"][name][0] for r in group], unit)
             for name, (_, unit) in names.items()}
         out.append(row)
     return out

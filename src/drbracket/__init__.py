@@ -9,11 +9,11 @@ from .binforms import (BinaryForm, DRSeries, NumericDegenerateError,
                        bezout_matrix, det_fraction_free, discriminant,
                        dr_series, signed_resultant, sl2_transform,
                        sylvester_matrix)
-from .brackets import (BracketMonomial, BracketPolynomial,
-                       BracketSumUndefinedError, alpha, beta, bracket_eval,
-                       canonicalize, dr_bracket_sum, forms_from_assignment,
-                       plucker_relation, random_generic_assignment,
-                       verify_theorem1)
+from .brackets import (AssignmentBudgetError, BracketMonomial,
+                       BracketPolynomial, BracketSumUndefinedError, alpha,
+                       beta, bracket_eval, canonicalize, dr_bracket_sum,
+                       forms_from_assignment, plucker_relation,
+                       random_generic_assignment, verify_theorem1)
 from .independence import (IndependenceCertificate, integer_matrix_rank,
                            jacobian_rank, multiplicative_independence,
                            run_independence_suite)

@@ -30,6 +30,11 @@ class BracketSumUndefinedError(ValueError):
     """The (n, r) = (2, 2) entry has no bracket-sum expression."""
 
 
+class AssignmentBudgetError(RuntimeError):
+    """random_generic_assignment found no generic assignment within
+    ASSIGNMENT_BUDGET candidates."""
+
+
 def alpha(i: int) -> Symbol:
     return ("a", i)
 
@@ -261,7 +266,7 @@ def random_generic_assignment(n: int, seed: int) -> Dict[Symbol, tuple]:
     all alpha coordinates nonzero (so a_0*a_n != 0).  Deterministic per seed.
 
     Coordinates are drawn from [-ASSIGNMENT_BOUND, ASSIGNMENT_BOUND]; after
-    ASSIGNMENT_BUDGET rejected candidates RuntimeError is raised.
+    ASSIGNMENT_BUDGET rejected candidates AssignmentBudgetError is raised.
     """
     rng = Random(derive_seed(seed, "assignment"))
     symbols = all_symbols(n)
@@ -278,7 +283,10 @@ def random_generic_assignment(n: int, seed: int) -> Dict[Symbol, tuple]:
                 break
         if ok:
             return cand
-    raise RuntimeError("resampling budget exhausted; raise ASSIGNMENT_BOUND")
+    raise AssignmentBudgetError(
+        f"no generic assignment at n={n} among {ASSIGNMENT_BUDGET} candidates "
+        f"with coordinates in [-{bound}, {bound}]; try another seed or a "
+        f"smaller n")
 
 
 def check_mode_and_trials(mode: str, trials: int) -> None:

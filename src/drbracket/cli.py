@@ -14,6 +14,7 @@ import time
 
 from . import __version__
 from .binforms import BinaryForm, NumericDegenerateError, dr_series
+from .brackets import AssignmentBudgetError
 from .independence import run_independence_suite
 from .multipoly import MultiPoly
 from .rationals import format_rational
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
             payload, code = cmd_verify(args)
         else:
             payload, code = cmd_independence(args)
-    except UsageError as exc:
+    except (UsageError, AssignmentBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     config = {k: v for k, v in sorted(vars(args).items()) if k != "forms"}

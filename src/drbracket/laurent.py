@@ -13,8 +13,11 @@ invertible diagonals A_2..A_n, B_1..B_{n-4}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
+from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .brackets import (BracketPolynomial, Symbol, alpha, beta,
@@ -97,14 +100,7 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return LaurentPoly(out)
+        return LaurentPoly(_sum_terms(self.terms, other.terms))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({m: -c for m, c in self.terms.items()})
@@ -112,16 +108,12 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return LaurentPoly({m: other * v for m, v in self.terms.items()})
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return LaurentPoly(out)
+        # multiply as exponent rows over the sorted union of the variables
+        columns = sorted({v for m in chain(self.terms, other.terms)
+                          for v, _ in m.exponents})
+        return _from_rows(columns, _row_product(
+            {m.row(columns): c for m, c in self.terms.items()},
+            {m.row(columns): c for m, c in other.terms.items()}))
 
     __rmul__ = __mul__
 
@@ -171,6 +163,58 @@ class LaurentPoly:
                                              key=lambda it: tuple(it[0].exponents)))
 
     __repr__ = __str__
+
+
+def _sum_terms(a: dict, b: dict) -> dict:
+    """Termwise sum of two {key: coeff} dicts, without zero coefficients."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _row_product(a: dict, b: dict) -> dict:
+    """Product of two Laurent polynomials held as {exponent row: coeff}
+    over the same columns, without zero coefficients."""
+    out: dict = {}
+    get = out.get
+    b_items = list(b.items())
+    for e1, c1 in a.items():
+        for e2, c2 in b_items:
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _from_rows(columns: Sequence[Var], rows: dict) -> LaurentPoly:
+    """The LaurentPoly of {exponent row: coeff} over sorted ``columns``."""
+    return LaurentPoly({
+        LaurentMonomial(tuple(compress(zip(columns, row), row))): c
+        for row, c in rows.items()})
+
+
+class _Rows:
+    """A Laurent polynomial as {exponent row: coeff} over one model's
+    columns: the ring laurent_expand_poly multiplies in."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __add__(self, other: "_Rows") -> "_Rows":
+        return _Rows(_sum_terms(self.terms, other.terms))
+
+    def __mul__(self, other):
+        if other.__class__ is _Rows:
+            return _Rows(_row_product(self.terms, other.terms))
+        return _Rows({e: other * c for e, c in self.terms.items()})
+
+    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -264,6 +308,73 @@ def boundary_path(model: PolygonModel, x: Symbol, y: Symbol) -> List[Symbol]:
     return list(reversed(bnd[iy:ix + 1]))
 
 
+@functools.lru_cache(maxsize=64)
+def _model_tables(n: int):
+    """Lookup tables of PolygonModel(n), built once per n.
+
+    ``columns`` is model.all_vars(): the lex priority order, which is also
+    LaurentMonomial's sorted variable order, so an exponent row over it
+    compares in lex and turns into a canonical monomial without sorting.
+    ``position`` maps each boundary vertex to its place on the
+    gamma-avoiding walk, ``diagonal[j]`` is the column of the diagonal
+    variable of the j-th boundary vertex, and ``edge[j]`` the column of
+    the edge variable of the boundary step from vertex j to vertex j + 1.
+    """
+    model = PolygonModel(n)
+    columns = tuple(model.all_vars())
+    column = {v: j for j, v in enumerate(columns)}
+    bnd = model.boundary
+    position = {v: j for j, v in enumerate(bnd)}
+    diagonal = tuple(column[model.diagonal_var(v)] for v in bnd)
+    edge = tuple(column[model.edge_var(u, v)[0]] for u, v in zip(bnd, bnd[1:]))
+    return columns, position, diagonal, edge
+
+
+def _bracket_rows(n: int, x: Symbol, y: Symbol) -> dict:
+    """Laurent expansion of [x, y] as {exponent row: coeff} over the
+    columns of PolygonModel(n).
+
+    The walk from y to x is the walk from x to y reversed, with every edge
+    bracket's sign flipped, so [x, y] is sign times the expansion along
+    the boundary steps lo -> lo + 1 -> ... -> hi, where lo < hi are the
+    positions of x and y on the walk. With g_j the diagonal variable
+    [gamma, v_j] of the j-th boundary vertex, step j contributes its edge
+    variable, times g_lo / g_j unless it is the first step and times
+    g_hi / g_{j+1} unless it is the last. These diagonals are distinct, so
+    every exponent is 0 or +-1 and each row is written in place.
+    """
+    columns, position, diagonal, edge = _model_tables(n)
+    width = len(columns)
+    if x == y:
+        return {}
+    gamma = beta(n - 2)
+    if x == gamma or y == gamma:
+        v, sign = (y, 1) if x == gamma else (x, -1)
+        if v not in position:
+            raise ValueError(f"{v} is not a vertex of the model")
+        row = [0] * width
+        row[diagonal[position[v]]] = 1
+        return {tuple(row): sign}
+    if x not in position or y not in position:
+        raise ValueError(f"[{x}, {y}] is not a bracket of the model")
+    lo, hi, sign = position[x], position[y], 1
+    if lo > hi:
+        lo, hi, sign = hi, lo, -1
+    d_lo, d_hi = diagonal[lo], diagonal[hi]
+    out = {}
+    for j in range(lo, hi):
+        row = [0] * width
+        if j > lo:
+            row[d_lo] = 1
+            row[diagonal[j]] = -1
+        if j < hi - 1:
+            row[d_hi] = 1
+            row[diagonal[j + 1]] = -1
+        row[edge[j]] = 1
+        out[tuple(row)] = sign
+    return out
+
+
 def laurent_expand_bracket(model: PolygonModel, x: Symbol, y: Symbol) -> LaurentPoly:
     """Laurent expansion of [x, y] in the triangulation's variables.
 
@@ -271,40 +382,18 @@ def laurent_expand_bracket(model: PolygonModel, x: Symbol, y: Symbol) -> Laurent
     edge of the gamma-avoiding boundary path, with the endpoint diagonal
     factors cancelled so only invertible variables are ever inverted.
     """
-    if x == y:
-        return LaurentPoly.zero()
-    if x == model.gamma:
-        return LaurentPoly.monomial(
-            LaurentMonomial.from_dict({model.diagonal_var(y): 1}))
-    if y == model.gamma:
-        return LaurentPoly.monomial(
-            LaurentMonomial.from_dict({model.diagonal_var(x): 1}), -1)
-    path = boundary_path(model, x, y)
-    k = len(path) - 1
-    gx = model.diagonal_var(x)
-    gy = model.diagonal_var(y)
-    out = LaurentPoly.zero()
-    for i in range(k):
-        exps: Dict[Var, int] = {}
-        if i > 0:
-            exps[gx] = exps.get(gx, 0) + 1
-            dv = model.diagonal_var(path[i])
-            exps[dv] = exps.get(dv, 0) - 1
-        if i < k - 1:
-            exps[gy] = exps.get(gy, 0) + 1
-            dv = model.diagonal_var(path[i + 1])
-            exps[dv] = exps.get(dv, 0) - 1
-        edge, sign = model.edge_var(path[i], path[i + 1])
-        exps[edge] = exps.get(edge, 0) + 1
-        out = out + LaurentPoly.monomial(LaurentMonomial.from_dict(exps), sign)
-    return out
+    return _from_rows(_model_tables(model.n)[0], _bracket_rows(model.n, x, y))
 
 
 def laurent_expand_poly(model: PolygonModel, bp: BracketPolynomial) -> LaurentPoly:
-    """Multiplicative-additive extension of the per-bracket expansion."""
-    return bp.substitute(
-        lambda pair: laurent_expand_bracket(model, pair[0], pair[1]),
-        LaurentPoly.zero(), LaurentPoly.monomial(LaurentMonomial.one()))
+    """Multiplicative-additive extension of the per-bracket expansion,
+    multiplied out in exponent rows over the model's columns."""
+    n = model.n
+    columns = _model_tables(n)[0]
+    total = bp.substitute(
+        lambda pair: _Rows(_bracket_rows(n, pair[0], pair[1])),
+        _Rows({}), _Rows({(0,) * len(columns): 1}))
+    return _from_rows(columns, total.terms)
 
 
 def lex_leading_monomial(p: LaurentPoly, model: PolygonModel) -> LaurentMonomial:

@@ -416,10 +416,12 @@ def exact_div(a, b):
         if r:
             raise NotDivisibleError(f"{a} not divisible by {b}")
         return q
-    if isinstance(b, MultiPoly) and not isinstance(a, MultiPoly):
-        a = MultiPoly.constant(a)
-    if isinstance(b, DualScalar):
-        a = DualScalar.lift(a)
-    if isinstance(a, (MultiPoly, DualScalar)):
-        return a.exact_div(b)
-    return a / b
+    if not isinstance(a, (MultiPoly, DualScalar)):
+        # a number divided by a ring element is lifted into the ring
+        if isinstance(b, MultiPoly):
+            a = MultiPoly.constant(a)
+        elif isinstance(b, DualScalar):
+            a = DualScalar.lift(a)
+        else:
+            return a / b
+    return a.exact_div(b)

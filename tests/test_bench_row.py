@@ -43,7 +43,8 @@ def test_one_row_per_commit_and_workload_with_medians(tmp_path):
     assert set(rows) == {("aaa", "theorem1-int"), ("bbb", "theorem1-int"),
                          ("bbb", "symbolic")}
     parent, change = rows["aaa", "theorem1-int"], rows["bbb", "theorem1-int"]
-    assert parent["metrics"]["wall_s"] == {"median": 0.9, "unit": "s"}
+    assert parent["metrics"]["wall_s"] == pytest.approx(
+        {"median": 0.9, "q1": 0.85, "q3": 0.95, "unit": "s"})
     assert change["metrics"]["wall_s"]["median"] == pytest.approx(0.35)
     assert (parent["runs"], parent["correct_runs"]) == (3, 3)
     assert (change["runs"], change["correct_runs"]) == (2, 1)
@@ -72,3 +73,32 @@ def test_label_must_be_a_plain_name(tmp_path, label):
     with pytest.raises(SystemExit) as exc:
         load_script().main(["--label", label, str(path)])
     assert exc.value.code == 2
+
+
+def test_quartiles_tell_unchanged_from_unresolved(tmp_path):
+    # both changes move the median by 0.02 s; only the one whose parent runs
+    # spread less than that resolves it
+    spreads = {"tight": (1.0, 1.001, 0.999, 1.0, 1.0),
+               "wide": (0.9, 1.1, 1.0, 0.95, 1.05)}
+    files = []
+    for name, walls in spreads.items():
+        files += [write_run(tmp_path / f"{name}-p{i}.json", f"{name}-p", w)
+                  for i, w in enumerate(walls)]
+        files += [write_run(tmp_path / f"{name}-c{i}.json", f"{name}-c", w - 0.02)
+                  for i, w in enumerate(walls)]
+    files.append(write_run(tmp_path / "one.json", "one", 0.5))
+    out = tmp_path / "BENCH_q.json"
+    assert load_script().main(["--label", "q", "--out", str(out),
+                               *map(str, files)]) == 0
+    wall = {r["commit"]: r["metrics"]["wall_s"]
+            for r in json.loads(out.read_text())["rows"]}
+    assert wall["one"] == {"median": 0.5, "q1": 0.5, "q3": 0.5, "unit": "s"}
+    for name, resolved in (("tight", True), ("wide", False)):
+        parent, change = wall[f"{name}-p"], wall[f"{name}-c"]
+        assert parent["q1"] <= parent["median"] <= parent["q3"]
+        assert parent["median"] - change["median"] == pytest.approx(0.02)
+        spread = parent["q3"] - parent["q1"]
+        assert (parent["median"] - change["median"] > spread) == resolved
+    assert wall["tight-p"]["q1"] == pytest.approx(1.0)
+    assert wall["wide-p"]["q1"] == pytest.approx(0.95)
+    assert wall["wide-p"]["q3"] == pytest.approx(1.05)

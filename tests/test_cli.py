@@ -262,6 +262,15 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and out == ""
 
+    def test_exhausted_assignment_budget_is_usage_error(self, capsys):
+        # at n = 18 the seed-1 sampler finds no 34 pairwise non-proportional
+        # points in the [-10, 10] box within its candidate budget
+        code, out, err = run(capsys, "verify", "laurent", "--n", "18",
+                             "--trials", "1", "--seed", "1")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and "n=18" in err
+
     def test_unknown_target_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
         assert code == EXIT_USAGE

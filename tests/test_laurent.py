@@ -15,6 +15,7 @@ from drbracket.laurent import (DIRECT_N_MAX, LaurentMonomial, LaurentPoly,
                                laurent_expand_bracket, laurent_expand_poly,
                                lex_leading_monomial, lm_dr_closed_form,
                                term_leading_monomial)
+from drbracket.laurent import _row_product, _sum_terms
 
 
 def mono(**kw):
@@ -66,6 +67,146 @@ class TestBoundaryPath:
         m = PolygonModel(4)
         with pytest.raises(ValueError):
             boundary_path(m, alpha(1), m.gamma)
+
+
+def walk_expand_bracket(model, x, y):
+    """Reference expansion of [x, y]: the walk along boundary_path with
+    edge_var and diagonal_var that the row tables replaced."""
+    if x == y:
+        return LaurentPoly.zero()
+    if x == model.gamma:
+        return LaurentPoly.monomial(
+            LaurentMonomial.from_dict({model.diagonal_var(y): 1}))
+    if y == model.gamma:
+        return LaurentPoly.monomial(
+            LaurentMonomial.from_dict({model.diagonal_var(x): 1}), -1)
+    path = boundary_path(model, x, y)
+    k = len(path) - 1
+    gx, gy = model.diagonal_var(x), model.diagonal_var(y)
+    terms = {}
+    for i in range(k):
+        exps = {}
+        if i > 0:
+            exps[gx] = exps.get(gx, 0) + 1
+            dv = model.diagonal_var(path[i])
+            exps[dv] = exps.get(dv, 0) - 1
+        if i < k - 1:
+            exps[gy] = exps.get(gy, 0) + 1
+            dv = model.diagonal_var(path[i + 1])
+            exps[dv] = exps.get(dv, 0) - 1
+        edge, sign = model.edge_var(path[i], path[i + 1])
+        exps[edge] = exps.get(edge, 0) + 1
+        m = LaurentMonomial.from_dict(exps)
+        terms[m] = terms.get(m, 0) + sign
+    return LaurentPoly(terms)
+
+
+def sparse_product(p, q):
+    """Reference product: every pair of terms, monomials multiplied by
+    merging their sparse exponents."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = m1 * m2
+            out[m] = out.get(m, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+def sparse_expand_poly(model, bp):
+    """Reference laurent_expand_poly: each term's walk expansions
+    multiplied by sparse_product, the products summed."""
+    total = {}
+    for factors, coeff in bp.terms.items():
+        prod = LaurentPoly.monomial(LaurentMonomial.one(), coeff)
+        for x, y in factors:
+            prod = sparse_product(prod, walk_expand_bracket(model, x, y))
+        for m, c in prod.terms.items():
+            total[m] = total.get(m, 0) + c
+    return LaurentPoly(total)
+
+
+def random_laurent_poly(rng, variables, coefficients):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = {v: rng.randint(-2, 2)
+                for v in rng.sample(variables, rng.randint(0, 3))}
+        m = LaurentMonomial.from_dict(exps)
+        terms[m] = terms.get(m, 0) + rng.choice(coefficients)
+    return LaurentPoly(terms)
+
+
+class TestRowKernel:
+    """The row tables and the row product against the sparse references."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_bracket_matches_the_boundary_walk(self, n):
+        model = PolygonModel(n)
+        for x, y in itertools.permutations(model.vertices, 2):
+            got = laurent_expand_bracket(model, x, y)
+            assert got == walk_expand_bracket(model, x, y), (x, y)
+            assert all(type(c) is int for c in got.terms.values())
+        assert laurent_expand_bracket(model, alpha(1), alpha(1)).is_zero
+
+    @pytest.mark.parametrize("n, r", [(3, r) for r in range(4)]
+                             + [(4, r) for r in range(5)] + [(5, 0), (5, 5)])
+    def test_poly_matches_the_sparse_product(self, n, r):
+        model = PolygonModel(n)
+        bp = dr_bracket_sum(n, r)
+        got = laurent_expand_poly(model, bp)
+        assert got == sparse_expand_poly(model, bp)
+        assert got.is_zero == (r == 1)
+        assert all(type(c) is int for c in got.terms.values())
+
+    def test_poly_with_fraction_coefficients(self):
+        from drbracket.brackets import BracketPolynomial
+        model = PolygonModel(4)
+        bp = BracketPolynomial(4)
+        bp.add_term([(alpha(1), alpha(3)), (alpha(2), beta(1))], F(1, 2))
+        bp.add_term([(alpha(1), alpha(3)), (alpha(2), beta(1))], F(1, 3))
+        bp.add_term([(alpha(4), alpha(1))], F(-2, 7))
+        assert laurent_expand_poly(model, bp) == sparse_expand_poly(model, bp)
+
+    def test_product_matches_the_sparse_reference(self):
+        rng = random.Random(73)
+        variables = [("A", 1), ("A", 2), ("A", 10), ("B", 1), ("C", 1),
+                     ("C", 3), ("D", 2)]
+        cases = [(-2, -1, 1, 2), (F(1, 2), F(-1, 2), F(2, 3), 3, -1)]
+        merged = 0
+        for coefficients in cases:
+            for _ in range(300):
+                p = random_laurent_poly(rng, variables, coefficients)
+                q = random_laurent_poly(rng, variables, coefficients)
+                got = p * q
+                assert got == sparse_product(p, q)
+                assert all(c != 0 for c in got.terms.values())
+                for m in got.terms:
+                    assert m == LaurentMonomial.from_dict(dict(m.exponents))
+                merged += len(got.terms) < len(p.terms) * len(q.terms)
+        assert merged > 0
+        # (x + y)(x - y): the cross terms cancel
+        x = LaurentPoly.monomial(mono(A1=1, C3=-2))
+        y = LaurentPoly.monomial(mono(A2=-1), F(1, 2))
+        got = (x + y) * (x + -y)
+        assert got == sparse_product(x + y, x + -y)
+        assert got.terms == {mono(A1=2, C3=-4): 1, mono(A2=-2): F(-1, 4)}
+        assert p * 3 == 3 * p == sparse_product(
+            p, LaurentPoly.monomial(LaurentMonomial.one(), 3))
+
+    def test_row_kernels_drop_zero_coefficients(self):
+        # the rows of laurent_expand_poly never pass through LaurentPoly's
+        # constructor until the end, so the kernels drop zeros themselves
+        x, y = (1, 0, -2), (0, -1, 0)
+        p, q = {x: 1, y: F(1, 2)}, {x: 1, y: F(-1, 2)}
+        assert _row_product(p, q) == {(2, 0, -4): 1, (0, -2, 0): F(-1, 4)}
+        assert _sum_terms(p, q) == {x: 2}
+        assert _sum_terms({}, {y: 0}) == {}
+
+    def test_symbol_outside_the_model_is_rejected(self):
+        model = PolygonModel(4)
+        for x, y in [(alpha(1), alpha(9)), (model.gamma, beta(7)),
+                     (beta(5), alpha(2))]:
+            with pytest.raises(ValueError):
+                laurent_expand_bracket(model, x, y)
 
 
 class TestExpansion:
