@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -189,6 +190,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
+        if args.budget is not None and not 0 <= args.budget < math.inf:
+            raise UsageError("--budget must be a finite number of seconds, "
+                             "at least 0")
         if args.command == "dr-series":
             payload, code = cmd_dr_series(args)
         elif args.command == "verify":

@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
-from operator import add
+from itertools import compress
+from operator import add, itemgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .brackets import (BracketPolynomial, Symbol, alpha, beta,
@@ -47,20 +47,10 @@ class LaurentMonomial:
     def from_dict(cls, exps: Mapping[Var, int]) -> "LaurentMonomial":
         return cls(tuple(sorted((v, e) for v, e in exps.items() if e)))
 
-    @classmethod
-    def one(cls) -> "LaurentMonomial":
-        return cls(())
-
     def row(self, columns: Sequence[Var]) -> tuple:
         """Exponent of each variable of ``columns``, in that order."""
         exps = dict(self.exponents)
         return tuple(exps.get(v, 0) for v in columns)
-
-    def __mul__(self, other: "LaurentMonomial") -> "LaurentMonomial":
-        exps = dict(self.exponents)
-        for v, e in other.exponents:
-            exps[v] = exps.get(v, 0) + e
-        return LaurentMonomial.from_dict(exps)
 
     def __str__(self):
         if not self.exponents:
@@ -84,38 +74,12 @@ class LaurentPoly:
     def __init__(self, terms: Dict[LaurentMonomial, int] = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def monomial(cls, mono: LaurentMonomial, coeff=1) -> "LaurentPoly":
-        return cls({mono: coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(_sum_terms(self.terms, other.terms))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly({m: other * v for m, v in self.terms.items()})
-        # multiply as exponent rows over the sorted union of the variables
-        columns = sorted({v for m in chain(self.terms, other.terms)
-                          for v, _ in m.exponents})
-        return _from_rows(columns, _row_product(
-            {m.row(columns): c for m, c in self.terms.items()},
-            {m.row(columns): c for m, c in other.terms.items()}))
-
-    __rmul__ = __mul__
 
     def evaluate(self, values: Mapping[Var, int]):
         """Value at the given variable values.
@@ -190,16 +154,20 @@ def _row_product(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _monomial(columns: Sequence[Var], row: tuple) -> LaurentMonomial:
+    """The LaurentMonomial of an exponent row over sorted ``columns``."""
+    return LaurentMonomial(tuple(compress(zip(columns, row), row)))
+
+
 def _from_rows(columns: Sequence[Var], rows: dict) -> LaurentPoly:
     """The LaurentPoly of {exponent row: coeff} over sorted ``columns``."""
-    return LaurentPoly({
-        LaurentMonomial(tuple(compress(zip(columns, row), row))): c
-        for row, c in rows.items()})
+    return LaurentPoly({_monomial(columns, row): c for row, c in rows.items()})
 
 
 class _Rows:
     """A Laurent polynomial as {exponent row: coeff} over one model's
-    columns: the ring laurent_expand_poly multiplies in."""
+    columns: the Laurent layer's one ring, which laurent_expand_poly
+    multiplies in."""
 
     __slots__ = ("terms",)
 
@@ -344,19 +312,18 @@ def _bracket_rows(n: int, x: Symbol, y: Symbol) -> dict:
     every exponent is 0 or +-1 and each row is written in place.
     """
     columns, position, diagonal, edge = _model_tables(n)
-    width = len(columns)
+    gamma = beta(n - 2)
+    for v in (x, y):
+        if v not in position and v != gamma:
+            raise ValueError(f"{v} is not a vertex of the model")
     if x == y:
         return {}
-    gamma = beta(n - 2)
+    width = len(columns)
     if x == gamma or y == gamma:
         v, sign = (y, 1) if x == gamma else (x, -1)
-        if v not in position:
-            raise ValueError(f"{v} is not a vertex of the model")
         row = [0] * width
         row[diagonal[position[v]]] = 1
         return {tuple(row): sign}
-    if x not in position or y not in position:
-        raise ValueError(f"[{x}, {y}] is not a bracket of the model")
     lo, hi, sign = position[x], position[y], 1
     if lo > hi:
         lo, hi, sign = hi, lo, -1
@@ -435,47 +402,44 @@ def lm_dr_closed_form(n: int, r: int) -> LaurentMonomial:
     return LaurentMonomial.from_dict(exps)
 
 
-def term_leading_monomial(model: PolygonModel, n: int, I: Sequence[int],
-                          cache: Dict[tuple, LaurentMonomial] = None
-                          ) -> LaurentMonomial:
-    """lm of one bracket-sum term, as the product of per-bracket lms
-    (leading monomials are multiplicative under lex).
-
-    ``cache``, when given, maps each bracket pair to its lm and is filled
-    as brackets are met, so callers ranking many terms of one model
-    expand each bracket once.
-    """
-    if cache is None:
-        cache = {}
-    mono = LaurentMonomial.one()
+def _term_lm_row(n: int, I: Sequence[int], lms: dict) -> tuple:
+    """Exponent row of the lm of the bracket-sum term of I: the sum of its
+    brackets' lm rows, since leading monomials are multiplicative under
+    lex.  A bracket's lm row is the largest row of its expansion, the
+    columns being in lex priority order.  ``lms`` maps each bracket met
+    so far to its lm row and is filled as new ones are met."""
+    rows = []
     for pair in term_factors(n, I):
-        lm = cache.get(pair)
-        if lm is None:
-            lm = cache[pair] = lex_leading_monomial(
-                laurent_expand_bracket(model, pair[0], pair[1]), model)
-        mono = mono * lm
-    return mono
+        row = lms.get(pair)
+        if row is None:
+            row = lms[pair] = max(_bracket_rows(n, pair[0], pair[1]))
+        rows.append(row)
+    return tuple(map(sum, zip(*rows)))
+
+
+def term_leading_monomial(model: PolygonModel, n: int,
+                          I: Sequence[int]) -> LaurentMonomial:
+    """lm of the bracket-sum term of I in model = PolygonModel(n), as the
+    product of its brackets' lms."""
+    return _monomial(_model_tables(n)[0], _term_lm_row(n, I, {}))
 
 
 def dominance_check(n: int, r: int) -> dict:
     """Enumerate all C(n, r) subsets and confirm the I = [r] term's
     leading monomial strictly lex-dominates every other term's."""
-    model = PolygonModel(n)
-    ordered = model.all_vars()
-    ranking = []
-    cache: Dict[tuple, LaurentMonomial] = {}
-    for I in subsets_colex(n, r):
-        mono = term_leading_monomial(model, n, I, cache)
-        ranking.append((list(I), mono))
-    ranking.sort(key=lambda it: it[1].row(ordered), reverse=True)
-    lead = ranking[0]
-    dominant = lead[0] == list(range(1, r + 1))
-    strict = (len(ranking) == 1
-              or lead[1].row(ordered) > ranking[1][1].row(ordered))
+    columns = _model_tables(n)[0]
+    lms: dict = {}
+    ranking = sorted(((_term_lm_row(n, I, lms), list(I))
+                      for I in subsets_colex(n, r)),
+                     key=itemgetter(0), reverse=True)
+    lead_row, lead_I = ranking[0]
+    dominant = lead_I == list(range(1, r + 1))
+    strict = len(ranking) == 1 or lead_row > ranking[1][0]
     return {
         "n": n, "r": r,
         "dominant": dominant and strict,
-        "ranking": [{"I": I, "lm": str(m)} for I, m in ranking],
+        "ranking": [{"I": I, "lm": str(_monomial(columns, row))}
+                    for row, I in ranking],
     }
 
 

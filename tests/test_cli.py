@@ -344,6 +344,14 @@ class TestDeterminism:
         for err in (err1, err2):
             assert err.startswith("warning:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("budget", ["-1", "nan", "inf"])
+    def test_bad_budget_is_usage_error(self, capsys, budget):
+        code, out, err = run(capsys, "verify", "theorem1", "--n", "3",
+                             "--trials", "1", "--budget", budget)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_seed_changes_witness_points(self, capsys):
         _, out1, _ = run(capsys, "independence", "--n", "3", "--trials", "2",
                          "--seed", "1", "--format", "json")

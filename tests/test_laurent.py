@@ -15,7 +15,8 @@ from drbracket.laurent import (DIRECT_N_MAX, LaurentMonomial, LaurentPoly,
                                laurent_expand_bracket, laurent_expand_poly,
                                lex_leading_monomial, lm_dr_closed_form,
                                term_leading_monomial)
-from drbracket.laurent import _row_product, _sum_terms
+from drbracket.laurent import (_Rows, _from_rows, _model_tables,
+                               _row_product, _sum_terms, _term_lm_row)
 
 
 def mono(**kw):
@@ -24,6 +25,22 @@ def mono(**kw):
     for name, e in kw.items():
         exps[(name[0], int(name[1:]))] = e
     return LaurentMonomial.from_dict(exps)
+
+
+def mono_product(m1, m2):
+    """Reference monomial product: the sparse exponents merged."""
+    exps = dict(m1.exponents)
+    for v, e in m2.exponents:
+        exps[v] = exps.get(v, 0) + e
+    return LaurentMonomial.from_dict(exps)
+
+
+def poly(*terms):
+    """LaurentPoly of (monomial, coeff) pairs, like terms added up."""
+    out = {}
+    for m, c in terms:
+        out[m] = out.get(m, 0) + c
+    return LaurentPoly(out)
 
 
 def bracket_values(model, assignment):
@@ -45,7 +62,7 @@ def test_monomial_row_follows_the_columns():
     assert m.row([("A", 1), ("A", 2), ("B", 1), ("C", 1), ("D", 2)]) == \
         (0, 1, -3, 0, 4)
     assert m.row([("D", 2), ("A", 2)]) == (4, 1)
-    assert LaurentMonomial.one().row([("A", 1)]) == (0,)
+    assert mono().row([("A", 1)]) == (0,)
 
 
 class TestBoundaryPath:
@@ -73,13 +90,12 @@ def walk_expand_bracket(model, x, y):
     """Reference expansion of [x, y]: the walk along boundary_path with
     edge_var and diagonal_var that the row tables replaced."""
     if x == y:
-        return LaurentPoly.zero()
+        return LaurentPoly()
     if x == model.gamma:
-        return LaurentPoly.monomial(
-            LaurentMonomial.from_dict({model.diagonal_var(y): 1}))
+        return poly((LaurentMonomial.from_dict({model.diagonal_var(y): 1}), 1))
     if y == model.gamma:
-        return LaurentPoly.monomial(
-            LaurentMonomial.from_dict({model.diagonal_var(x): 1}), -1)
+        return poly((LaurentMonomial.from_dict({model.diagonal_var(x): 1}),
+                     -1))
     path = boundary_path(model, x, y)
     k = len(path) - 1
     gx, gy = model.diagonal_var(x), model.diagonal_var(y)
@@ -104,12 +120,9 @@ def walk_expand_bracket(model, x, y):
 def sparse_product(p, q):
     """Reference product: every pair of terms, monomials multiplied by
     merging their sparse exponents."""
-    out = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            m = m1 * m2
-            out[m] = out.get(m, 0) + c1 * c2
-    return LaurentPoly(out)
+    return poly(*((mono_product(m1, m2), c1 * c2)
+                  for m1, c1 in p.terms.items()
+                  for m2, c2 in q.terms.items()))
 
 
 def sparse_expand_poly(model, bp):
@@ -117,7 +130,7 @@ def sparse_expand_poly(model, bp):
     multiplied by sparse_product, the products summed."""
     total = {}
     for factors, coeff in bp.terms.items():
-        prod = LaurentPoly.monomial(LaurentMonomial.one(), coeff)
+        prod = poly((mono(), coeff))
         for x, y in factors:
             prod = sparse_product(prod, walk_expand_bracket(model, x, y))
         for m, c in prod.terms.items():
@@ -126,13 +139,14 @@ def sparse_expand_poly(model, bp):
 
 
 def random_laurent_poly(rng, variables, coefficients):
-    terms = {}
-    for _ in range(rng.randint(0, 6)):
-        exps = {v: rng.randint(-2, 2)
-                for v in rng.sample(variables, rng.randint(0, 3))}
-        m = LaurentMonomial.from_dict(exps)
-        terms[m] = terms.get(m, 0) + rng.choice(coefficients)
-    return LaurentPoly(terms)
+    return poly(*((LaurentMonomial.from_dict(
+        {v: rng.randint(-2, 2)
+         for v in rng.sample(variables, rng.randint(0, 3))}),
+        rng.choice(coefficients)) for _ in range(rng.randint(0, 6))))
+
+
+def rows_of(p, columns):
+    return {m.row(columns): c for m, c in p.terms.items()}
 
 
 class TestRowKernel:
@@ -167,7 +181,10 @@ class TestRowKernel:
         assert laurent_expand_poly(model, bp) == sparse_expand_poly(model, bp)
 
     def test_product_matches_the_sparse_reference(self):
+        # _row_product over a model's columns, converted back by
+        # _from_rows, against the term-by-term sparse product
         rng = random.Random(73)
+        columns = _model_tables(10)[0]
         variables = [("A", 1), ("A", 2), ("A", 10), ("B", 1), ("C", 1),
                      ("C", 3), ("D", 2)]
         cases = [(-2, -1, 1, 2), (F(1, 2), F(-1, 2), F(2, 3), 3, -1)]
@@ -176,21 +193,22 @@ class TestRowKernel:
             for _ in range(300):
                 p = random_laurent_poly(rng, variables, coefficients)
                 q = random_laurent_poly(rng, variables, coefficients)
-                got = p * q
+                rows = _row_product(rows_of(p, columns), rows_of(q, columns))
+                got = _from_rows(columns, rows)
                 assert got == sparse_product(p, q)
-                assert all(c != 0 for c in got.terms.values())
+                assert all(c != 0 for c in rows.values())
                 for m in got.terms:
                     assert m == LaurentMonomial.from_dict(dict(m.exponents))
                 merged += len(got.terms) < len(p.terms) * len(q.terms)
         assert merged > 0
         # (x + y)(x - y): the cross terms cancel
-        x = LaurentPoly.monomial(mono(A1=1, C3=-2))
-        y = LaurentPoly.monomial(mono(A2=-1), F(1, 2))
-        got = (x + y) * (x + -y)
-        assert got == sparse_product(x + y, x + -y)
+        x, y = mono(A1=1, C3=-2), mono(A2=-1)
+        plus = _Rows(rows_of(poly((x, 1), (y, F(1, 2))), columns))
+        minus = _Rows(rows_of(poly((x, 1), (y, F(-1, 2))), columns))
+        got = _from_rows(columns, (plus * minus).terms)
         assert got.terms == {mono(A1=2, C3=-4): 1, mono(A2=-2): F(-1, 4)}
-        assert p * 3 == 3 * p == sparse_product(
-            p, LaurentPoly.monomial(LaurentMonomial.one(), 3))
+        assert (plus * 3).terms == (3 * plus).terms == \
+            _row_product(plus.terms, rows_of(poly((mono(), 3)), columns))
 
     def test_row_kernels_drop_zero_coefficients(self):
         # the rows of laurent_expand_poly never pass through LaurentPoly's
@@ -204,7 +222,7 @@ class TestRowKernel:
     def test_symbol_outside_the_model_is_rejected(self):
         model = PolygonModel(4)
         for x, y in [(alpha(1), alpha(9)), (model.gamma, beta(7)),
-                     (beta(5), alpha(2))]:
+                     (beta(5), alpha(2)), (alpha(9), alpha(9))]:
             with pytest.raises(ValueError):
                 laurent_expand_bracket(model, x, y)
 
@@ -213,24 +231,24 @@ class TestExpansion:
     def test_edge_bracket_is_its_variable(self):
         m = PolygonModel(4)
         assert laurent_expand_bracket(m, alpha(1), alpha(2)) == \
-            LaurentPoly.monomial(mono(C1=1))
+            poly((mono(C1=1), 1))
 
     def test_one_step_plucker(self):
         m = PolygonModel(4)
         p = laurent_expand_bracket(m, alpha(1), alpha(3))
-        assert p == (LaurentPoly.monomial(mono(A1=1, A2=-1, C2=1))
-                     + LaurentPoly.monomial(mono(A3=1, A2=-1, C1=1)))
+        assert p == poly((mono(A1=1, A2=-1, C2=1), 1),
+                         (mono(A3=1, A2=-1, C1=1), 1))
 
     def test_gamma_base_case(self):
         m = PolygonModel(5)
         assert laurent_expand_bracket(m, alpha(2), m.gamma) == \
-            LaurentPoly.monomial(mono(A2=1), -1)
+            poly((mono(A2=1), -1))
 
     def test_antisymmetry(self):
         m = PolygonModel(5)
         p = laurent_expand_bracket(m, alpha(4), alpha(1))
         q = laurent_expand_bracket(m, alpha(1), alpha(4))
-        assert p == -q
+        assert p.terms == {t: -c for t, c in q.terms.items()}
 
     def test_evaluation_compatibility(self):
         for n in (3, 4, 5, 6):
@@ -290,12 +308,10 @@ class TestEvaluate:
         rng = random.Random(71)
         kinds = set()
         for _ in range(400):
-            p = LaurentPoly.zero()
-            for _ in range(rng.randint(1, 5)):
-                exps = {v: rng.randint(-3, 3)
-                        for v in rng.sample(self.VARS, rng.randint(0, 3))}
-                p = p + LaurentPoly.monomial(LaurentMonomial.from_dict(exps),
-                                             rng.randint(-9, 9))
+            p = poly(*((LaurentMonomial.from_dict(
+                {v: rng.randint(-3, 3)
+                 for v in rng.sample(self.VARS, rng.randint(0, 3))}),
+                rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))))
             values = {v: rng.choice([-4, -3, -2, -1, 1, 2, 3, 5])
                       for v in self.VARS}
             got = p.evaluate(values)
@@ -311,54 +327,56 @@ class TestEvaluate:
         assert kinds == {int, F}
 
     def test_fraction_coefficient(self):
-        p = LaurentPoly.monomial(mono(A1=1, A2=-1), F(1, 2))
+        p = poly((mono(A1=1, A2=-1), F(1, 2)))
         assert p.evaluate({("A", 1): 3, ("A", 2): 3}) == F(1, 2)
         assert p.evaluate({("A", 1): 4, ("A", 2): 1}) == 2
 
     def test_zero_inverted_value_raises(self):
-        p = (LaurentPoly.monomial(mono(A1=1))
-             + LaurentPoly.monomial(mono(A2=-1, C1=2)))
+        p = poly((mono(A1=1), 1), (mono(A2=-1, C1=2), 1))
         with pytest.raises(ZeroDivisionError):
             p.evaluate({("A", 1): 1, ("A", 2): 0, ("C", 1): 3})
         # a zero value is fine where the variable is not inverted
         assert p.evaluate({("A", 1): 0, ("A", 2): 2, ("C", 1): 0}) == 0
 
     def test_zero_polynomial(self):
-        assert LaurentPoly.zero().evaluate({}) == 0
+        assert LaurentPoly().evaluate({}) == 0
 
 
 class TestLeadingMonomial:
     def test_lex_pick(self):
         m = PolygonModel(3)
-        p = (LaurentPoly.monomial(mono(A1=1, A2=-1, C2=1))
-             + LaurentPoly.monomial(mono(A3=1, A2=-1, C1=1)))
+        p = poly((mono(A1=1, A2=-1, C2=1), 1), (mono(A3=1, A2=-1, C1=1), 1))
         assert lex_leading_monomial(p, m) == mono(A1=1, A2=-1, C2=1)
 
     def test_single_monomial(self):
         m = PolygonModel(3)
-        p = LaurentPoly.monomial(mono(C2=3), F(5))
+        p = poly((mono(C2=3), F(5)))
         assert lex_leading_monomial(p, m) == mono(C2=3)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            lex_leading_monomial(LaurentPoly.zero(), PolygonModel(3))
+            lex_leading_monomial(LaurentPoly(), PolygonModel(3))
 
     def test_multiplicativity(self):
+        # on rows over the model's columns, which are in lex priority
+        # order: the largest row of a product is the column-by-column sum
+        # of the factors' largest rows
         rng = random.Random(67)
         m = PolygonModel(5)
-        vars5 = m.all_vars()
+        columns = _model_tables(5)[0]
 
-        def rand_lp():
-            p = LaurentPoly.zero()
-            for _ in range(rng.randint(1, 5)):
-                exps = {v: rng.randint(-2, 3) for v in rng.sample(vars5, 3)}
-                p = p + LaurentPoly.monomial(LaurentMonomial.from_dict(exps),
-                                             F(rng.randint(1, 9)))
-            return p
+        def rand_rows():
+            return {tuple(rng.randint(-2, 3) if rng.random() < 0.3 else 0
+                          for _ in columns): F(rng.randint(1, 9))
+                    for _ in range(rng.randint(1, 5))}
+
+        def lm(rows):
+            return lex_leading_monomial(_from_rows(columns, rows), m)
         for _ in range(50):
-            p, q = rand_lp(), rand_lp()
-            assert (lex_leading_monomial(p * q, m)
-                    == lex_leading_monomial(p, m) * lex_leading_monomial(q, m))
+            p, q = rand_rows(), rand_rows()
+            pq = _row_product(p, q)
+            assert max(pq) == tuple(a + b for a, b in zip(max(p), max(q)))
+            assert lm(pq) == mono_product(lm(p), lm(q))
 
 
 class TestClosedForms:
@@ -418,13 +436,22 @@ class TestDominance:
         assert digest == self.DIGESTS[n]
 
     def test_term_lm_cache_is_filled_and_reused(self):
+        # _term_lm_row sums its brackets' lm rows and fills the map it is
+        # given, which dominance_check shares across one model's terms
         m = PolygonModel(5)
-        cache = {}
-        first = term_leading_monomial(m, 5, [1, 2], cache)
-        assert first == term_leading_monomial(m, 5, [1, 2])
-        assert set(cache) == set(term_factors(5, [1, 2]))
-        cache[alpha(1), alpha(3)] = mono(D1=7)  # a reused entry shows up
-        assert term_leading_monomial(m, 5, [1, 2], cache) != first
+        columns = _model_tables(5)[0]
+        lms = {}
+        first = _term_lm_row(5, [1, 2], lms)
+        want = mono()
+        for x, y in term_factors(5, [1, 2]):
+            want = mono_product(want, lex_leading_monomial(
+                laurent_expand_bracket(m, x, y), m))
+        assert first == want.row(columns)
+        assert term_leading_monomial(m, 5, [1, 2]) == want
+        assert set(lms) == set(term_factors(5, [1, 2]))
+        # a reused entry shows up
+        lms[alpha(1), alpha(3)] = mono(D1=7).row(columns)
+        assert _term_lm_row(5, [1, 2], lms) != first
 
 
 class TestDegreeMatrix:
