@@ -9,7 +9,9 @@ order of the Sylvester matrix (Chionh, Zhang & Goldman, J. Symbolic
 Computation 2002); the Sylvester matrix is kept as the reference it is
 tested against.  The Bezout matrix is linear in its second form, so the
 DR series, whose second form is linear in t, builds it twice and samples
-det(B0 + t*B1).
+det(B0 + t*B1).  Rational forms are cleared to integer forms on the way
+in and the result unscaled by its grading, so every determinant, exact
+division and interpolation runs over the ints, MultiPoly or DualScalar.
 """
 
 from __future__ import annotations
@@ -166,13 +168,13 @@ def bezout_matrix(f: BinaryForm, g: BinaryForm):
 def det_fraction_free(M):
     """Exact determinant by Bareiss elimination (Bareiss, Math. Comp. 1968).
 
-    Works over any integral domain whose elements support *, - and
-    exact_div: ints (every division is an exact integer division, so an
-    integer matrix never leaves the integers), Fractions and MultiPoly.
-    Dual numbers work when every pivot has a nonzero value part; otherwise
-    NumericDegenerateError is raised.  An order-N matrix takes about N^3/3
-    updates, each two products and one exact division; resultants and the
-    DR series call it on Bezout matrices of order max(d, e).
+    Works over the ints (every division is an exact integer division, so an
+    integer matrix never leaves the integers) and MultiPoly; a Fraction
+    meets TypeError at its first exact division.  Dual numbers work when
+    every pivot has a nonzero value part; otherwise NumericDegenerateError
+    is raised.  An order-N matrix takes about N^3/3 updates, each two
+    products and one exact division; resultants and the DR series call it
+    on Bezout matrices of order max(d, e).
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -220,6 +222,8 @@ def signed_resultant(f: BinaryForm, g: BinaryForm):
     (-1)^((d+1)*e) * det(bezout_matrix(f, g)) for d >= e, and through
     res(f, g) = (-1)^(d*e) * res(g, f) for d < e.  Degree-0 arguments are
     handled as empty products: res(f, c) = c^d and res(c, g) = c^e.
+    Rational forms are cleared to lambda*f and mu*g first and the result
+    unscaled by res(lambda*f, mu*g) = lambda^e * mu^d * res(f, g).
     """
     d, e = f.degree, g.degree
     if f.is_zero() and g.is_zero():
@@ -230,6 +234,9 @@ def signed_resultant(f: BinaryForm, g: BinaryForm):
         return f.coefficients[0] ** e
     if f.is_zero() or g.is_zero():
         raise ValueError("zero form")
+    if _has_fraction(f.coefficients + g.coefficients):
+        (f, lam), (g, mu) = _cleared(f), _cleared(g)
+        return Fraction(signed_resultant(f, g), lam ** e * mu ** d)
     if d < e:
         res = signed_resultant(g, f)
         return -res if (d * e) % 2 else res
@@ -238,10 +245,15 @@ def signed_resultant(f: BinaryForm, g: BinaryForm):
 
 
 def discriminant(f: BinaryForm):
-    """res(f, x*df/dx) / (a_0 * a_d), sign-normalized as above."""
+    """res(f, x*df/dx) / (a_0 * a_d), sign-normalized as above.  A
+    rational form is cleared to lambda*f first and the result unscaled by
+    disc(lambda*f) = lambda^(2d-2) * disc(f)."""
     d = f.degree
     if d < 2:
         raise ValueError("discriminant needs degree >= 2")
+    if _has_fraction(f.coefficients):
+        f, lam = _cleared(f)
+        return Fraction(discriminant(f), lam ** (2 * d - 2))
     a0, ad = f.coefficients[0], f.coefficients[-1]
     denom = a0 * ad
     if denom == 0:
@@ -285,7 +297,8 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     form's denominators); each entry is then unscaled exactly by the grading
     DR_r(lambda*f, mu*g) = lambda^(2n-2-r) * mu^r * DR_r(f, g).  Forms with
     MultiPoly or DualScalar coefficients are used as they are, MultiPoly
-    coefficients lifted onto one namespace first.
+    coefficients lifted onto one namespace first; such forms with a
+    Fraction coefficient too raise TypeError.
     """
     n = f_n.degree
     if n < 2:
@@ -296,7 +309,7 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
         raise ValueError(f"unknown mode: {mode}")
     lam = mu = 1
     coeffs = f_n.coefficients + f_m.coefficients
-    if all(isinstance(c, (int, Fraction)) for c in coeffs):
+    if _has_fraction(coeffs):
         (f_n, lam), (f_m, mu) = _cleared(f_n), _cleared(f_m)
     else:
         # one namespace for the whole series: no product, Bareiss division
@@ -316,13 +329,23 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     for t in range(n + 1):
         if t:  # B0 + t*B1, one addition per entry
             Bt = [[u + v for u, v in zip(r, r1)] for r, r1 in zip(Bt, B1)]
-        samples.append((t, exact_div(det_fraction_free(Bt), denom)))
+        samples.append(exact_div(det_fraction_free(Bt), denom))
     entries = interpolate_in_t(samples)
     entries += [entries[0] * 0] * (n + 1 - len(entries))
     if lam != 1 or mu != 1:
         entries = [Fraction(e, lam ** (2 * n - 2 - r) * mu ** r)
                    for r, e in enumerate(entries)]
     return DRSeries(n, tuple(entries))
+
+
+def _has_fraction(coeffs) -> bool:
+    """Whether a Fraction is among the coefficients; TypeError if one is
+    mixed with a MultiPoly or DualScalar, as no ring here holds both."""
+    if not any(isinstance(c, Fraction) for c in coeffs):
+        return False
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        raise TypeError("a form mixes Fraction and MultiPoly or DualScalar")
+    return True
 
 
 def _cleared(f: BinaryForm):

@@ -18,7 +18,6 @@ from .binforms import BinaryForm, NumericDegenerateError, dr_series
 from .brackets import AssignmentBudgetError
 from .independence import run_independence_suite
 from .multipoly import MultiPoly
-from .rationals import format_rational
 from .verify import CHECKS, NotApplicable, passed
 
 EXIT_OK = 0
@@ -114,19 +113,16 @@ def cmd_dr_series(args) -> tuple:
         series = dr_series(f_n, f_m, mode=args.mode)
     except NumericDegenerateError as exc:
         return {"error": str(exc)}, EXIT_FAILURE
-    entries = []
     # print computed values in full: lift the interpreter's cap on the
     # digits of an int turned into a string, but only here, so that input
     # parsing keeps it
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        for r, e in enumerate(series.entries):
-            if isinstance(e, MultiPoly):
-                entries.append({"r": r, "value": e.to_json(), "text": str(e)})
-            else:
-                text = format_rational(e)
-                entries.append({"r": r, "value": text, "text": text})
+        values = series.to_json()["entries"]
+        entries = [{"r": r, "value": v,
+                    "text": v if isinstance(v, str) else str(e)}
+                   for r, (e, v) in enumerate(zip(series.entries, values))]
     finally:
         sys.set_int_max_str_digits(limit)
     return {"n": args.n, "mode": args.mode, "entries": entries}, EXIT_OK
@@ -178,7 +174,7 @@ def _render_text(payload: dict) -> str:
         else:
             lines.append(f"{pad}{obj}")
     walk(payload)
-    return "\n".join(line for line in lines if line is not None)
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:

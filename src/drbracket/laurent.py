@@ -85,30 +85,31 @@ class LaurentPoly:
         """Value at the given variable values.
 
         With k_v the largest power to which a term inverts v, the common
-        denominator is D = prod v**k_v; each term times D is a polynomial
-        in the values, so the integer terms are summed and divided by D
-        once.  Returns an int when D divides the sum and a reduced
-        Fraction otherwise; raises ZeroDivisionError when D is 0.
+        denominator is D = prod v**k_v.  A term times D is c times its
+        positive powers times D // (its inverted powers), exact since D
+        holds them; the terms are summed and divided by D once.  Returns an
+        int when D divides the sum and a reduced Fraction otherwise; raises
+        ZeroDivisionError when D is 0.
         """
         shift: Dict[Var, int] = {}
         for m in self.terms:
             for v, e in m.exponents:
                 if e < 0 and -e > shift.get(v, 0):
                     shift[v] = -e
-        total = 0
-        for m, c in self.terms.items():
-            exps = dict(shift)
-            for v, e in m.exponents:
-                exps[v] = exps.get(v, 0) + e
-            for v, e in exps.items():
-                if e:
-                    c *= values[v] ** e
-            total += c
         den = 1
         for v, k in shift.items():
             den *= values[v] ** k
         if not den:
             raise ZeroDivisionError("an inverted variable takes the value 0")
+        total = 0
+        for m, c in self.terms.items():
+            inv = 1
+            for v, e in m.exponents:
+                if e > 0:
+                    c *= values[v] ** e
+                else:
+                    inv *= values[v] ** -e
+            total += c * (den // inv)
         q, rem = divmod(total, den)
         return Fraction(total, den) if rem else q
 
@@ -415,13 +416,6 @@ def _term_lm_row(n: int, I: Sequence[int], lms: dict) -> tuple:
             row = lms[pair] = max(_bracket_rows(n, pair[0], pair[1]))
         rows.append(row)
     return tuple(map(sum, zip(*rows)))
-
-
-def term_leading_monomial(model: PolygonModel, n: int,
-                          I: Sequence[int]) -> LaurentMonomial:
-    """lm of the bracket-sum term of I in model = PolygonModel(n), as the
-    product of its brackets' lms."""
-    return _monomial(_model_tables(n)[0], _term_lm_row(n, I, {}))
 
 
 def dominance_check(n: int, r: int) -> dict:

@@ -1,64 +1,51 @@
-"""Sparse multivariate polynomials with exact rational coefficients,
-stored as ints.
+"""Sparse multivariate polynomials with integer coefficients.
 
 Terms are keyed by exponent tuples over a sorted variable namespace.
 Arithmetic on two different namespaces remaps both operands onto their
 sorted union, so mixed namespaces always work; a long computation (a
 symbolic DR series, a coordinate expansion) lifts its inputs onto one
 namespace once with align_all, and its arithmetic then never remaps.
-A coefficient is a plain int, and a reduced Fraction only when it is not
-an integer, so integer polynomials (every Bareiss intermediate and every
-DR entry) never build a Fraction.  All values are immutable after
-construction.
+Every coefficient is a plain int: each DR entry, Bareiss intermediate and
+bracket expansion lies in Z[...], and rational forms are cleared to
+integer forms once where binforms takes them in.  All values are
+immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 # the C core of heapq: importing heapq itself also loads its pure-Python
 # module, about 0.15 MiB more peak RSS for three functions
 from _heapq import heapify, heappop, heappush
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
-from .rationals import (DualScalar, NotDivisibleError, format_rational,
-                        parse_rational)
+from .rationals import DualScalar, NotDivisibleError, parse_rational
 
 
 class MissingVariableError(KeyError):
     """Raised when an evaluation point omits a variable."""
 
 
-def _coeff(x):
-    """A coefficient in canonical form: an int, or a non-integral Fraction."""
+def _coeff(x) -> int:
+    """A coefficient as a plain int; anything but an int is refused."""
     if x.__class__ is int:
         return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
         return int(x)
-    raise TypeError(f"not a rational coefficient: {x!r}")
+    raise TypeError(f"not an integer coefficient: {x!r}")
 
 
-def _canonical(terms: dict) -> dict:
-    """Drop zero coefficients and turn integral Fractions into ints."""
-    return {e: c.numerator if c.__class__ is Fraction and c.denominator == 1
-            else c for e, c in terms.items() if c}
-
-
-def _quotient(a, b):
-    """a / b for coefficients: an int when it is one, never a float."""
-    if a.__class__ is int and b.__class__ is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _coeff(Fraction(a, b))
+def _quotient(a: int, b: int) -> int:
+    """The exact integer quotient a / b, or NotDivisibleError."""
+    q, r = divmod(a, b)
+    if r:
+        raise NotDivisibleError(f"{a} not divisible by {b}")
+    return q
 
 
 class MultiPoly:
-    """Immutable sparse polynomial with rational coefficients, held as
-    ints wherever they are integers."""
+    """Immutable sparse polynomial with int coefficients."""
 
     __slots__ = ("variables", "terms")
 
@@ -102,9 +89,9 @@ class MultiPoly:
 
     def __eq__(self, other):
         if other.__class__ is not MultiPoly:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, int):
                 return NotImplemented
-            c = _coeff(other)
+            c = int(other)
             return self.terms == ({(0,) * len(self.variables): c} if c else {})
         a, b = _align(self, other)
         return a.terms == b.terms
@@ -144,10 +131,10 @@ class MultiPoly:
             a, b = ((self, other) if other.variables == self.variables
                     else _align(self, other))
             pairs = b.terms.items()
-        elif isinstance(other, (int, Fraction)):
+        elif isinstance(other, int):
             # a constant is the term at the zero exponent of self's namespace
             a = self
-            c = _coeff(other)
+            c = int(other)
             pairs = (((0,) * len(self.variables), c),) if c else ()
         else:
             return NotImplemented
@@ -155,8 +142,6 @@ class MultiPoly:
         get = out.get
         for e, c in pairs:
             s = get(e, 0) - c if negate else get(e, 0) + c
-            if s.__class__ is Fraction and s.denominator == 1:
-                s = s.numerator
             if s:
                 out[e] = s
             else:
@@ -165,25 +150,22 @@ class MultiPoly:
 
     def __mul__(self, other):
         if other.__class__ is not MultiPoly:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, int):
                 return NotImplemented
-            c = _coeff(other)
-            return _make(self.variables, _canonical(
-                {e: c * v for e, v in self.terms.items()}))
+            c = int(other)
+            return _make(self.variables,
+                         {e: c * v for e, v in self.terms.items()} if c else {})
         a, b = ((self, other) if other.variables == self.variables
                 else _align(self, other))
         a_terms, b_terms = a.terms, b.terms
         if len(a_terms) == 1 or len(b_terms) == 1:
             # a monomial times p: each term moves to a distinct exponent
-            # and no coefficient vanishes, so only a Fraction needs _canonical
+            # and no coefficient vanishes
             if len(b_terms) != 1:
                 a_terms, b_terms = b_terms, a_terms
             ((e2, c2),) = b_terms.items()
-            out = {tuple(map(add, e1, e2)): c1 * c2
-                   for e1, c1 in a_terms.items()}
-            if Fraction in map(type, out.values()):
-                out = _canonical(out)
-            return _make(a.variables, out)
+            return _make(a.variables, {tuple(map(add, e1, e2)): c1 * c2
+                                       for e1, c1 in a_terms.items()})
         out: dict = {}
         get = out.get
         b_items = list(b_terms.items())
@@ -191,7 +173,7 @@ class MultiPoly:
             for e2, c2 in b_items:
                 e = tuple(map(add, e1, e2))
                 out[e] = get(e, 0) + c1 * c2
-        return _make(a.variables, _canonical(out))
+        return _make(a.variables, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -208,10 +190,10 @@ class MultiPoly:
         return out
 
     def exact_div(self, q) -> "MultiPoly":
-        """Return r with self == q*r, or raise NotDivisibleError.  An int or
-        Fraction q scales the coefficients by 1/q."""
+        """Return r with self == q*r, or raise NotDivisibleError.  An int q
+        divides every coefficient exactly."""
         if q.__class__ is not MultiPoly:
-            if not isinstance(q, (int, Fraction)):
+            if not isinstance(q, int):
                 raise TypeError(f"cannot divide a polynomial by {q!r}")
             if not q:
                 raise ZeroDivisionError("division by zero")
@@ -273,11 +255,11 @@ class MultiPoly:
         # lowering the exponent of var is one-to-one on the terms it keeps
         out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
                for e, c in self.terms.items() if e[i]}
-        return _make(self.variables, _canonical(out))
+        return _make(self.variables, out)
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, point: Mapping[str, object]):
-        """Exact value at a point; values may be Fraction or int."""
+        """Exact value at a point; values may be ints or rationals."""
         vals = []
         for v in self.variables:
             if v not in point:
@@ -295,17 +277,21 @@ class MultiPoly:
     # -- serialization ---------------------------------------------------------
     def to_json(self) -> dict:
         p = self._trim()
-        recs = [{"coefficient": format_rational(c),
+        recs = [{"coefficient": str(c),
                  "exponents": list(e)}
                 for e, c in sorted(p.terms.items())]
         return {"variables": list(p.variables), "terms": recs}
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":
-        vs = list(data["variables"])
-        terms = {tuple(rec["exponents"]): parse_rational(rec["coefficient"])
-                 for rec in data["terms"]}
-        return cls(vs, terms)
+        """Inverse of to_json; a non-integral "p/q" raises ValueError."""
+        terms = {}
+        for rec in data["terms"]:
+            c = parse_rational(rec["coefficient"])
+            if c.denominator != 1:
+                raise ValueError(f"not an integer coefficient: {c}")
+            terms[tuple(rec["exponents"])] = c.numerator
+        return cls(list(data["variables"]), terms)
 
     def __str__(self):
         if self.is_zero:
@@ -314,8 +300,7 @@ class MultiPoly:
         for e, c in sorted(self.terms.items(), reverse=True):
             mono = "*".join(f"{v}^{k}" if k > 1 else v
                             for v, k in zip(self.variables, e) if k)
-            cs = format_rational(c)
-            parts.append(f"{cs}*{mono}" if mono else cs)
+            parts.append(f"{c}*{mono}" if mono else str(c))
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -329,8 +314,8 @@ _set_terms = MultiPoly.terms.__set__
 def _make(variables: tuple, terms: dict) -> MultiPoly:
     """Constructor for results of arithmetic, which trusts its inputs: a
     sorted namespace, non-negative exponent tuples of its length and nonzero
-    canonical coefficients (see _coeff).  Skips the checks of __init__ and
-    sets the slots through their descriptors."""
+    int coefficients.  Skips the checks of __init__ and sets the slots
+    through their descriptors."""
     p = _new(MultiPoly)
     _set_variables(p, variables)
     _set_terms(p, terms)
@@ -371,24 +356,20 @@ def _remap(p: MultiPoly, vs: tuple) -> MultiPoly:
     return _make(vs, terms)
 
 
-def interpolate_in_t(samples: Iterable[tuple]):
-    """Interpolation through the samples (0, v_0), ..., (m-1, v_{m-1}).
+def interpolate_in_t(values: Iterable):
+    """Interpolation through the points (0, v_0), ..., (m-1, v_{m-1}).
 
-    Nodes must be exactly 0, 1, ..., m-1, in order.  Values may be ints,
-    Fractions, MultiPoly or DualScalar.  Uses Newton forward differences:
-    the k-th difference at node 0 is k! times the k-th Newton coefficient,
-    and is divided by k! with exact_div (so int and DualScalar samples
-    raise NotDivisibleError if the interpolant does not have integer
-    coefficients).  Every coefficient combines all samples (even the
-    constant term is c_0 - 0*c), so with mixed kinds each has the widest
-    kind.  Returns the coefficient list of the unique polynomial of degree
-    < m in the interpolation parameter, trailing zeros trimmed.
+    Values may be ints, MultiPoly or DualScalar.  Uses Newton forward
+    differences: the k-th difference at node 0 is k! times the k-th Newton
+    coefficient, and is divided by k! with exact_div, so NotDivisibleError
+    is raised if the interpolant does not have integer coefficients.
+    Every coefficient combines all values (even the constant term is
+    c_0 - 0*c), so with mixed kinds each has the widest kind.  Returns the
+    coefficient list of the unique polynomial of degree < m in the
+    interpolation parameter, trailing zeros trimmed.
     """
-    samples = list(samples)
-    m = len(samples)
-    if [x for x, _ in samples] != list(range(m)):
-        raise ValueError("interpolation nodes must be 0, 1, ..., m-1")
-    diffs = [v for _, v in samples]
+    diffs = list(values)
+    m = len(diffs)
     # after pass k, diffs[k] is the k-th forward difference at node 0
     for k in range(1, m):
         for i in range(m - 1, k - 1, -1):
@@ -409,19 +390,19 @@ def interpolate_in_t(samples: Iterable[tuple]):
 
 def exact_div(a, b):
     """The exact quotient a / b, by the one rule every layer divides with:
-    ints, DualScalar and MultiPoly raise NotDivisibleError when b does not
-    divide a in their ring; Fractions divide with /."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise NotDivisibleError(f"{a} not divisible by {b}")
-        return q
-    if not isinstance(a, (MultiPoly, DualScalar)):
-        # a number divided by a ring element is lifted into the ring
+    ints by divmod, MultiPoly and DualScalar by their own exact_div, an int
+    dividend first lifted into the divisor's ring.  NotDivisibleError when
+    b does not divide a; TypeError for any other kind (a rational too)."""
+    if isinstance(a, int):
+        if isinstance(b, int):
+            q, r = divmod(a, b)
+            if r:
+                raise NotDivisibleError(f"{a} not divisible by {b}")
+            return q
         if isinstance(b, MultiPoly):
             a = MultiPoly.constant(a)
         elif isinstance(b, DualScalar):
-            a = DualScalar.lift(a)
-        else:
-            return a / b
+            a = DualScalar(a)
+    if not isinstance(a, (MultiPoly, DualScalar)):
+        raise TypeError(f"no exact division of {a!r} by {b!r}")
     return a.exact_div(b)

@@ -1,8 +1,10 @@
 """Exact scalar types: rational parsing/formatting and dual numbers.
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator).  ``DualScalar`` adjoins a square-zero nilpotent to the
-integers for exact directional derivatives of integer polynomials.
+denominator), met only where binforms takes rational forms in (and
+clears them to integer forms) and gives its unscaled results out.
+``DualScalar`` adjoins a square-zero nilpotent to the integers for exact
+directional derivatives of integer polynomials.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from drbracket.binforms import (BinaryForm, NumericDegenerateError,
                                 sl2_transform, sylvester_matrix)
 from drbracket.multipoly import MultiPoly
 from drbracket.rationals import DualScalar
+from test_reference import ref_det
 
 
 def form_from_roots(pairs):
@@ -62,7 +63,7 @@ class TestSylvester:
 
 class TestDeterminant:
     def test_identity(self):
-        I4 = [[F(int(i == j)) for j in range(4)] for i in range(4)]
+        I4 = [[int(i == j) for j in range(4)] for i in range(4)]
         assert det_fraction_free(I4) == 1
 
     def test_repeated_row(self):
@@ -71,8 +72,15 @@ class TestDeterminant:
         assert det_fraction_free(M).is_zero
 
     def test_needs_pivot_swap(self):
-        M = [[F(0), F(1)], [F(1), F(0)]]
+        M = [[0, 1], [1, 0]]
         assert det_fraction_free(M) == -1
+
+    def test_fraction_matrix_is_refused(self):
+        # Fractions are cleared before any determinant; one that gets here
+        # meets TypeError at the first exact division
+        M = [[F(1, 2), F(1), F(0)], [F(1), F(3), F(1)], [F(0), F(1), F(2)]]
+        with pytest.raises(TypeError):
+            det_fraction_free(M)
 
     def test_matches_permutation_expansion(self):
         import itertools
@@ -160,8 +168,14 @@ def _mul_forms(g, h):
 
 
 def sylvester_resultant(f, g):
-    """The reference: (-1)^(d*e) * det of the order-(d+e) Sylvester matrix."""
-    det = det_fraction_free(sylvester_matrix(f, g))
+    """The reference: (-1)^(d*e) * det of the order-(d+e) Sylvester matrix,
+    by Bareiss with true division over the rationals (ref_det) when a
+    coefficient is a Fraction, since det_fraction_free takes none."""
+    M = sylvester_matrix(f, g)
+    if any(isinstance(c, F) for c in f.coefficients + g.coefficients):
+        det = ref_det([[F(c) for c in row] for row in M])
+    else:
+        det = det_fraction_free(M)
     return -det if (f.degree * g.degree) % 2 else det
 
 
@@ -315,6 +329,18 @@ class TestDiscriminant:
                     if i != j:
                         prod *= bracket(als[i], als[j])
             assert discriminant(f) == prod
+
+    def test_rational_forms_match_sylvester(self):
+        # a rational form is cleared, and its discriminant unscaled by
+        # lambda^(2d-2); the reference divides the Sylvester resultant
+        rng = random.Random(19)
+        for d in range(2, 7):
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 6))
+                      for _ in range(d + 1)]
+            coeffs[0] = coeffs[-1] = F(rng.choice((-5, 1, 3)), rng.randint(2, 6))
+            f = BinaryForm.from_coeffs(coeffs)
+            want = sylvester_resultant(f, f.x_dx()) / (coeffs[0] * coeffs[-1])
+            assert discriminant(f) == want and type(discriminant(f)) is F
 
     def test_numeric_degenerate(self):
         f = BinaryForm.from_coeffs((F(0), F(1), F(1)))
@@ -500,3 +526,17 @@ class TestScalarDomains:
         f = BinaryForm.from_coeffs((F(1, 2), F(0), F(1)))
         g = BinaryForm.from_coeffs((F(3, 5),))
         assert dr_series(f, g).entries == (F(2), 0, F(9, 25))
+
+    def test_fractions_mixed_with_rings_are_refused(self):
+        # no ring of the library holds both a Fraction and a MultiPoly or
+        # DualScalar, so such forms raise TypeError on the way in
+        a = MultiPoly.variable("a")
+        for other in (a, DualScalar(1, 1)):
+            f = BinaryForm.from_coeffs((other, F(1, 2), F(1)))
+            g = BinaryForm.from_coeffs((F(1, 2),))
+            with pytest.raises(TypeError):
+                dr_series(f, g, mode="symbolic")
+            with pytest.raises(TypeError):
+                discriminant(f)
+            with pytest.raises(TypeError):
+                signed_resultant(f, BinaryForm.from_coeffs((F(1, 2), 1)))

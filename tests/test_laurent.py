@@ -13,9 +13,8 @@ from drbracket.laurent import (DIRECT_N_MAX, LaurentMonomial, LaurentPoly,
                                PolygonModel, boundary_path, degree_matrix_P,
                                dominance_check, dr_rows,
                                laurent_expand_bracket, laurent_expand_poly,
-                               lex_leading_monomial, lm_dr_closed_form,
-                               term_leading_monomial)
-from drbracket.laurent import (_Rows, _from_rows, _model_tables,
+                               lex_leading_monomial, lm_dr_closed_form)
+from drbracket.laurent import (_Rows, _from_rows, _model_tables, _monomial,
                                _row_product, _sum_terms, _term_lm_row)
 
 
@@ -393,9 +392,9 @@ class TestClosedForms:
         # the closed form equals the I = [r] term's leading monomial, the
         # product of its brackets' expanded leading monomials
         for n in range(3, 13):
-            model = PolygonModel(n)
+            columns = _model_tables(n)[0]
             for r in dr_rows(n):
-                assert (term_leading_monomial(model, n, range(1, r + 1))
+                assert (_monomial(columns, _term_lm_row(n, range(1, r + 1), {}))
                         == lm_dr_closed_form(n, r))
 
 
@@ -447,7 +446,7 @@ class TestDominance:
             want = mono_product(want, lex_leading_monomial(
                 laurent_expand_bracket(m, x, y), m))
         assert first == want.row(columns)
-        assert term_leading_monomial(m, 5, [1, 2]) == want
+        assert _monomial(columns, first) == want
         assert set(lms) == set(term_factors(5, [1, 2]))
         # a reused entry shows up
         lms[alpha(1), alpha(3)] = mono(D1=7).row(columns)
