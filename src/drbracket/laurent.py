@@ -1,6 +1,6 @@
 """Triangulated-polygon Laurent model: bracket expansion, lexicographic
-leading monomials, the closed-form leading monomial of each DR_{n,r} and
-the degree matrix.
+leading monomials, the leading monomial of each DR_{n,r} and the degree
+matrix.
 
 Vertices a_1..a_n, b_1..b_{n-2} sit counter-clockwise on a (2n-2)-gon;
 the fan triangulation draws every diagonal through gamma = b_{n-2}.
@@ -9,6 +9,13 @@ Edge/diagonal brackets become the Laurent variables
     C_i = [a_i, a_{i+1}] (C_n = [a_n, b_1]), D_k = [b_k, b_{k+1}],
 and every bracket is a Laurent polynomial with denominators only in the
 invertible diagonals A_2..A_n, B_1..B_{n-4}.
+
+Leading monomials are multiplicative under lex, so the lm of the
+bracket-sum term of I is sum_{j not in I} alpha_j + sum_{i in I} beta_i
+over one per-n table of 2n symbol rows, each the summed lm rows of one
+symbol's bracket expansions.  The lm of DR_{n,r} is that of its dominant
+term I = [r]; the full expansion of the bracket sum stays the oracle for
+small n.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from itertools import compress
 from operator import add, itemgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .brackets import (BracketPolynomial, Symbol, alpha, beta,
-                       dr_bracket_sum, subsets_colex, term_factors)
+from .brackets import (BracketPolynomial, Symbol, _pair_tables, alpha, beta,
+                       dr_bracket_sum, subsets_colex)
 from .rationals import format_rational
 
 # ("A", i), ("B", k), ("C", i), ("D", k); the family letters sort in lex
@@ -29,7 +36,8 @@ from .rationals import format_rational
 Var = Tuple[str, int]
 
 # Largest n at which degree_matrix_P expands the bracket sums directly; the
-# expansion grows steeply with n (several seconds at n = 5).
+# expansion grows steeply with n (0.55 s at n = 5, about four minutes and
+# 1.3 GiB at n = 6; one run each on a 2-vCPU Xeon with CPython 3.11.7).
 DIRECT_N_MAX = 6
 
 
@@ -112,13 +120,6 @@ class LaurentPoly:
             total += c * (den // inv)
         q, rem = divmod(total, den)
         return Fraction(total, den) if rem else q
-
-    def to_json(self) -> list:
-        recs = []
-        for m in sorted(self.terms, key=lambda m: tuple(m.exponents)):
-            recs.append({"exponents": {var_name(v): e for v, e in m.exponents},
-                         "coefficient": format_rational(self.terms[m])})
-        return recs
 
     def __str__(self):
         if self.is_zero:
@@ -372,58 +373,49 @@ def lex_leading_monomial(p: LaurentPoly, model: PolygonModel) -> LaurentMonomial
     return max(p.terms, key=lambda m: m.row(ordered))
 
 
+@functools.lru_cache(maxsize=64)
+def _symbol_rows(n: int):
+    """The lm rows alpha_1..alpha_n and beta_1..beta_n of PolygonModel(n),
+    built once per n: alpha_j sums the lm rows of the brackets [a_i, a_j],
+    i != j, and beta_i those of [a_i, b_k], k in [n - 2], the factors that
+    brackets._pair_tables lists for each symbol.  A bracket's lm row is the
+    largest row of its expansion, the columns being in lex priority order,
+    and it does not depend on the bracket's orientation."""
+    pairs, alpha_pairs, beta_pairs = _pair_tables(n)
+
+    def summed(numbers):
+        return tuple(map(sum, zip(*(max(_bracket_rows(n, *pairs[k]))
+                                    for k in numbers))))
+    return tuple(map(summed, alpha_pairs)), tuple(map(summed, beta_pairs))
+
+
+def _term_lm_row(n: int, I: Sequence[int]) -> tuple:
+    """Exponent row of the lm of the bracket-sum term of I: since leading
+    monomials are multiplicative under lex, the sum of alpha_j over the
+    complement J of I and beta_i over I."""
+    alphas, betas = _symbol_rows(n)
+    chosen = set(I)
+    return tuple(map(sum, zip(*(betas[i - 1] if i in chosen else alphas[i - 1]
+                                for i in range(1, n + 1)))))
+
+
 def lm_dr_closed_form(n: int, r: int) -> LaurentMonomial:
-    """Leading monomial of the r-th discriminant-resultant (the I = [r]
-    term of the bracket sum), via the closed product formula."""
+    """Leading monomial of the r-th discriminant-resultant: that of the
+    I = [r] term of the bracket sum, summed from the 2n symbol rows."""
     if n < 3:
         raise ValueError("need n >= 3")
     if r == 1 or not (0 <= r <= n):
         raise ValueError("valid r is 0 or 2..n (the r = 1 entry vanishes)")
-    exps: Dict[Var, int] = {}
-
-    def bump(v: Var, e: int):
-        exps[v] = exps.get(v, 0) + e
-
-    for j in range(r + 1, n + 1):
-        for i in range(1, j):
-            bump(("A", i), 1)
-            bump(("A", j - 1), -1)
-            bump(("C", j - 1), 1)
-        for i in range(j + 1, n + 1):
-            bump(("A", j), 1)
-            bump(("A", i - 1), -1)
-            bump(("C", i - 1), 1)
-    for k in range(1, n - 2):  # k in [n-3], with B_0 = A_n and D_0 = C_n
-        b = ("A", n) if k == 1 else ("B", k - 1)
-        d = ("C", n) if k == 1 else ("D", k - 1)
-        bump(b, -r)
-        bump(d, r)
-    for i in range(1, r + 1):
-        bump(("A", i), n - 2)
-    return LaurentMonomial.from_dict(exps)
-
-
-def _term_lm_row(n: int, I: Sequence[int], lms: dict) -> tuple:
-    """Exponent row of the lm of the bracket-sum term of I: the sum of its
-    brackets' lm rows, since leading monomials are multiplicative under
-    lex.  A bracket's lm row is the largest row of its expansion, the
-    columns being in lex priority order.  ``lms`` maps each bracket met
-    so far to its lm row and is filled as new ones are met."""
-    rows = []
-    for pair in term_factors(n, I):
-        row = lms.get(pair)
-        if row is None:
-            row = lms[pair] = max(_bracket_rows(n, pair[0], pair[1]))
-        rows.append(row)
-    return tuple(map(sum, zip(*rows)))
+    return _monomial(_model_tables(n)[0], _term_lm_row(n, range(1, r + 1)))
 
 
 def dominance_check(n: int, r: int) -> dict:
     """Enumerate all C(n, r) subsets and confirm the I = [r] term's
     leading monomial strictly lex-dominates every other term's."""
+    if not (0 <= r <= n):
+        raise ValueError("need 0 <= r <= n")
     columns = _model_tables(n)[0]
-    lms: dict = {}
-    ranking = sorted(((_term_lm_row(n, I, lms), list(I))
+    ranking = sorted(((_term_lm_row(n, I), list(I))
                       for I in subsets_colex(n, r)),
                      key=itemgetter(0), reverse=True)
     lead_row, lead_I = ranking[0]
@@ -459,19 +451,24 @@ class DegreeMatrix:
 
 
 def degree_matrix_P(n: int, method: str = "closed_form") -> DegreeMatrix:
-    """Degree matrix of the leading monomials of all DR_{n,r}."""
+    """Degree matrix of the leading monomials of all DR_{n,r}.
+
+    ``"closed_form"`` sums each row from the 2n symbol rows of the I = [r]
+    term; ``"direct"`` expands every bracket sum in full and takes its lex
+    maximum, the oracle for small n (n <= DIRECT_N_MAX).
+    """
     model = PolygonModel(n)
     columns = tuple(model.all_vars())
     rows = []
     for r in dr_rows(n):
         if method == "closed_form":
-            mono = lm_dr_closed_form(n, r)
+            row = _term_lm_row(n, range(1, r + 1))
         elif method == "direct":
             if n > DIRECT_N_MAX:
                 raise ValueError(f"direct expansion needs n <= {DIRECT_N_MAX}")
             p = laurent_expand_poly(model, dr_bracket_sum(n, r))
-            mono = lex_leading_monomial(p, model)
+            row = lex_leading_monomial(p, model).row(columns)
         else:
             raise ValueError(f"unknown method: {method}")
-        rows.append((r, mono.row(columns)))
+        rows.append((r, row))
     return DegreeMatrix(n, columns, tuple(rows))

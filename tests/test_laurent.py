@@ -15,7 +15,8 @@ from drbracket.laurent import (DIRECT_N_MAX, LaurentMonomial, LaurentPoly,
                                laurent_expand_bracket, laurent_expand_poly,
                                lex_leading_monomial, lm_dr_closed_form)
 from drbracket.laurent import (_Rows, _from_rows, _model_tables, _monomial,
-                               _row_product, _sum_terms, _term_lm_row)
+                               _row_product, _sum_terms, _symbol_rows,
+                               _term_lm_row)
 
 
 def mono(**kw):
@@ -378,6 +379,44 @@ class TestLeadingMonomial:
             assert lm(pq) == mono_product(lm(p), lm(q))
 
 
+def bracket_lm_rows(n, factors):
+    """Column sum of the expanded leading monomials' rows of ``factors``."""
+    model = PolygonModel(n)
+    columns = _model_tables(n)[0]
+    total = (0,) * len(columns)
+    for x, y in factors:
+        lm = lex_leading_monomial(laurent_expand_bracket(model, x, y), model)
+        total = tuple(a + b for a, b in zip(total, lm.row(columns)))
+    return total
+
+
+def hand_lm_dr(n, r):
+    """The hand-derived leading monomial of DR_{n,r}: each bracket's lm
+    bumped into the exponents one variable at a time."""
+    exps = {}
+
+    def bump(v, e):
+        exps[v] = exps.get(v, 0) + e
+
+    for j in range(r + 1, n + 1):
+        for i in range(1, j):
+            bump(("A", i), 1)
+            bump(("A", j - 1), -1)
+            bump(("C", j - 1), 1)
+        for i in range(j + 1, n + 1):
+            bump(("A", j), 1)
+            bump(("A", i - 1), -1)
+            bump(("C", i - 1), 1)
+    for k in range(1, n - 2):  # k in [n-3], with B_0 = A_n and D_0 = C_n
+        b = ("A", n) if k == 1 else ("B", k - 1)
+        d = ("C", n) if k == 1 else ("D", k - 1)
+        bump(b, -r)
+        bump(d, r)
+    for i in range(1, r + 1):
+        bump(("A", i), n - 2)
+    return LaurentMonomial.from_dict(exps)
+
+
 class TestClosedForms:
     def test_lm_dr_examples(self):
         assert lm_dr_closed_form(3, 0) == mono(A1=2, A2=-2, C1=2, C2=4)
@@ -394,8 +433,20 @@ class TestClosedForms:
         for n in range(3, 13):
             columns = _model_tables(n)[0]
             for r in dr_rows(n):
-                assert (_monomial(columns, _term_lm_row(n, range(1, r + 1), {}))
-                        == lm_dr_closed_form(n, r))
+                want = bracket_lm_rows(n, term_factors(n, range(1, r + 1)))
+                assert lm_dr_closed_form(n, r) == _monomial(columns, want)
+
+    @pytest.mark.parametrize("n", list(range(3, 17)) + [24])
+    def test_lm_dr_matches_the_hand_formula(self, n):
+        for r in dr_rows(n):
+            assert lm_dr_closed_form(n, r) == hand_lm_dr(n, r), r
+
+    def test_closed_form_degree_rows(self):
+        for n in (3, 7, 24):
+            columns = _model_tables(n)[0]
+            P = degree_matrix_P(n, "closed_form")
+            assert P.rows == tuple((r, lm_dr_closed_form(n, r).row(columns))
+                                   for r in dr_rows(n))
 
 
 class TestDominance:
@@ -425,32 +476,41 @@ class TestDominance:
         4: "ede0a1b388c502babc081b0456e60764518585dbc4b3b0a95fb38d09eb3e46a4",
         5: "fe792ec3b8433325980b800b9150146723e0213633ad2729ad96710d7fac731c",
         6: "12f0d2f6fc38056155fd4fda393afde76530c926fbae4140771a0d166d081a5d",
+        7: "aafa4a08f6506a3e236097fb1f5e4f1244599e3378fb8cd1321f880d1532ab42",
+        8: "06f47fce375c1e42d502d1de3d3526e89bd0c52f4fe82a064840692b960ea634",
     }
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_recorded_reports(self, n):
         reports = [dominance_check(n, r) for r in dr_rows(n)]
         digest = hashlib.sha256(
             json.dumps(reports, sort_keys=True).encode()).hexdigest()
         assert digest == self.DIGESTS[n]
 
-    def test_term_lm_cache_is_filled_and_reused(self):
-        # _term_lm_row sums its brackets' lm rows and fills the map it is
-        # given, which dominance_check shares across one model's terms
-        m = PolygonModel(5)
-        columns = _model_tables(5)[0]
-        lms = {}
-        first = _term_lm_row(5, [1, 2], lms)
-        want = mono()
-        for x, y in term_factors(5, [1, 2]):
-            want = mono_product(want, lex_leading_monomial(
-                laurent_expand_bracket(m, x, y), m))
-        assert first == want.row(columns)
-        assert _monomial(columns, first) == want
-        assert set(lms) == set(term_factors(5, [1, 2]))
-        # a reused entry shows up
-        lms[alpha(1), alpha(3)] = mono(D1=7).row(columns)
-        assert _term_lm_row(5, [1, 2], lms) != first
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_symbol_rows_sum_their_bracket_lms(self, n):
+        # alpha_j sums the lms of the [a_i, a_j] factors term_factors lists
+        # for j outside I, beta_i those of the [b_k, a_i] factors for i in I
+        alphas, betas = _symbol_rows(n)
+        everything = range(1, n + 1)
+        for j in everything:
+            factors = [f for f in term_factors(n, []) if f[1] == alpha(j)]
+            assert len(factors) == n - 1
+            assert alphas[j - 1] == bracket_lm_rows(n, factors)
+        for i in everything:
+            factors = [f for f in term_factors(n, [i]) if f[0][0] == "b"]
+            assert len(factors) == n - 2
+            assert betas[i - 1] == bracket_lm_rows(n, factors)
+        # a term's row is its factors' lm rows summed
+        rng = random.Random(n)
+        for _ in range(5):
+            I = sorted(rng.sample(everything, rng.randint(0, n)))
+            assert _term_lm_row(n, I) == bracket_lm_rows(n, term_factors(n, I))
+
+    @pytest.mark.parametrize("r", [-1, 4, 9])
+    def test_r_out_of_range_rejected(self, r):
+        with pytest.raises(ValueError):
+            dominance_check(3, r)
 
 
 class TestDegreeMatrix:
