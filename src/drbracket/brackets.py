@@ -305,13 +305,19 @@ def verify_theorem1(n: int, trials: int = 100, seed: int = 0,
     Numeric mode compares values at random generic assignments; symbolic
     mode compares full expansions over the 4n-4 coordinate variables.
     Failures are reported (with witnesses), never raised; an unknown mode
-    or a negative number of trials raises ValueError.
+    or a negative number of trials raises ValueError, and an exhausted
+    sampling budget raises AssignmentBudgetError before any sum is built.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     check_mode_and_trials(mode, trials)
     report = {"n": n, "mode": mode, "trials": trials if mode == "numeric" else 1,
               "seed": seed, "failures": []}
+    if mode == "numeric":
+        # the sampler can exhaust its budget: let it do so before the sums
+        # are built, which at large n takes far longer
+        assignments = [random_generic_assignment(n, derive_seed(seed, trial))
+                       for trial in range(trials)]
     sums = {r: dr_bracket_sum(n, r)
             for r in range(n + 1) if (n, r) != (2, 2)}
     if mode == "symbolic":
@@ -327,8 +333,7 @@ def verify_theorem1(n: int, trials: int = 100, seed: int = 0,
             if series.entries[r] != expected:
                 report["failures"].append({"r": r, "witness": "symbolic expansion"})
         return report
-    for trial in range(trials):
-        assignment = random_generic_assignment(n, derive_seed(seed, trial))
+    for trial, assignment in enumerate(assignments):
         f_n, f_m = forms_from_assignment(assignment, n)
         series = dr_series(f_n, f_m, mode="numeric")
         for r in range(n + 1):

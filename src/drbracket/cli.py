@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -17,7 +18,6 @@ from . import __version__
 from .binforms import BinaryForm, NumericDegenerateError, dr_series
 from .brackets import AssignmentBudgetError
 from .independence import run_independence_suite
-from .multipoly import MultiPoly
 from .verify import CHECKS, NotApplicable, passed
 
 EXIT_OK = 0
@@ -87,12 +87,8 @@ def _load_forms(args) -> tuple:
     if raw is None:
         if args.mode == "numeric":
             raise UsageError("numeric mode needs --in or --forms")
-        f_n = BinaryForm.generic(args.n, "a")
-        if args.n == 2:
-            f_m = BinaryForm.from_coeffs([MultiPoly.variable("b0")])
-        else:
-            f_m = BinaryForm.generic(args.n - 2, "b")
-        return f_n, f_m
+        return (BinaryForm.generic(args.n, "a"),
+                BinaryForm.generic(args.n - 2, "b"))
     try:
         data = json.loads(raw)
         f_n = BinaryForm.from_json(data["f_n"])
@@ -216,7 +212,15 @@ def main(argv=None) -> int:
             print(f"error: cannot write --out file: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout (``| head``): point it at devnull so
+            # that the interpreter's last flush cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_USAGE
     return code
 
 

@@ -15,7 +15,8 @@ bracket-sum term of I is sum_{j not in I} alpha_j + sum_{i in I} beta_i
 over one per-n table of 2n symbol rows, each the summed lm rows of one
 symbol's bracket expansions.  The lm of DR_{n,r} is that of its dominant
 term I = [r]; the full expansion of the bracket sum stays the oracle for
-small n.
+small n.  It multiplies out in exponent rows, with the sum and product
+loops that MultiPoly's terms use.
 """
 
 from __future__ import annotations
@@ -24,21 +25,23 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .brackets import (BracketPolynomial, Symbol, _pair_tables, alpha, beta,
                        dr_bracket_sum, subsets_colex)
+from .multipoly import _product, _sum
 from .rationals import format_rational
 
 # ("A", i), ("B", k), ("C", i), ("D", k); the family letters sort in lex
 # priority, so plain tuple order is the canonical variable order
 Var = Tuple[str, int]
 
-# Largest n at which degree_matrix_P expands the bracket sums directly; the
-# expansion grows steeply with n (0.55 s at n = 5, about four minutes and
-# 1.3 GiB at n = 6; one run each on a 2-vCPU Xeon with CPython 3.11.7).
-DIRECT_N_MAX = 6
+# Largest n at which degree_matrix_P expands the bracket sums directly, the
+# largest any caller uses; the expansion grows steeply with n (0.55 s at
+# n = 5, about four minutes and 1.3 GiB at n = 6; one run each on a 2-vCPU
+# Xeon with CPython 3.11.7).
+DIRECT_N_MAX = 5
 
 
 def var_name(v: Var) -> str:
@@ -131,31 +134,6 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def _sum_terms(a: dict, b: dict) -> dict:
-    """Termwise sum of two {key: coeff} dicts, without zero coefficients."""
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _row_product(a: dict, b: dict) -> dict:
-    """Product of two Laurent polynomials held as {exponent row: coeff}
-    over the same columns, without zero coefficients."""
-    out: dict = {}
-    get = out.get
-    b_items = list(b.items())
-    for e1, c1 in a.items():
-        for e2, c2 in b_items:
-            e = tuple(map(add, e1, e2))
-            out[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
 def _monomial(columns: Sequence[Var], row: tuple) -> LaurentMonomial:
     """The LaurentMonomial of an exponent row over sorted ``columns``."""
     return LaurentMonomial(tuple(compress(zip(columns, row), row)))
@@ -168,8 +146,10 @@ def _from_rows(columns: Sequence[Var], rows: dict) -> LaurentPoly:
 
 class _Rows:
     """A Laurent polynomial as {exponent row: coeff} over one model's
-    columns: the Laurent layer's one ring, which laurent_expand_poly
-    multiplies in."""
+    columns, with no zero coefficient: the Laurent layer's one ring, which
+    laurent_expand_poly multiplies in.  It adds and multiplies with
+    MultiPoly's term-dict loops, which take negative exponents as they
+    take any other."""
 
     __slots__ = ("terms",)
 
@@ -177,11 +157,11 @@ class _Rows:
         self.terms = terms
 
     def __add__(self, other: "_Rows") -> "_Rows":
-        return _Rows(_sum_terms(self.terms, other.terms))
+        return _Rows(_sum(self.terms, other.terms.items()))
 
     def __mul__(self, other):
         if other.__class__ is _Rows:
-            return _Rows(_row_product(self.terms, other.terms))
+            return _Rows(_product(self.terms, other.terms))
         return _Rows({e: other * c for e, c in self.terms.items()})
 
     __rmul__ = __mul__

@@ -8,7 +8,9 @@ namespace once with align_all, and its arithmetic then never remaps.
 Every coefficient is a plain int: each DR entry, Bareiss intermediate and
 bracket expansion lies in Z[...], and rational forms are cleared to
 integer forms once where binforms takes them in.  All values are
-immutable after construction.
+immutable after construction.  The sum and product loops over term dicts,
+_sum and _product, are also the arithmetic of the Laurent layer's
+exponent-row ring.
 """
 
 from __future__ import annotations
@@ -134,19 +136,10 @@ class MultiPoly:
         elif isinstance(other, int):
             # a constant is the term at the zero exponent of self's namespace
             a = self
-            c = int(other)
-            pairs = (((0,) * len(self.variables), c),) if c else ()
+            pairs = (((0,) * len(self.variables), int(other)),)
         else:
             return NotImplemented
-        out = dict(a.terms)
-        get = out.get
-        for e, c in pairs:
-            s = get(e, 0) - c if negate else get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _make(a.variables, out)
+        return _make(a.variables, _sum(a.terms, pairs, negate))
 
     def __mul__(self, other):
         if other.__class__ is not MultiPoly:
@@ -157,23 +150,7 @@ class MultiPoly:
                          {e: c * v for e, v in self.terms.items()} if c else {})
         a, b = ((self, other) if other.variables == self.variables
                 else _align(self, other))
-        a_terms, b_terms = a.terms, b.terms
-        if len(a_terms) == 1 or len(b_terms) == 1:
-            # a monomial times p: each term moves to a distinct exponent
-            # and no coefficient vanishes
-            if len(b_terms) != 1:
-                a_terms, b_terms = b_terms, a_terms
-            ((e2, c2),) = b_terms.items()
-            return _make(a.variables, {tuple(map(add, e1, e2)): c1 * c2
-                                       for e1, c1 in a_terms.items()})
-        out: dict = {}
-        get = out.get
-        b_items = list(b_terms.items())
-        for e1, c1 in a_terms.items():
-            for e2, c2 in b_items:
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return _make(a.variables, {e: c for e, c in out.items() if c})
+        return _make(a.variables, _product(a.terms, b.terms))
 
     __rmul__ = __mul__
 
@@ -320,6 +297,44 @@ def _make(variables: tuple, terms: dict) -> MultiPoly:
     _set_variables(p, variables)
     _set_terms(p, terms)
     return p
+
+
+# The two term-dict kernels, shared with the Laurent row ring: a term dict
+# maps exponent tuples over one set of columns to nonzero coefficients.
+
+def _sum(a: dict, pairs, negate: bool = False) -> dict:
+    """The terms of a plus the (exponent, coeff) pairs, or minus them when
+    negate is set, as a new dict without zero coefficients."""
+    out = dict(a)
+    get = out.get
+    for e, c in pairs:
+        s = get(e, 0) - c if negate else get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two term dicts over the same columns, neither of
+    which holds a zero coefficient, as a new dict without zero
+    coefficients."""
+    if len(a) == 1 or len(b) == 1:
+        # a monomial times p: each term moves to a distinct exponent and,
+        # with no zero coefficient in either input, none vanishes
+        if len(b) != 1:
+            a, b = b, a
+        ((e2, c2),) = b.items()
+        return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+    out: dict = {}
+    get = out.get
+    b_items = list(b.items())
+    for e1, c1 in a.items():
+        for e2, c2 in b_items:
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def _align(p: MultiPoly, q: MultiPoly):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -5,14 +6,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from drbracket.brackets import (BracketPolynomial, BracketSumUndefinedError,
-                                _expand, all_symbols, alpha, beta,
-                                bracket_eval, canonicalize, coordinate_vars,
-                                derive_seed, dr_bracket_sum,
-                                forms_from_assignment, plucker_relation,
-                                random_generic_assignment, subsets_colex,
-                                term_factors, verify_theorem1)
+from drbracket.brackets import (AssignmentBudgetError, BracketPolynomial,
+                                BracketSumUndefinedError, _expand,
+                                all_symbols, alpha, beta, bracket_eval,
+                                canonicalize, coordinate_vars, derive_seed,
+                                dr_bracket_sum, forms_from_assignment,
+                                plucker_relation, random_generic_assignment,
+                                subsets_colex, term_factors, verify_theorem1)
 from drbracket.multipoly import MultiPoly
+from drbracket.verify import passed
 
 
 class TestBracketEval:
@@ -275,6 +277,21 @@ class TestRandomAssignment:
                 assert u != 0 and v != 0
 
 
+def corrupt_bracket_sum(monkeypatch, bad_r):
+    """Make brackets.dr_bracket_sum add 1 to one coefficient of the r = bad_r
+    sum; at a generic assignment that moves its value by a product of
+    nonzero brackets."""
+    import drbracket.brackets as brackets
+    real = brackets.dr_bracket_sum
+
+    def corrupted(n, r):
+        p = real(n, r)
+        if r == bad_r:
+            p.terms[next(iter(p.terms))] += 1
+        return p
+    monkeypatch.setattr(brackets, "dr_bracket_sum", corrupted)
+
+
 class TestVerifyTheorem1:
     def test_numeric_small(self):
         for n in (2, 3, 4):
@@ -303,6 +320,21 @@ class TestVerifyTheorem1:
         series = dr_series(f, g)
         assert corrupted.evaluate(A) != series.entries[r]
 
+    def test_sampler_gives_up_before_any_sum_is_built(self, monkeypatch):
+        # building the n + 1 sums takes far longer at large n than the
+        # sampler takes to exhaust its budget
+        import drbracket.brackets as brackets
+        built = []
+
+        def exhausted(n, seed):
+            raise AssignmentBudgetError("no generic assignment")
+        monkeypatch.setattr(brackets, "random_generic_assignment", exhausted)
+        monkeypatch.setattr(brackets, "dr_bracket_sum",
+                            lambda n, r: built.append(r))
+        with pytest.raises(AssignmentBudgetError):
+            verify_theorem1(5, trials=1)
+        assert built == []
+
     @pytest.mark.parametrize("mode", ["bogus", "Numeric", ""])
     def test_unknown_mode_rejected(self, mode):
         with pytest.raises(ValueError, match="mode"):
@@ -312,6 +344,32 @@ class TestVerifyTheorem1:
     def test_negative_trials_rejected(self, mode):
         with pytest.raises(ValueError, match="trials"):
             verify_theorem1(3, trials=-1, mode=mode)
+
+    def test_wrong_sum_fails_in_numeric_mode(self, monkeypatch):
+        corrupt_bracket_sum(monkeypatch, 2)
+        rep = verify_theorem1(4, trials=3, seed=9)
+        assert [(f["trial"], f["r"]) for f in rep["failures"]] == \
+            [(0, 2), (1, 2), (2, 2)]
+        for f in rep["failures"]:
+            assert set(f) == {"trial", "r", "assignment", "series",
+                              "bracket_sum"}
+            assert f["series"] != f["bracket_sum"]
+        assert not passed(rep)
+
+    def test_wrong_sum_fails_in_symbolic_mode(self, monkeypatch):
+        corrupt_bracket_sum(monkeypatch, 2)
+        rep = verify_theorem1(3, mode="symbolic")
+        assert rep["failures"] == [{"r": 2, "witness": "symbolic expansion"}]
+        assert not passed(rep)
+
+    @pytest.mark.parametrize("mode", ["numeric", "symbolic"])
+    def test_wrong_sum_exits_1_from_the_cli(self, capsys, monkeypatch, mode):
+        from drbracket.cli import EXIT_FAILURE, main
+        corrupt_bracket_sum(monkeypatch, 2)
+        code = main(["verify", "theorem1", "--n", "3", "--trials", "3",
+                     "--mode", mode, "--format", "json"])
+        assert code == EXIT_FAILURE
+        assert json.loads(capsys.readouterr().out)["failures"]
 
     def test_colex_subset_order(self):
         assert subsets_colex(4, 2) == [(1, 2), (1, 3), (2, 3),

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -368,6 +371,24 @@ class TestDeterminism:
         assert code == EXIT_OK
         assert out == ""
         assert json.loads(path.read_text())["failures"] == []
+
+    def test_closed_stdout_exits_2_without_traceback(self):
+        # a reader that stops early (``| head -n 1``) closes the pipe; with
+        # its read end closed before the run starts, every write fails
+        import drbracket
+        src = str(Path(drbracket.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "drbracket.cli", "independence",
+                 "--n", "5", "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=300,
+                env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == b""
 
 
 class TestParser:

@@ -15,8 +15,8 @@ from drbracket.laurent import (DIRECT_N_MAX, LaurentMonomial, LaurentPoly,
                                laurent_expand_bracket, laurent_expand_poly,
                                lex_leading_monomial, lm_dr_closed_form)
 from drbracket.laurent import (_Rows, _from_rows, _model_tables, _monomial,
-                               _row_product, _sum_terms, _symbol_rows,
-                               _term_lm_row)
+                               _symbol_rows, _term_lm_row)
+from drbracket.multipoly import _product, _sum
 
 
 def mono(**kw):
@@ -181,7 +181,7 @@ class TestRowKernel:
         assert laurent_expand_poly(model, bp) == sparse_expand_poly(model, bp)
 
     def test_product_matches_the_sparse_reference(self):
-        # _row_product over a model's columns, converted back by
+        # _product over a model's columns, converted back by
         # _from_rows, against the term-by-term sparse product
         rng = random.Random(73)
         columns = _model_tables(10)[0]
@@ -193,7 +193,7 @@ class TestRowKernel:
             for _ in range(300):
                 p = random_laurent_poly(rng, variables, coefficients)
                 q = random_laurent_poly(rng, variables, coefficients)
-                rows = _row_product(rows_of(p, columns), rows_of(q, columns))
+                rows = _product(rows_of(p, columns), rows_of(q, columns))
                 got = _from_rows(columns, rows)
                 assert got == sparse_product(p, q)
                 assert all(c != 0 for c in rows.values())
@@ -208,16 +208,16 @@ class TestRowKernel:
         got = _from_rows(columns, (plus * minus).terms)
         assert got.terms == {mono(A1=2, C3=-4): 1, mono(A2=-2): F(-1, 4)}
         assert (plus * 3).terms == (3 * plus).terms == \
-            _row_product(plus.terms, rows_of(poly((mono(), 3)), columns))
+            _product(plus.terms, rows_of(poly((mono(), 3)), columns))
 
     def test_row_kernels_drop_zero_coefficients(self):
         # the rows of laurent_expand_poly never pass through LaurentPoly's
         # constructor until the end, so the kernels drop zeros themselves
         x, y = (1, 0, -2), (0, -1, 0)
         p, q = {x: 1, y: F(1, 2)}, {x: 1, y: F(-1, 2)}
-        assert _row_product(p, q) == {(2, 0, -4): 1, (0, -2, 0): F(-1, 4)}
-        assert _sum_terms(p, q) == {x: 2}
-        assert _sum_terms({}, {y: 0}) == {}
+        assert _product(p, q) == {(2, 0, -4): 1, (0, -2, 0): F(-1, 4)}
+        assert _sum(p, q.items()) == {x: 2}
+        assert _sum({}, {y: 0}.items()) == {}
 
     def test_symbol_outside_the_model_is_rejected(self):
         model = PolygonModel(4)
@@ -374,7 +374,7 @@ class TestLeadingMonomial:
             return lex_leading_monomial(_from_rows(columns, rows), m)
         for _ in range(50):
             p, q = rand_rows(), rand_rows()
-            pq = _row_product(p, q)
+            pq = _product(p, q)
             assert max(pq) == tuple(a + b for a, b in zip(max(p), max(q)))
             assert lm(pq) == mono_product(lm(p), lm(q))
 
