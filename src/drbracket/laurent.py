@@ -37,10 +37,11 @@ from .rationals import format_rational
 # priority, so plain tuple order is the canonical variable order
 Var = Tuple[str, int]
 
-# Largest n at which degree_matrix_P expands the bracket sums directly, the
-# largest any caller uses; the expansion grows steeply with n (0.55 s at
-# n = 5, about four minutes and 1.3 GiB at n = 6; one run each on a 2-vCPU
-# Xeon with CPython 3.11.7).
+# Largest n at which degree_matrix_P expands the bracket sums directly.
+# Callers use the direct method only at n = 3, as the oracle for the closed
+# forms; the cap stops a run that would not finish in useful time: the
+# expansion takes 0.55 s at n = 5 but about four minutes and 1.3 GiB at
+# n = 6 (one run each on a 2-vCPU Xeon with CPython 3.11.7).
 DIRECT_N_MAX = 5
 
 
