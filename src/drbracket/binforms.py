@@ -169,18 +169,23 @@ def det_fraction_free(M):
     """Exact determinant by Bareiss elimination (Bareiss, Math. Comp. 1968).
 
     Works over the ints (every division is an exact integer division, so an
-    integer matrix never leaves the integers) and MultiPoly; a Fraction
-    meets TypeError at its first exact division.  Dual numbers work when
-    every pivot has a nonzero value part; otherwise NumericDegenerateError
-    is raised.  An order-N matrix takes about N^3/3 updates, each two
-    products and one exact division; resultants and the DR series call it
-    on Bezout matrices of order max(d, e).
+    integer matrix never leaves the integers) and MultiPoly.  A Fraction
+    entry raises TypeError at every order: from order 3 on the first exact
+    division refuses it, and a check of the entries does so at orders 1 and
+    2 and where a column of zeros ends the elimination before that
+    division.  Dual numbers work when every pivot has a nonzero value part;
+    otherwise NumericDegenerateError is raised.  An order-N matrix takes
+    about N^3/3 updates, each two products and one exact division;
+    resultants and the DR series call it on Bezout matrices of order
+    max(d, e).
     """
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
     if n == 0:
         return 1
+    if n <= 2:
+        _refuse_fractions(M)
     A = [list(row) for row in M]
     sign = 1
     prev = None
@@ -193,6 +198,7 @@ def det_fraction_free(M):
                     break
             if swap is None:
                 if all(A[i][k] == 0 for i in range(k, n)):
+                    _refuse_fractions(M)
                     return A[0][0] * 0
                 raise NumericDegenerateError("no pivot with a nonzero value")
             A[k], A[swap] = A[swap], A[k]
@@ -209,6 +215,11 @@ def det_fraction_free(M):
         prev = pivot
     det = A[n - 1][n - 1]
     return -det if sign < 0 else det
+
+
+def _refuse_fractions(M) -> None:
+    if any(isinstance(x, Fraction) for row in M for x in row):
+        raise TypeError("det_fraction_free takes no Fraction entries")
 
 
 def _is_unit_pivot(x) -> bool:

@@ -208,10 +208,12 @@ def _pair_tables(n: int):
     return pairs, alpha_pairs, beta_pairs
 
 
-def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
-    """Bracket-sum expression of the r-th discriminant-resultant: the sum
+@functools.lru_cache(maxsize=None)
+def _bracket_sum_terms(n: int, r: int) -> Dict[tuple, int]:
+    """The terms of dr_bracket_sum(n, r), built once per process: the sum
     of the term_factors products over the size-r subsets I of [n], in
-    subsets_colex order, with equal monomials merged.
+    subsets_colex order, with equal monomials merged.  Callers copy the
+    dict and never hand it out.
 
     Each term's key comes out already canonical, without canonicalize:
     sorting its factors' numbers from _pair_tables sorts its factors.
@@ -219,15 +221,18 @@ def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
     indices i > j of each j in the complement J of I, and all r(n - 2)
     factors [b_k, a_i], so the term's sign is
     (-1)^(sum_{j in J} (n - j) + r(n - 2)).
+
+    The memo keeps the terms of every (n, r) built: for all r, 0.8 MiB at
+    n = 10, 4.6 MiB at n = 12 and 10.7 MiB at n = 13 on CPython 3.11
+    (tracemalloc), about 2.3 times more per step of n.  Keeping them adds
+    to the peak of a single call only the tables of the copied dicts (4% at
+    n = 10 and 12): verify_theorem1 at n holds all n + 1 sums at once
+    anyway, and each copy shares its key tuples, the bulk of the memory,
+    with the memo.  The memo's terms for all smaller n together take less
+    than those for the largest n built.
     """
-    if not (2 <= n and 0 <= r <= n):
-        raise ValueError("need n >= 2 and 0 <= r <= n")
-    if (n, r) == (2, 2):
-        raise BracketSumUndefinedError(
-            "the (n, r) = (2, 2) entry equals f_0^2, not a bracket sum")
     pairs, alpha_pairs, beta_pairs = _pair_tables(n)
-    p = BracketPolynomial(n)
-    terms = p.terms
+    terms: Dict[tuple, int] = {}
     for I in subsets_colex(n, r):
         J = [j for j in range(1, n + 1) if j not in I]
         chunks = ([alpha_pairs[j - 1] for j in J]
@@ -240,7 +245,20 @@ def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
             terms[key] = s
         else:
             terms.pop(key, None)
-    return p
+    return terms
+
+
+def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
+    """Bracket-sum expression of the r-th discriminant-resultant (Theorem
+    1), as a new BracketPolynomial on each call: its terms are copied from
+    _bracket_sum_terms, so changing one call's result leaves every other
+    call's unchanged."""
+    if not (2 <= n and 0 <= r <= n):
+        raise ValueError("need n >= 2 and 0 <= r <= n")
+    if (n, r) == (2, 2):
+        raise BracketSumUndefinedError(
+            "the (n, r) = (2, 2) entry equals f_0^2, not a bracket sum")
+    return BracketPolynomial(n, _bracket_sum_terms(n, r))
 
 
 def forms_from_assignment(assignment: Assignment, n: int):

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,7 +30,11 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call of
+    main.  Parsing fills a new namespace each time, so no call sees another
+    call's values; the parser itself must not be mutated."""
     parser = argparse.ArgumentParser(
         prog="drbracket",
         description="Exact discriminant-resultant computations and "

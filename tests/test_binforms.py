@@ -82,6 +82,21 @@ class TestDeterminant:
         with pytest.raises(TypeError):
             det_fraction_free(M)
 
+    @pytest.mark.parametrize("M", [
+        [[F(1, 2)]],
+        [[F(2)]],
+        [[1, F(1, 2)], [3, 4]],
+        [[F(0), 1], [0, 2]],
+        [[1, 2, 0], [3, F(1, 2), 1], [0, 1, 2]],
+        # a column of zeros ends the elimination before any division
+        [[0, F(1, 2), 1], [0, 1, 0], [0, 0, 1]],
+        [[1, 2, 3], [2, 4, F(6)], [3, 6, 9]],
+    ], ids=["order1", "order1-integral", "order2", "order2-singular",
+            "order3", "order3-zero-column", "order3-zero-second-column"])
+    def test_one_fraction_is_refused_at_every_order(self, M):
+        with pytest.raises(TypeError):
+            det_fraction_free(M)
+
     def test_matches_permutation_expansion(self):
         import itertools
         rng = random.Random(3)

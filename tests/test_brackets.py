@@ -335,6 +335,25 @@ class TestVerifyTheorem1:
             verify_theorem1(5, trials=1)
         assert built == []
 
+    def test_corrupted_sum_does_not_poison_the_memo(self, monkeypatch):
+        # every sum of the corrupted run comes from the memo, and the one
+        # changed after it was handed out leaves the memo as it was
+        import drbracket.brackets as brackets
+        n = 5
+        assert verify_theorem1(n, trials=2, seed=3)["failures"] == []
+        hits = brackets._bracket_sum_terms.cache_info().hits
+        with monkeypatch.context() as patch:
+            corrupt_bracket_sum(patch, 2)
+            rep = verify_theorem1(n, trials=2, seed=3)
+        assert brackets._bracket_sum_terms.cache_info().hits == hits + n + 1
+        assert [(f["trial"], f["r"]) for f in rep["failures"]] == \
+            [(0, 2), (1, 2)]
+        assert brackets.dr_bracket_sum is dr_bracket_sum
+        assert verify_theorem1(n, trials=2, seed=3)["failures"] == []
+        for r in range(n + 1):
+            assert (list(dr_bracket_sum(n, r).terms.items())
+                    == list(reference_bracket_sum(n, r).terms.items()))
+
     @pytest.mark.parametrize("mode", ["bogus", "Numeric", ""])
     def test_unknown_mode_rejected(self, mode):
         with pytest.raises(ValueError, match="mode"):

@@ -395,5 +395,33 @@ class TestParser:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
 
+    def test_shared_parser_keeps_no_values_between_calls(self, capsys):
+        from drbracket.cli import build_parser
+        assert build_parser() is build_parser()
+        verify_argv = ["verify", "theorem1", "--n", "3", "--trials", "3",
+                       "--seed", "7", "--format", "json"]
+        code1, out1, _ = run(capsys, *verify_argv)
+        # argparse stops at --trials after taking --n and --seed
+        code2, out2, err2 = run(capsys, "verify", "theorem1", "--n", "9",
+                                "--seed", "5", "--trials", "nope")
+        code3, out3, _ = run(
+            capsys, "dr-series", "--n", "2", "--mode", "numeric", "--seed",
+            "11", "--format", "json", "--forms",
+            '{"f_n": {"degree": 2, "coefficients": ["1", "1/2", "3"]},'
+            ' "f_m": {"degree": 0, "coefficients": ["-2/3"]}}')
+        code4, out4, _ = run(capsys, *verify_argv)
+        assert (code1, code2, code3, code4) == (EXIT_OK, EXIT_USAGE,
+                                                EXIT_OK, EXIT_OK)
+        assert out2 == "" and "--trials" in err2
+        assert out4 == out1
+        assert json.loads(out1)["config"] == {
+            "budget": None, "command": "verify", "format": "json",
+            "mode": "numeric", "n": 3, "out": None, "seed": 7,
+            "target": "theorem1", "trials": 3}
+        assert json.loads(out3)["config"] == {
+            "budget": None, "command": "dr-series", "format": "json",
+            "infile": None, "mode": "numeric", "n": 2, "out": None,
+            "seed": 11}
+
     def test_version_flag_exits_zero(self, capsys):
         assert main(["--version"]) == EXIT_OK
