@@ -59,9 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the same JSON object, inline")
     common(p)
 
-    p = sub.add_parser("verify", help="verify one of the library's identities")
-    p.add_argument("target", choices=tuple(CHECKS))
-    p.add_argument("--n", type=int, default=4)
+    p = sub.add_parser("verify", help="verify one of the library's identities, "
+                                      "or all of them at n = 2..N")
+    p.add_argument("target", choices=(*CHECKS, "all"))
+    p.add_argument("--n", type=int, default=4,
+                   help="the n to check; for 'all', the largest")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--mode", choices=("symbolic", "numeric"), default="numeric")
     common(p)
@@ -134,9 +136,26 @@ def cmd_verify(args) -> tuple:
         raise UsageError("--n must be at least 2")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+
+    def run(name, n):
+        return CHECKS[name](n, args.trials, seed=args.seed, mode=args.mode)
+    if args.target == "all":
+        # every check at n = 2..N, "n/a" where it does not apply
+        results = []
+        for n in range(2, args.n + 1):
+            checks = {}
+            for name in CHECKS:
+                try:
+                    checks[name] = run(name, n)
+                except NotApplicable:
+                    checks[name] = "n/a"
+            results.append({"n": n, "checks": checks})
+        ok = all(passed(report) for row in results
+                 for report in row["checks"].values() if report != "n/a")
+        return ({"target": "all", "results": results, "all_passed": ok},
+                EXIT_OK if ok else EXIT_FAILURE)
     try:
-        report = CHECKS[args.target](args.n, args.trials, seed=args.seed,
-                                     mode=args.mode)
+        report = run(args.target, args.n)
     except NotApplicable as exc:
         raise UsageError(str(exc))
     return report, EXIT_OK if passed(report) else EXIT_FAILURE

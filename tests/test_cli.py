@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drbracket import verify
+from drbracket import brackets, verify
 from drbracket.binforms import BinaryForm, dr_series
+from drbracket.brackets import AssignmentBudgetError
 from drbracket.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from drbracket.rationals import format_rational, parse_rational
 
@@ -235,12 +236,16 @@ def test_arbitrary_form_json_never_escapes(f_n, f_m):
 
 class TestVerify:
     @pytest.mark.parametrize("target", ["theorem1", "vanishing", "plucker",
-                                        "invariance"])
+                                        "invariance", "all"])
     def test_targets_pass(self, capsys, target):
         code, out, _ = run(capsys, "verify", target, "--n", "3",
                            "--trials", "5", "--format", "json")
         assert code == EXIT_OK
-        assert json.loads(out)["failures"] == []
+        payload = json.loads(out)
+        if target == "all":
+            assert payload["all_passed"] is True
+        else:
+            assert payload["failures"] == []
 
     def test_laurent_target(self, capsys):
         code, out, _ = run(capsys, "verify", "laurent", "--n", "4",
@@ -295,6 +300,69 @@ class TestVerify:
         assert code == EXIT_USAGE
 
 
+def verify_all(capsys, *argv):
+    code, out, err = run(capsys, "verify", "all", *argv, "--format", "json")
+    return code, (json.loads(out) if out else None), err
+
+
+class TestVerifyAll:
+    def test_table(self, capsys):
+        code, payload, _ = verify_all(capsys, "--n", "3", "--trials", "2")
+        assert code == EXIT_OK and payload["all_passed"] is True
+        assert payload["target"] == "all"
+        assert [row["n"] for row in payload["results"]] == [2, 3]
+        row2, row3 = (row["checks"] for row in payload["results"])
+        assert set(row2) == set(row3) == set(verify.CHECKS)
+        assert row2["laurent"] == row2["plucker"] == "n/a"
+        assert all(verify.passed(row2[name]) for name in verify.CHECKS
+                   if name not in ("laurent", "plucker"))
+        assert all(verify.passed(row3[name]) for name in verify.CHECKS)
+        # each cell is the check's own report, as the single target gives it
+        assert row3["plucker"] == verify.CHECKS["plucker"](3, 2)
+
+    @pytest.mark.parametrize("argv", [["--trials", "0"], ["--n", "1"]])
+    def test_bad_arguments_exit_2(self, capsys, argv):
+        code, payload, err = verify_all(capsys, *argv)
+        assert code == EXIT_USAGE and payload is None
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.CHECKS, "plucker",
+                            lambda n, trials, seed=0, mode="numeric":
+                            {"target": "plucker", "trials": trials,
+                             "failures": [{"trial": 0}]})
+        code, payload, _ = verify_all(capsys, "--n", "2", "--trials", "1")
+        assert code == EXIT_FAILURE and payload["all_passed"] is False
+        assert payload["results"][0]["checks"]["plucker"]["failures"] == [
+            {"trial": 0}]
+
+    def test_check_that_checked_nothing_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.CHECKS, "plucker",
+                            lambda n, trials, seed=0, mode="numeric":
+                            {"target": "plucker", "trials": 0, "failures": []})
+        code, payload, _ = verify_all(capsys, "--n", "2", "--trials", "1")
+        assert code == EXIT_FAILURE and payload["all_passed"] is False
+
+    def test_symbolic_mode(self, capsys):
+        code, payload, _ = verify_all(capsys, "--n", "3", "--mode", "symbolic")
+        assert code == EXIT_OK and payload["all_passed"] is True
+        for row in payload["results"]:
+            checks = row["checks"]
+            assert {name for name in checks if checks[name] == "n/a"} == {
+                "plucker", "invariance", "laurent"}
+            assert checks["theorem1"]["mode"] == "symbolic"
+
+    def test_exhausted_sampler_exits_2(self, capsys, monkeypatch):
+        def exhausted(n, seed):
+            raise AssignmentBudgetError(f"no generic assignment at n={n}")
+        monkeypatch.setattr(brackets, "random_generic_assignment", exhausted)
+        monkeypatch.setattr(verify, "random_generic_assignment", exhausted)
+        code, out, err = run(capsys, "verify", "all", "--n", "3",
+                             "--trials", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 class TestIndependence:
     def test_n3(self, capsys):
         code, out, _ = run(capsys, "independence", "--n", "3",
@@ -331,7 +399,8 @@ class TestDeterminism:
          ' "f_m": {"degree": 0, "coefficients": ["-2/3"]}}'],
         ["independence", "--n", "4", "--trials", "1"],
     ] + [["verify", target, "--n", "3", "--trials", "3", "--seed", "5"]
-         for target in verify.CHECKS], ids=lambda argv: " ".join(argv[:3]))
+         for target in (*verify.CHECKS, "all")],
+        ids=lambda argv: " ".join(argv[:3]))
     def test_every_command_is_byte_deterministic(self, capsys, argv, fmt):
         _, out1, _ = run(capsys, *argv, "--format", fmt)
         _, out2, _ = run(capsys, *argv, "--format", fmt)

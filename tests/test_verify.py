@@ -1,20 +1,8 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from drbracket import verify
 from drbracket.brackets import all_symbols
 from drbracket.verify import CHECKS, NotApplicable, passed
-
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "verify_identities.py"
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("verify_identities", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestRegistry:
@@ -31,7 +19,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", list(CHECKS))
     def test_unknown_mode_is_an_error(self, name):
-        # not NotApplicable, which the script shows as "n/a"
+        # not NotApplicable, which `verify all` shows as "n/a"
         with pytest.raises(ValueError, match="mode") as exc:
             CHECKS[name](3, 1, mode="bogus")
         assert type(exc.value) is ValueError
@@ -105,25 +93,3 @@ class TestRegistry:
         report = CHECKS["invariance"](3, 2)
         assert report["trials"] == 0 and report["skipped"] == 100
         assert not passed(report)
-
-
-class TestScript:
-    def test_table(self, capsys):
-        code = load_script().main(["--n-min", "2", "--n-max", "3",
-                                   "--trials", "2"])
-        lines = capsys.readouterr().out.splitlines()
-        header = lines[0].split()
-        assert header[1:-1] == list(CHECKS)
-        row2 = dict(zip(header, lines[1].split()))
-        row3 = dict(zip(header, lines[2].split()))
-        assert row2["laurent"] == row2["plucker"] == "n/a"
-        assert all(row2[name] == "ok" for name in CHECKS
-                   if name not in ("laurent", "plucker"))
-        assert all(row3[name] == "ok" for name in CHECKS)
-        assert code == 0 and lines[-1] == "all checks passed"
-
-    @pytest.mark.parametrize("argv", [["--trials", "0"], ["--n-min", "1"]])
-    def test_bad_arguments_exit_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            load_script().main(argv)
-        assert exc.value.code == 2
