@@ -326,22 +326,19 @@ class TestVerifyAll:
         assert code == EXIT_USAGE and payload is None
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    def test_failing_check_exits_1(self, capsys, monkeypatch):
+    # a witnessed failure, and a check that checked nothing
+    @pytest.mark.parametrize("trials,failures", [(1, [{"trial": 0}]),
+                                                 (0, [])])
+    def test_failing_check_exits_1(self, capsys, monkeypatch, trials,
+                                   failures):
         monkeypatch.setitem(verify.CHECKS, "plucker",
-                            lambda n, trials, seed=0, mode="numeric":
+                            lambda n, _, seed=0, mode="numeric":
                             {"target": "plucker", "trials": trials,
-                             "failures": [{"trial": 0}]})
+                             "failures": failures})
         code, payload, _ = verify_all(capsys, "--n", "2", "--trials", "1")
         assert code == EXIT_FAILURE and payload["all_passed"] is False
-        assert payload["results"][0]["checks"]["plucker"]["failures"] == [
-            {"trial": 0}]
-
-    def test_check_that_checked_nothing_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setitem(verify.CHECKS, "plucker",
-                            lambda n, trials, seed=0, mode="numeric":
-                            {"target": "plucker", "trials": 0, "failures": []})
-        code, payload, _ = verify_all(capsys, "--n", "2", "--trials", "1")
-        assert code == EXIT_FAILURE and payload["all_passed"] is False
+        assert payload["results"][0]["checks"]["plucker"]["failures"] == (
+            failures)
 
     def test_symbolic_mode(self, capsys):
         code, payload, _ = verify_all(capsys, "--n", "3", "--mode", "symbolic")
