@@ -6,9 +6,9 @@ and machine-checkable algebraic-independence certificates.
 __version__ = "0.1.0"
 
 from .binforms import (BinaryForm, DRSeries, NumericDegenerateError,
-                       bezout_matrix, det_fraction_free, discriminant,
-                       dr_series, signed_resultant, sl2_transform,
-                       sylvester_matrix)
+                       bezout_matrix, det_by_minors, det_fraction_free,
+                       discriminant, dr_series, signed_resultant,
+                       sl2_transform, sylvester_matrix)
 from .brackets import (AssignmentBudgetError, BracketMonomial,
                        BracketPolynomial, BracketSumUndefinedError, alpha,
                        beta, bracket_eval, canonicalize, dr_bracket_sum,

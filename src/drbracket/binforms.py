@@ -1,5 +1,5 @@
-"""Binary forms, Bezout and Sylvester matrices, fraction-free determinants
-and the discriminant-resultant series.
+"""Binary forms, Bezout and Sylvester matrices, exact determinants and
+the discriminant-resultant series.
 
 A degree-m form is f = sum_i a_i x^i y^(m-i).  The resultant is
 sign-normalized so that it agrees with the bracket product of the symbols
@@ -12,6 +12,11 @@ DR series, whose second form is linear in t, builds it twice and samples
 det(B0 + t*B1).  Rational forms are cleared to integer forms on the way
 in and the result unscaled by its grading, so every determinant, exact
 division and interpolation runs over the ints, MultiPoly or DualScalar.
+Each computation picks its determinant once, from its form coefficients:
+Bareiss elimination (det_fraction_free) over ints and dual numbers, and
+division-free expansion by minors (det_by_minors) over MultiPoly, whose
+sparse symbolic entries make elimination's products and exact divisions
+of large minors the dominant cost.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import multipoly
 from .multipoly import MultiPoly, align_all, exact_div, interpolate_in_t
 from .rationals import DualScalar, format_rational, parse_rational
 
@@ -169,15 +175,18 @@ def det_fraction_free(M):
     """Exact determinant by Bareiss elimination (Bareiss, Math. Comp. 1968).
 
     Works over the ints (every division is an exact integer division, so an
-    integer matrix never leaves the integers) and MultiPoly.  A Fraction
+    integer matrix never leaves the integers), dual numbers and MultiPoly.
+    The library calls it on ints and dual numbers; MultiPoly matrices go
+    through det_by_minors, and this stays the ring-generic reference that
+    kernel is tested against.  A Fraction
     entry raises TypeError at every order: from order 3 on the first exact
     division refuses it, and a check of the entries does so at orders 1 and
     2 and where a column of zeros ends the elimination before that
     division.  Dual numbers work when every pivot has a nonzero value part;
     otherwise NumericDegenerateError is raised.  An order-N matrix takes
     about N^3/3 updates, each two products and one exact division;
-    resultants and the DR series call it on Bezout matrices of order
-    max(d, e).
+    resultants and the DR series of numeric forms call it on Bezout
+    matrices of order max(d, e).
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -217,6 +226,65 @@ def det_fraction_free(M):
     return -det if sign < 0 else det
 
 
+def det_by_minors(M):
+    """Exact determinant of a matrix of MultiPoly and int entries by
+    expansion by minors, with no division (Gentleman & Johnson, ACM TOMS
+    1976).
+
+    Row k is expanded against every minor of rows 0..k-1, each kept once
+    per column set (a bitmask), so every product is one entry times one
+    minor and nothing is divided: N*2^(N-1) - N products for an order-N
+    matrix, none of them between two large polynomials.  With sparse
+    polynomial entries, as in a Bezout matrix over symbolic coefficients,
+    that beats elimination, whose every step multiplies two large minors
+    and divides by a third; Bareiss (det_fraction_free) stays the kernel
+    for ints and dual numbers.  The entries are lifted onto one namespace
+    first and the expansion runs on their term dicts with MultiPoly's own
+    _product and _sum.  An entry that is neither an int nor a MultiPoly (a
+    Fraction, a DualScalar) raises TypeError.  Returns a MultiPoly, or 1
+    for the empty matrix, as det_fraction_free does.
+    """
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return 1
+    flat = multipoly.align_all([x for row in M for x in row])
+    vs = next((x.variables for x in flat if x.__class__ is MultiPoly), ())
+    one = (0,) * len(vs)
+    terms = []
+    for x in flat:
+        if x.__class__ is MultiPoly:
+            terms.append(x.terms)
+        elif isinstance(x, int):
+            terms.append({one: int(x)} if x else {})
+        else:
+            raise TypeError(f"det_by_minors takes int and MultiPoly "
+                            f"entries, not {x!r}")
+    # minors[cols]: the determinant of rows 0..k-1 and the columns in cols
+    minors = {1 << j: entry for j, entry in enumerate(terms[:n]) if entry}
+    for k in range(1, n):
+        row = terms[k * n:(k + 1) * n]
+        nxt: dict = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                bit = 1 << j
+                if cols & bit or not entry:
+                    continue
+                # row k is the last row of the minor on cols | bit, and
+                # column j has (cols & (bit - 1)).bit_count() columns before it
+                negate = (k + (cols & (bit - 1)).bit_count()) % 2
+                key = cols | bit
+                prod = multipoly._product(entry, minor)
+                old = nxt.get(key)
+                if old is None and not negate:
+                    nxt[key] = prod  # the first term of this minor
+                else:
+                    nxt[key] = multipoly._sum(old or {}, prod.items(), negate)
+        minors = {cols: m for cols, m in nxt.items() if m}
+    return multipoly._make(vs, minors.get((1 << n) - 1, {}))
+
+
 def _refuse_fractions(M) -> None:
     if any(isinstance(x, Fraction) for row in M for x in row):
         raise TypeError("det_fraction_free takes no Fraction entries")
@@ -234,7 +302,9 @@ def signed_resultant(f: BinaryForm, g: BinaryForm):
     res(f, g) = (-1)^(d*e) * res(g, f) for d < e.  Degree-0 arguments are
     handled as empty products: res(f, c) = c^d and res(c, g) = c^e.
     Rational forms are cleared to lambda*f and mu*g first and the result
-    unscaled by res(lambda*f, mu*g) = lambda^e * mu^d * res(f, g).
+    unscaled by res(lambda*f, mu*g) = lambda^e * mu^d * res(f, g).  The
+    determinant is expanded by minors when a coefficient is a MultiPoly
+    and taken by Bareiss elimination otherwise.
     """
     d, e = f.degree, g.degree
     if f.is_zero() and g.is_zero():
@@ -251,7 +321,7 @@ def signed_resultant(f: BinaryForm, g: BinaryForm):
     if d < e:
         res = signed_resultant(g, f)
         return -res if (d * e) % 2 else res
-    det = det_fraction_free(bezout_matrix(f, g))
+    det = _det_kernel(f.coefficients + g.coefficients)(bezout_matrix(f, g))
     return -det if ((d + 1) * e) % 2 else det
 
 
@@ -301,7 +371,9 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     B1 = bezout_matrix(f_n, x*y*f_m), built once, the resultant at t is
     det(B0 + t*B1), of order n (its sign (-1)^((n+1)*n) is 1).  It is
     evaluated at t = 0..n, each sample is divided exactly by a_0*a_n, and
-    the samples are interpolated in t.  Each entry is an
+    the samples are interpolated in t.  The n + 1 determinants are expanded
+    by minors for MultiPoly coefficients and taken by Bareiss elimination
+    for ints and dual numbers.  Each entry is an
     integer polynomial in the coefficients, so integer forms stay in the
     integers throughout.  Forms with rational coefficients are first scaled
     to integer forms lambda*f_n and mu*f_m (lambda, mu the lcm of each
@@ -323,11 +395,12 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     if _has_fraction(coeffs):
         (f_n, lam), (f_m, mu) = _cleared(f_n), _cleared(f_m)
     else:
-        # one namespace for the whole series: no product, Bareiss division
-        # or interpolation step remaps its operands
+        # one namespace for the whole series: no product, division or
+        # interpolation step remaps its operands
         coeffs = align_all(coeffs)
         f_n = BinaryForm.from_coeffs(coeffs[:n + 1])
         f_m = BinaryForm.from_coeffs(coeffs[n + 1:])
+    det = _det_kernel(coeffs)
     a0, an = f_n.coefficients[0], f_n.coefficients[-1]
     denom = a0 * an
     if denom == 0:
@@ -340,13 +413,22 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     for t in range(n + 1):
         if t:  # B0 + t*B1, one addition per entry
             Bt = [[u + v for u, v in zip(r, r1)] for r, r1 in zip(Bt, B1)]
-        samples.append(exact_div(det_fraction_free(Bt), denom))
+        samples.append(exact_div(det(Bt), denom))
     entries = interpolate_in_t(samples)
     entries += [entries[0] * 0] * (n + 1 - len(entries))
     if lam != 1 or mu != 1:
         entries = [Fraction(e, lam ** (2 * n - 2 - r) * mu ** r)
                    for r, e in enumerate(entries)]
     return DRSeries(n, tuple(entries))
+
+
+def _det_kernel(coeffs):
+    """The determinant for matrices built from these form coefficients,
+    chosen once per computation: expansion by minors when a MultiPoly is
+    among them, Bareiss otherwise (ints and dual numbers)."""
+    if any(c.__class__ is MultiPoly for c in coeffs):
+        return det_by_minors
+    return det_fraction_free
 
 
 def _has_fraction(coeffs) -> bool:

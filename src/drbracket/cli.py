@@ -17,7 +17,8 @@ import time
 
 from . import __version__
 from .binforms import BinaryForm, NumericDegenerateError, dr_series
-from .brackets import AssignmentBudgetError
+from .brackets import (AssignmentBudgetError, derive_seed,
+                       random_generic_assignment)
 from .independence import run_independence_suite
 from .verify import CHECKS, NotApplicable, passed
 
@@ -140,6 +141,13 @@ def cmd_verify(args) -> tuple:
     def run(name, n):
         return CHECKS[name](n, args.trials, seed=args.seed, mode=args.mode)
     if args.target == "all":
+        if args.mode == "numeric":
+            # every numeric check draws its points from these seeds: an
+            # exhausted sampler, most likely at the largest n, stops the
+            # run before any check has run
+            for n in range(args.n, 1, -1):
+                for trial in range(args.trials):
+                    random_generic_assignment(n, derive_seed(args.seed, trial))
         # every check at n = 2..N, "n/a" where it does not apply
         results = []
         for n in range(2, args.n + 1):

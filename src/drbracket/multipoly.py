@@ -5,12 +5,12 @@ Arithmetic on two different namespaces remaps both operands onto their
 sorted union, so mixed namespaces always work; a long computation (a
 symbolic DR series, a coordinate expansion) lifts its inputs onto one
 namespace once with align_all, and its arithmetic then never remaps.
-Every coefficient is a plain int: each DR entry, Bareiss intermediate and
+Every coefficient is a plain int: each DR entry, determinant minor and
 bracket expansion lies in Z[...], and rational forms are cleared to
 integer forms once where binforms takes them in.  All values are
 immutable after construction.  The sum and product loops over term dicts,
 _sum and _product, are also the arithmetic of the Laurent layer's
-exponent-row ring.
+exponent-row ring and of binforms' expansion by minors.
 """
 
 from __future__ import annotations

@@ -34,9 +34,8 @@ def passed(report: dict) -> bool:
 
 def theorem1(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
     """Bracket-sum expression = resultant-based series (verify_theorem1)."""
-    report = verify_theorem1(n, trials=trials, seed=seed, mode=mode)
-    report["target"] = "theorem1"
-    return report
+    return {"target": "theorem1",
+            **verify_theorem1(n, trials=trials, seed=seed, mode=mode)}
 
 
 def vanishing(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -7,9 +8,10 @@ import pytest
 
 from drbracket import binforms
 from drbracket.binforms import (BinaryForm, NumericDegenerateError,
-                                bezout_matrix, det_fraction_free,
-                                discriminant, dr_series, signed_resultant,
-                                sl2_transform, sylvester_matrix)
+                                bezout_matrix, det_by_minors,
+                                det_fraction_free, discriminant, dr_series,
+                                signed_resultant, sl2_transform,
+                                sylvester_matrix)
 from drbracket.multipoly import MultiPoly
 from drbracket.rationals import DualScalar
 from test_reference import ref_det
@@ -36,6 +38,20 @@ def rand_form(rng, degree, require_ends=False):
 
 def bracket(p, q):
     return p[0] * q[1] - q[0] * p[1]
+
+
+def permutation_det(M):
+    """The determinant as the signed sum over all permutations."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term = term * M[i][perm[i]]
+        total = total + term
+    return total
 
 
 class TestSylvester:
@@ -98,21 +114,155 @@ class TestDeterminant:
             det_fraction_free(M)
 
     def test_matches_permutation_expansion(self):
-        import itertools
         rng = random.Random(3)
         M = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
-        ref = 0
-        for perm in itertools.permutations(range(4)):
-            sgn = 1
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if perm[i] > perm[j]:
-                        sgn = -sgn
-            term = sgn
-            for i in range(4):
-                term *= M[i][perm[i]]
-            ref += term
-        assert det_fraction_free(M) == ref
+        assert det_fraction_free(M) == permutation_det(M)
+
+
+def sparse_entry(rng, names):
+    """0, a small int, or a MultiPoly of at most three low-degree terms
+    over some of the names (so entries sit on different namespaces)."""
+    kind = rng.random()
+    if kind < 0.15:
+        return 0
+    if kind < 0.3:
+        return rng.choice([-3, -1, 1, 2, 4])
+    p = MultiPoly.zero()
+    for _ in range(rng.randint(1, 3)):
+        mono = MultiPoly.constant(rng.choice([-2, -1, 1, 3]))
+        for v in rng.sample(names, rng.randint(0, 2)):
+            mono = mono * MultiPoly.variable(v) ** rng.randint(1, 2)
+        p = p + mono
+    return p
+
+
+class TestDetByMinors:
+    """Expansion by minors against Bareiss (det_fraction_free, the
+    reference) and the permutation expansion."""
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_random_sparse_matrices(self, order):
+        rng = random.Random(100 + order)
+        names = ["a0", "a1", "b0", "s", "x"]
+        nonzero = 0
+        for _ in range(4 if order < 6 else 2):
+            M = [[sparse_entry(rng, names) for _ in range(order)]
+                 for _ in range(order)]
+            det = det_by_minors(M)
+            assert isinstance(det, MultiPoly)
+            assert det == det_fraction_free(M)
+            assert det == permutation_det(M)
+            nonzero += not det.is_zero
+        assert nonzero
+
+    def test_int_matrix(self):
+        rng = random.Random(7)
+        M = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(5)]
+        assert det_by_minors(M) == det_fraction_free(M) == permutation_det(M)
+
+    def test_empty_matrix_is_one(self):
+        assert det_by_minors([]) == det_fraction_free([]) == 1
+
+    def test_zero_row(self):
+        rng = random.Random(11)
+        for k in range(4):
+            M = [[sparse_entry(rng, ["a", "b"]) for _ in range(4)]
+                 for _ in range(4)]
+            M[k] = [0, MultiPoly.zero(), 0, MultiPoly.zero()]
+            assert det_by_minors(M).is_zero
+
+    def test_repeated_row(self):
+        a, b = MultiPoly.variable("a"), MultiPoly.variable("b")
+        assert det_by_minors([[a, a + 1], [a, a + 1]]).is_zero
+        rng = random.Random(13)
+        M = [[sparse_entry(rng, ["a", "b", "c"]) for _ in range(5)]
+             for _ in range(4)]
+        M.insert(2, list(M[0]))
+        assert det_by_minors(M).is_zero
+        M[2][3] = M[2][3] + b
+        assert det_by_minors(M) == det_fraction_free(M) != 0
+
+    def test_different_namespaces(self):
+        x, y, z = (MultiPoly.variable(v) for v in "xyz")
+        M = [[x, y, 2], [1, z, x * y], [y + z, 0, x - 1]]
+        det = det_by_minors(M)
+        assert det == permutation_det(M)
+        # by the rule of Sarrus
+        assert det == (x * z * (x - 1) + x * y ** 2 * (y + z)
+                       - 2 * z * (y + z) - y * (x - 1))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_fraction_entry_is_refused(self, order):
+        M = [[MultiPoly.variable("a") if i == j else 1 for j in range(order)]
+             for i in range(order)]
+        M[order - 1][0] = F(1, 2)
+        with pytest.raises(TypeError):
+            det_by_minors(M)
+
+    def test_dual_entry_is_refused(self):
+        with pytest.raises(TypeError):
+            det_by_minors([[MultiPoly.variable("a"), DualScalar(1, 1)],
+                           [1, 2]])
+
+    def test_not_square(self):
+        with pytest.raises(ValueError):
+            det_by_minors([[1, 2], [3]])
+
+
+class TestKernelChoice:
+    """Each series picks its determinant once: minors for MultiPoly forms,
+    Bareiss for ints, Fractions (cleared to ints) and dual numbers."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"bareiss": 0, "minors": 0}
+
+        def counting(name, fn):
+            def wrapper(M):
+                calls[name] += 1
+                return fn(M)
+            return wrapper
+        monkeypatch.setattr(binforms, "det_fraction_free",
+                            counting("bareiss", binforms.det_fraction_free))
+        monkeypatch.setattr(binforms, "det_by_minors",
+                            counting("minors", binforms.det_by_minors))
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_symbolic_series_never_runs_bareiss(self, monkeypatch, n):
+        calls = self._count(monkeypatch)
+        dr_series(BinaryForm.generic(n), BinaryForm.generic(n - 2, "b"),
+                  mode="symbolic")
+        assert calls == {"bareiss": 0, "minors": n + 1}
+
+    @pytest.mark.parametrize("kind", [lambda c: c, F])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_numeric_series_runs_bareiss_n_plus_1_times(self, monkeypatch,
+                                                        n, kind):
+        rng = random.Random(n)
+        f = BinaryForm.from_coeffs([kind(rng.randint(1, 9))
+                                    for _ in range(n + 1)])
+        g = BinaryForm.from_coeffs([kind(rng.randint(-9, 9))
+                                    for _ in range(n - 1)])
+        calls = self._count(monkeypatch)
+        dr_series(f, g, mode="numeric")
+        assert calls == {"bareiss": n + 1, "minors": 0}
+
+    def test_dual_series_runs_bareiss(self, monkeypatch):
+        f = BinaryForm.from_coeffs([DualScalar(c, int(i == 1))
+                                    for i, c in enumerate((2, 3, 5, 7))])
+        g = BinaryForm.from_coeffs((DualScalar(1), DualScalar(4)))
+        calls = self._count(monkeypatch)
+        dr_series(f, g)
+        assert calls == {"bareiss": 4, "minors": 0}
+
+    def test_resultant_picks_by_its_coefficients(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        signed_resultant(BinaryForm.generic(3), BinaryForm.generic(2, "b"))
+        assert calls == {"bareiss": 0, "minors": 1}
+        signed_resultant(BinaryForm.from_coeffs((1, 2, 3, 4)),
+                         BinaryForm.from_coeffs((5, 6, 7)))
+        assert calls == {"bareiss": 1, "minors": 1}
 
 
 class TestSignedResultant:
@@ -465,22 +615,45 @@ class TestDRSeries:
         assert BinaryForm.from_json(data) == f
 
 
+@pytest.fixture(scope="module")
+def generic_series():
+    """The generic symbolic series at n = 3..6, each built once per module
+    (n = 6 takes about 2 s)."""
+    return {n: dr_series(BinaryForm.generic(n), BinaryForm.generic(n - 2, "b"),
+                         mode="symbolic")
+            for n in range(3, 7)}
+
+
 class TestSymbolicSeriesBytes:
     # sha256 of json.dumps(series.to_json(), sort_keys=True) for the generic
-    # symbolic series, recorded before dr_series lifted the forms'
-    # coefficients onto one namespace
+    # symbolic series, n = 3..5 recorded before dr_series lifted the forms'
+    # coefficients onto one namespace, n = 6 from the Bareiss determinant
+    # before MultiPoly matrices were expanded by minors
     GENERIC_DIGESTS = {
         3: "3872a1ba75af9749ff14d074bc866647bb048e81a266acada7efeef7e21552bb",
         4: "8f32dd4eb892d7547d989416f9645d2e5923ebe421dbb7a5d059b6196e0b3003",
         5: "9c4cf7989ff1a184f92fbf807e0074457be03a9c4c7a70342c6c29a08a3e2023",
+        6: "7649f9b20b818cbf946372c47b01c75242441202b6115fe7808207819945e59f",
     }
 
     @pytest.mark.parametrize("n", sorted(GENERIC_DIGESTS))
-    def test_generic_series_is_pinned(self, n):
-        s = dr_series(BinaryForm.generic(n), BinaryForm.generic(n - 2, "b"),
-                      mode="symbolic")
-        text = json.dumps(s.to_json(), sort_keys=True)
+    def test_generic_series_is_pinned(self, n, generic_series):
+        text = json.dumps(generic_series[n].to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.GENERIC_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_generic_entries_match_numeric_series(self, n, generic_series):
+        # the symbolic entries (minors over MultiPoly) evaluated at seeded
+        # integer points equal the numeric series there (Bareiss over ints)
+        rng = random.Random(60 + n)
+        names = [f"a{i}" for i in range(n + 1)] + [f"b{i}" for i in range(n - 1)]
+        for _ in range(3):
+            point = {v: rng.choice([-1, 1]) * rng.randint(1, 9) for v in names}
+            values = [point[v] for v in names]
+            numeric = dr_series(BinaryForm.from_coeffs(values[:n + 1]),
+                                BinaryForm.from_coeffs(values[n + 1:]))
+            assert [e.evaluate(point) for e in generic_series[n].entries] == (
+                list(numeric.entries))
 
     def test_lifted_entries_render_as_unlifted(self, monkeypatch):
         # generic forms, and forms with some coefficients fixed to nonzero

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drbracket import brackets, verify
+from drbracket import brackets, cli, verify
 from drbracket.binforms import BinaryForm, dr_series
 from drbracket.brackets import AssignmentBudgetError
 from drbracket.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
@@ -358,6 +358,33 @@ class TestVerifyAll:
                              "--trials", "1")
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_sampler_exhausted_at_the_largest_n_runs_no_check(
+            self, capsys, monkeypatch):
+        # the seeds of n = 2..N-1 are fine and only n = N runs out, as at
+        # --n 18 --seed 1: the run stops before any check at any n
+        real = brackets.random_generic_assignment
+
+        def sampler(n, seed):
+            if n == 4:
+                raise AssignmentBudgetError(f"no generic assignment at n={n}")
+            return real(n, seed)
+        for module in (brackets, verify, cli):
+            monkeypatch.setattr(module, "random_generic_assignment", sampler)
+        ran = []
+
+        def recording(name, check):
+            def wrapper(n, *args, **kwargs):
+                ran.append((name, n))
+                return check(n, *args, **kwargs)
+            return wrapper
+        for name, check in list(verify.CHECKS.items()):
+            monkeypatch.setitem(verify.CHECKS, name, recording(name, check))
+        code, out, err = run(capsys, "verify", "all", "--n", "4",
+                             "--trials", "2")
+        assert code == EXIT_USAGE and out == "" and ran == []
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "n=4" in err
 
 
 class TestIndependence:

@@ -55,6 +55,17 @@ class TestRegistry:
         ran = "symbolic" if name == "vanishing" else mode
         assert report["n"] == 3 and report["mode"] == ran
 
+    @pytest.mark.parametrize("mode", ["numeric", "symbolic"])
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_reports_list_target_first(self, name, mode):
+        # text output walks the report in order, so every check's cell
+        # starts with its target
+        try:
+            report = CHECKS[name](3, 2, seed=1, mode=mode)
+        except NotApplicable:
+            return
+        assert next(iter(report)) == "target" and report["target"] == name
+
     def test_plucker_draws_symbols_of_n(self, monkeypatch):
         drawn = set()
 
