@@ -23,8 +23,8 @@ from .laurent import LaurentMonomial, degree_matrix_P, dr_rows
 from .rationals import DualScalar
 
 # Largest n at which run_independence_suite runs the Jacobian check, which
-# grows steeply with n (2n series per point, each a Bareiss determinant of
-# order n at n + 1 values of t).
+# grows steeply with n (one series per point, a Bareiss determinant of order
+# n at n + 1 values of t on integers of 2n*K bits, K from _gradient_radix_bits).
 JACOBIAN_N_MAX = 7
 # jacobian_rank draws each coefficient from [-JACOBIAN_BOUND, JACOBIAN_BOUND]
 JACOBIAN_BOUND = 20
@@ -140,29 +140,66 @@ def multiplicative_independence(monomials: Sequence[LaurentMonomial],
     return _certify([m.row(variables) for m in monomials])
 
 
+def _gradient_radix_bits(n: int, top: int) -> int:
+    """Bits K of the radix R = 2**K with which jacobian_matrix packs its 2n
+    directions, at a point whose coordinates are at most top >= 1 in
+    absolute value.
+
+    Every Bareiss entry of B_t = B0 + t*B1 (t = 0..n) is, up to sign, a
+    minor of B_t of order k <= n, and each DR_{n,r} is the coefficient of
+    T^r in det(B0 + T*B1) / (a_0*a_n): integer polynomials in the 2n
+    coefficients.  A B0 entry sums at most n terms (q - p)*a_p*a_q and a
+    B1 entry at most n terms a_p*G_q - a_q*G_p, G = (0, b_0..b_{n-2}, 0),
+    so an entry of B_t has l1 norm <= n^2 + t*2n <= 4n^2 and a row <=
+    4n^3, as does a row of B0 + T*B1.  A minor then has l1 norm
+    <= (4n^3)^n and degree <= 2n, and dividing by the monomial a_0*a_n
+    keeps the l1 norm, so each partial of either kind is at most
+    2n * (4n^3)^n * top^(2n-1) in absolute value at the point.  The factor
+    2^n also covers the forward differences of the interpolation, and the
+    two extra bits put every such partial strictly inside (-R/2, R/2).
+    """
+    return (2 * n * 2 ** n * (4 * n ** 3) ** n
+            * top ** (2 * n - 1)).bit_length() + 2
+
+
 def jacobian_matrix(a: Sequence[int], b: Sequence[int]) -> list:
     """Jacobian of {DR_{n,r} : r = 0, 2, ..., n} at the integer point with
     coefficients a = a_0..a_n of f_n and b = b_0..b_{n-2} of f_m.
 
     Row i holds the partial derivatives of DR_{n, dr_rows(n)[i]}; column c
     is the direction a_c for c <= n and b_{c-n-1} after, 2n columns in all.
-    Each column runs integer dual numbers, seeded 1 in that one direction,
-    through one numeric series; every entry and every intermediate is an
-    integer polynomial in the coefficients, so all divisions are exact.
+    All 2n directions share one numeric series of integer dual numbers
+    (vector forward mode, Griewank & Walther 2008, the vector held as one
+    integer by Kronecker substitution): coefficient c gets the derivative
+    R**c, R = 2**_gradient_radix_bits(n, top).  Each dual operation is
+    Z-linear in the derivative, so a packed derivative is the sum of R**c
+    times its partial along c, and every division stays exact.  With every
+    such partial inside (-R/2, R/2), a zero test on a packed derivative
+    agrees with the 2n scalar ones and an entry's balanced base-R digits
+    are its partials; one left over after 2n digits raises ArithmeticError.
     Raises NumericDegenerateError where elimination finds no pivot with a
     nonzero value.
     """
     n = len(a) - 1
-    rows = dr_rows(n)
-    cols = []
-    for direction in range(2 * n):
-        ac = [DualScalar(x, int(direction == i)) for i, x in enumerate(a)]
-        bc = [DualScalar(x, int(direction == n + 1 + i))
-              for i, x in enumerate(b)]
-        series = dr_series(BinaryForm.from_coeffs(ac),
-                           BinaryForm.from_coeffs(bc), mode="numeric")
-        cols.append([series.entries[r].derivative for r in rows])
-    return [[col[i] for col in cols] for i in range(len(rows))]
+    coords = list(a) + list(b)
+    bits = _gradient_radix_bits(n, max(1, *map(abs, coords)))
+    seeded = [DualScalar(x, 1 << (bits * c)) for c, x in enumerate(coords)]
+    series = dr_series(BinaryForm.from_coeffs(seeded[:n + 1]),
+                       BinaryForm.from_coeffs(seeded[n + 1:]), mode="numeric")
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    jac = []
+    for r in dr_rows(n):
+        packed = series.entries[r].derivative
+        row = []
+        for _ in range(2 * n):
+            digit = ((packed + half) & mask) - half
+            row.append(digit)
+            packed = (packed - digit) >> bits
+        if packed:
+            raise ArithmeticError(f"DR_{n},{r}: packed partials overflow "
+                                  f"the radix 2**{bits}")
+        jac.append(row)
+    return jac
 
 
 def jacobian_rank(n: int, points: int = 10, seed: int = 0) -> dict:

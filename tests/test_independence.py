@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drbracket import binforms, independence
-from drbracket.binforms import BinaryForm, dr_series
+from drbracket.binforms import BinaryForm, NumericDegenerateError, dr_series
+from drbracket.brackets import derive_seed
 from drbracket.independence import (IndependenceCertificate, _eliminate,
                                     integer_matrix_rank, jacobian_matrix,
                                     jacobian_rank,
@@ -17,13 +18,41 @@ from drbracket.independence import (IndependenceCertificate, _eliminate,
                                     run_independence_suite)
 from drbracket.laurent import (LaurentMonomial, PolygonModel, degree_matrix_P,
                                dr_rows, lm_dr_closed_form)
-from drbracket.multipoly import NotDivisibleError
+from drbracket.multipoly import MultiPoly, NotDivisibleError
 from drbracket.rationals import DualScalar
 
 
 def mono(**kw):
     return LaurentMonomial.from_dict(
         {(name[0], int(name[1:])): e for name, e in kw.items()})
+
+
+def reference_jacobian_matrix(a, b):
+    """The Jacobian one direction at a time: 2n dual-number series, each
+    seeded with derivative 1 along one coefficient; the reference that
+    the packed single series must equal."""
+    n = len(a) - 1
+    cols = []
+    for direction in range(2 * n):
+        ac = [DualScalar(x, int(direction == i)) for i, x in enumerate(a)]
+        bc = [DualScalar(x, int(direction == n + 1 + i))
+              for i, x in enumerate(b)]
+        series = dr_series(BinaryForm.from_coeffs(ac),
+                           BinaryForm.from_coeffs(bc), mode="numeric")
+        cols.append([series.entries[r].derivative for r in dr_rows(n)])
+    return [[col[i] for col in cols] for i in range(len(dr_rows(n)))]
+
+
+def jacobian_outcome(jacobian, a, b):
+    try:
+        return jacobian(a, b)
+    except NumericDegenerateError:
+        return "degenerate"
+
+
+def l1(p):
+    """l1 norm of an integer polynomial's coefficients."""
+    return sum(map(abs, p.terms.values())) if isinstance(p, MultiPoly) else abs(p)
 
 
 def sha256_json(obj):
@@ -255,7 +284,7 @@ class TestJacobian:
                 assert row == [entries[r].derivative(v).evaluate(point)
                                for v in names]
 
-    def test_two_n_series_per_point(self, monkeypatch):
+    def test_one_series_per_point(self, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
@@ -266,7 +295,60 @@ class TestJacobian:
             calls.clear()
             rep = jacobian_rank(n, points=3, seed=1)
             assert rep["points"] == 3
-            assert len(calls) == 2 * n * 3
+            assert len(calls) == 3
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_reference_at_seeded_points(self, n):
+        rng = random.Random(derive_seed(7, f"reference:{n}"))
+        bound = independence.JACOBIAN_BOUND
+        for _ in range(2):
+            a = [rng.randint(-bound, bound) for _ in range(n + 1)]
+            b = [rng.randint(-bound, bound) for _ in range(n - 1)]
+            a[0], a[n] = a[0] or 1, a[n] or -1
+            assert (jacobian_outcome(jacobian_matrix, a, b)
+                    == jacobian_outcome(reference_jacobian_matrix, a, b))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_reference_at_corner_points(self, n):
+        # every coordinate is +-JACOBIAN_BOUND, where the partials are largest
+        rng = random.Random(n)
+        bound = independence.JACOBIAN_BOUND
+        outcomes = []
+        for _ in range(4):
+            a = [rng.choice((-bound, bound)) for _ in range(n + 1)]
+            b = [rng.choice((-bound, bound)) for _ in range(n - 1)]
+            outcomes.append(jacobian_outcome(jacobian_matrix, a, b))
+            assert outcomes[-1] == jacobian_outcome(reference_jacobian_matrix,
+                                                    a, b)
+        assert outcomes.count("degenerate") < len(outcomes)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_radix_bound_constants(self, n):
+        # _gradient_radix_bits assumes every entry of B_t = B0 + t*B1
+        # (t = 0..n) has l1 norm <= 4n^2 and every row <= 4n^3, also for
+        # B0 + T*B1 with T formal (the l1 of B0 plus that of B1)
+        f, g = BinaryForm.generic(n, "a"), BinaryForm.generic(n - 2, "b")
+        xy_g = BinaryForm.from_coeffs((0,) + g.coefficients + (0,))
+        B0 = binforms.bezout_matrix(f, f.x_dx())
+        B1 = binforms.bezout_matrix(f, xy_g)
+        formal = [[l1(u) + l1(v) for u, v in zip(r0, r1)]
+                  for r0, r1 in zip(B0, B1)]
+        for t in range(n + 1):
+            norms = [[l1(u + t * v) for u, v in zip(r0, r1)]
+                     for r0, r1 in zip(B0, B1)]
+            assert max(map(max, norms)) <= 4 * n ** 2
+            assert max(map(sum, norms)) <= 4 * n ** 3
+        assert max(map(sum, formal)) <= 4 * n ** 3
+
+    @pytest.mark.parametrize("bits", [1, 8, 16])
+    def test_too_small_radix_raises(self, monkeypatch, bits):
+        # a radix below the proved bound must never give a matrix
+        monkeypatch.setattr(independence, "_gradient_radix_bits",
+                            lambda n, top: bits)
+        for n in (3, 5):
+            with pytest.raises(ArithmeticError):
+                jacobian_matrix([20, -20, 20, -20, 20, -20][:n + 1],
+                                [20, 20, 20, 20][:n - 1])
 
     @pytest.mark.parametrize("divisor, error", [
         (DualScalar(2), NotDivisibleError), (0, ZeroDivisionError)])
