@@ -4,7 +4,9 @@ Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
 denominator), met only where binforms takes rational forms in (and
 clears them to integer forms) and gives its unscaled results out.
 ``DualScalar`` adjoins a square-zero nilpotent to the integers for exact
-directional derivatives of integer polynomials.
+directional derivatives of integer polynomials.  Its arithmetic is Z-linear
+in the derivative, so the Jacobian check packs its 2n directions into one
+integer derivative, one base-2**K digit each, and runs one series per point.
 """
 
 from __future__ import annotations

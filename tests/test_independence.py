@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -297,30 +298,36 @@ class TestJacobian:
             assert rep["points"] == 3
             assert len(calls) == 3
 
+    @pytest.mark.parametrize("kind", ["seeded", "corner"])
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_matches_reference_at_seeded_points(self, n):
-        rng = random.Random(derive_seed(7, f"reference:{n}"))
+    def test_matches_reference(self, n, kind):
+        # corner points have every coordinate +-JACOBIAN_BOUND, where the
+        # partials are largest
         bound = independence.JACOBIAN_BOUND
-        for _ in range(2):
-            a = [rng.randint(-bound, bound) for _ in range(n + 1)]
-            b = [rng.randint(-bound, bound) for _ in range(n - 1)]
-            a[0], a[n] = a[0] or 1, a[n] or -1
-            assert (jacobian_outcome(jacobian_matrix, a, b)
-                    == jacobian_outcome(reference_jacobian_matrix, a, b))
-
-    @pytest.mark.parametrize("n", range(2, 8))
-    def test_matches_reference_at_corner_points(self, n):
-        # every coordinate is +-JACOBIAN_BOUND, where the partials are largest
-        rng = random.Random(n)
-        bound = independence.JACOBIAN_BOUND
+        rng = random.Random(derive_seed(7, f"reference:{kind}:{n}"))
+        values = ((-bound, bound) if kind == "corner"
+                  else range(-bound, bound + 1))
         outcomes = []
         for _ in range(4):
-            a = [rng.choice((-bound, bound)) for _ in range(n + 1)]
-            b = [rng.choice((-bound, bound)) for _ in range(n - 1)]
+            a = [rng.choice(values) for _ in range(n + 1)]
+            b = [rng.choice(values) for _ in range(n - 1)]
+            a[0], a[n] = a[0] or 1, a[n] or -1  # as jacobian_rank requires
             outcomes.append(jacobian_outcome(jacobian_matrix, a, b))
             assert outcomes[-1] == jacobian_outcome(reference_jacobian_matrix,
                                                     a, b)
         assert outcomes.count("degenerate") < len(outcomes)
+
+    def test_every_corner_at_n3_matches_reference(self):
+        # 8 of the 64 sign patterns leave a column with no nonzero value, so
+        # the zero test on its packed derivatives decides the outcome
+        bound = independence.JACOBIAN_BOUND
+        outcomes = []
+        for signs in itertools.product((-bound, bound), repeat=6):
+            a, b = list(signs[:4]), list(signs[4:])
+            outcomes.append(jacobian_outcome(jacobian_matrix, a, b))
+            assert outcomes[-1] == jacobian_outcome(reference_jacobian_matrix,
+                                                    a, b)
+        assert outcomes.count("degenerate") == 8
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_radix_bound_constants(self, n):
