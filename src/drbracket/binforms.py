@@ -403,7 +403,7 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     det = _det_kernel(coeffs)
     a0, an = f_n.coefficients[0], f_n.coefficients[-1]
     denom = a0 * an
-    if denom == 0:
+    if not _is_unit_pivot(denom):  # a dual's derivative may be nonzero
         raise NumericDegenerateError("a_0 * a_n = 0")
     # x*y*f_m has the coefficients 0, b_0, ..., b_{n-2}, 0
     xy_fm = BinaryForm.from_coeffs((0,) + f_m.coefficients + (0,))

@@ -52,6 +52,14 @@ def coordinate_vars(s: Symbol) -> Tuple[str, str]:
     return (f"{s[0]}{s[1]}_0", f"{s[0]}{s[1]}_1")
 
 
+def coordinate_point(symbols: Sequence[Symbol]) -> Dict[Symbol, tuple]:
+    """Each symbol's two coordinate variables, lifted onto one namespace:
+    the point where a bracket polynomial's value is its expansion."""
+    coords = align_all([MultiPoly.variable(x)
+                        for s in symbols for x in coordinate_vars(s)])
+    return dict(zip(symbols, zip(coords[0::2], coords[1::2])))
+
+
 def bracket_eval(s: Symbol, t: Symbol, assignment: Assignment):
     """[s, t] = u_s*v_t - u_t*v_s."""
     us, vs = assignment[s]
@@ -134,16 +142,12 @@ class BracketPolynomial:
             lambda pair: bracket_eval(pair[0], pair[1], assignment))
 
     def expand_to_coordinates(self) -> MultiPoly:
-        """Expansion as a polynomial in the symbols' coordinate variables,
-        which are lifted onto one namespace first."""
+        """Expansion as a polynomial in the coordinate variables of the
+        symbols in it: the value at their coordinate_point, as a MultiPoly
+        even when it is a constant."""
         symbols = sorted({s for factors in self.terms
                           for pair in factors for s in pair})
-        zero, one, *coords = align_all(
-            [MultiPoly.zero(), MultiPoly.constant(1)]
-            + [MultiPoly.variable(x) for s in symbols for x in coordinate_vars(s)])
-        coordinates = dict(zip(symbols, zip(coords[0::2], coords[1::2])))
-        return self.substitute(
-            lambda pair: bracket_eval(pair[0], pair[1], coordinates), zero, one)
+        return MultiPoly.zero() + self.evaluate(coordinate_point(symbols))
 
     def to_json(self) -> list:
         recs = []
@@ -307,6 +311,14 @@ def random_generic_assignment(n: int, seed: int) -> Dict[Symbol, tuple]:
         f"smaller n")
 
 
+def generic_points(n: int, trials: int, seed: int) -> List[Dict[Symbol, tuple]]:
+    """Trial t's point is random_generic_assignment(n, derive_seed(seed, t)).
+    All are drawn before the caller's work, so an exhausted sampler stops
+    a run first."""
+    return [random_generic_assignment(n, derive_seed(seed, trial))
+            for trial in range(trials)]
+
+
 def check_mode_and_trials(mode: str, trials: int) -> None:
     """Reject a mode other than numeric or symbolic and a negative number
     of trials, so that no report echoes a run that did not happen."""
@@ -320,52 +332,37 @@ def verify_theorem1(n: int, trials: int = 100, seed: int = 0,
                     mode: str = "numeric") -> dict:
     """Check the bracket-sum expression against the resultant-based series.
 
-    Numeric mode compares values at random generic assignments; symbolic
-    mode compares full expansions over the 4n-4 coordinate variables.
-    Failures are reported (with witnesses), never raised; an unknown mode
-    or a negative number of trials raises ValueError, and an exhausted
-    sampling budget raises AssignmentBudgetError before any sum is built.
+    Both are compared at each point: the random generic assignments of
+    generic_points in numeric mode, the one coordinate_point of the 4n-4
+    coordinate variables (full expansions) in symbolic mode.  Failures are
+    reported (with witnesses), never raised; an unknown mode or a negative
+    number of trials raises ValueError, and an exhausted sampling budget
+    raises AssignmentBudgetError before any sum is built.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     check_mode_and_trials(mode, trials)
-    report = {"n": n, "mode": mode, "trials": trials if mode == "numeric" else 1,
-              "seed": seed, "failures": []}
-    if mode == "numeric":
-        # the sampler can exhaust its budget: let it do so before the sums
-        # are built, which at large n takes far longer
-        assignments = [random_generic_assignment(n, derive_seed(seed, trial))
-                       for trial in range(trials)]
+    # draw before building the sums, which at large n take far longer
+    points = ([coordinate_point(all_symbols(n))] if mode == "symbolic"
+              else generic_points(n, trials, seed))
+    report = {"n": n, "mode": mode, "trials": len(points), "seed": seed,
+              "failures": []}
     sums = {r: dr_bracket_sum(n, r)
             for r in range(n + 1) if (n, r) != (2, 2)}
-    if mode == "symbolic":
-        coordinates = {s: tuple(MultiPoly.variable(x) for x in coordinate_vars(s))
-                       for s in all_symbols(n)}
-        f_n, f_m = forms_from_assignment(coordinates, n)
-        series = dr_series(f_n, f_m, mode="symbolic")
-        for r in range(n + 1):
-            if (n, r) == (2, 2):
-                expected = f_m.coefficients[0] ** 2
-            else:
-                expected = sums[r].expand_to_coordinates()
-            if series.entries[r] != expected:
-                report["failures"].append({"r": r, "witness": "symbolic expansion"})
-        return report
-    for trial, assignment in enumerate(assignments):
-        f_n, f_m = forms_from_assignment(assignment, n)
-        series = dr_series(f_n, f_m, mode="numeric")
-        for r in range(n + 1):
-            if (n, r) == (2, 2):
-                expected = f_m.coefficients[0] ** 2
-            else:
-                expected = sums[r].evaluate(assignment)
-            if series.entries[r] != expected:
-                report["failures"].append({
-                    "trial": trial, "r": r,
-                    "assignment": assignment_to_json(assignment),
-                    "series": format_rational(series.entries[r]),
-                    "bracket_sum": format_rational(expected),
-                })
+    for trial, point in enumerate(points):
+        f_n, f_m = forms_from_assignment(point, n)
+        series = dr_series(f_n, f_m, mode=mode)
+        for r, value in enumerate(series.entries):
+            expected = (f_m.coefficients[0] ** 2 if (n, r) == (2, 2)
+                        else sums[r].evaluate(point))
+            if value != expected:
+                report["failures"].append(
+                    {"r": r, "witness": "symbolic expansion"}
+                    if mode == "symbolic" else
+                    {"trial": trial, "r": r,
+                     "assignment": assignment_to_json(point),
+                     "series": format_rational(value),
+                     "bracket_sum": format_rational(expected)})
     return report
 
 

@@ -17,8 +17,7 @@ import time
 
 from . import __version__
 from .binforms import BinaryForm, NumericDegenerateError, dr_series
-from .brackets import (AssignmentBudgetError, derive_seed,
-                       random_generic_assignment)
+from .brackets import AssignmentBudgetError, generic_points
 from .independence import run_independence_suite
 from .verify import CHECKS, NotApplicable, passed
 
@@ -146,8 +145,7 @@ def cmd_verify(args) -> tuple:
             # exhausted sampler, most likely at the largest n, stops the
             # run before any check has run
             for n in range(args.n, 1, -1):
-                for trial in range(args.trials):
-                    random_generic_assignment(n, derive_seed(args.seed, trial))
+                generic_points(n, args.trials, args.seed)
         # every check at n = 2..N, "n/a" where it does not apply
         results = []
         for n in range(2, args.n + 1):

@@ -4,11 +4,12 @@ Every check has the signature ``check(n, trials, seed=0, mode="numeric")``
 and returns a JSON-ready report that echoes ``n`` and ``mode``, whose
 ``trials`` is the number of checks actually made and whose ``failures``
 lists the witnesses of each failed one.  A check that discards degenerate
-samples also reports them as ``skipped``.  A report counts as a pass only
-under ``passed``: at least one check made and no failure.  Checks that
-do not apply at the given n or mode raise ``NotApplicable``; a mode other
-than ``numeric`` or ``symbolic`` and a negative ``trials`` raise a plain
-``ValueError`` in every check.
+samples also reports them as ``skipped``.  A numeric check draws each point
+once (``generic_points``); symbolic mode is the one ``coordinate_point``.
+A report counts as a pass only under ``passed``: at least one check made
+and no failure.  Checks that do not apply at the given n or mode raise
+``NotApplicable``; a mode other than ``numeric`` or ``symbolic`` and a
+negative ``trials`` raise a plain ``ValueError`` in every check.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from random import Random
 
 from .binforms import dr_series, sl2_transform
 from .brackets import (all_symbols, bracket_eval, check_mode_and_trials,
-                       derive_seed, dr_bracket_sum, forms_from_assignment,
-                       plucker_relation, random_generic_assignment,
-                       symbol_name, verify_theorem1)
+                       coordinate_point, derive_seed, dr_bracket_sum,
+                       forms_from_assignment, generic_points,
+                       plucker_relation, symbol_name, verify_theorem1)
 from .laurent import PolygonModel, laurent_expand_bracket, var_name
 
 
@@ -39,21 +40,20 @@ def theorem1(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
 
 
 def vanishing(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
-    """DR_{n,1} = 0: one full symbolic expansion in symbolic mode or for
-    n <= 4, otherwise evaluation at `trials` random generic points."""
+    """DR_{n,1} = 0: at the coordinate point in symbolic mode or for n <= 4,
+    otherwise at `trials` random generic points."""
     check_mode_and_trials(mode, trials)
+    if mode == "symbolic" or n <= 4:
+        mode, points = "symbolic", [coordinate_point(all_symbols(n))]
+    else:
+        points = generic_points(n, trials, seed)
     poly = dr_bracket_sum(n, 1)
     failures = []
-    if mode == "symbolic" or n <= 4:
-        mode, trials = "symbolic", 1
-        if not poly.expand_to_coordinates().is_zero:
-            failures.append({"kind": "symbolic", "n": n})
-    else:
-        for trial in range(trials):
-            assignment = random_generic_assignment(n, derive_seed(seed, trial))
-            if poly.evaluate(assignment) != 0:
-                failures.append({"trial": trial})
-    return {"target": "vanishing", "n": n, "mode": mode, "trials": trials,
+    for trial, point in enumerate(points):
+        if poly.evaluate(point) != 0:
+            failures.append({"kind": "symbolic", "n": n} if mode == "symbolic"
+                            else {"trial": trial})
+    return {"target": "vanishing", "n": n, "mode": mode, "trials": len(points),
             "failures": failures}
 
 
@@ -79,18 +79,18 @@ def plucker(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
 def invariance(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
     """DR(g.f_n, g.f_{n-2}) = DR(f_n, f_{n-2}) for g = (1 + bc, b, c, 1).
 
-    A draw whose transformed f_n has a_0 * a_n = 0 is skipped and redrawn,
-    at most 50 * trials draws in all, as jacobian_rank does.
+    A g whose transformed f_n has a_0 * a_n = 0 is skipped and only g is
+    redrawn, at most 50 * trials draws in all, as jacobian_rank does.
     """
     check_mode_and_trials(mode, trials)
     if mode != "numeric":
         raise NotApplicable("invariance is checked in numeric mode only")
+    points = generic_points(n, trials, seed)
     rng = Random(derive_seed(seed, "invariance"))
     failures = []
     checked = skipped = 0
     while checked < trials and checked + skipped < 50 * trials:
-        assignment = random_generic_assignment(n, derive_seed(seed, checked))
-        f_n, f_m = forms_from_assignment(assignment, n)
+        f_n, f_m = forms_from_assignment(points[checked], n)
         b, c = rng.randint(-3, 3), rng.randint(-3, 3)
         g = (1 + b * c, b, c, 1)
         moved = sl2_transform(f_n, g)
@@ -111,6 +111,7 @@ def laurent(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
     check_mode_and_trials(mode, trials)
     if mode != "numeric" or n < 3:
         raise NotApplicable("laurent is checked in numeric mode, for n >= 3")
+    points = generic_points(n, trials, seed)
     model = PolygonModel(n)
     defs = model.defining_brackets()
     inv = set(model.invertible_vars())
@@ -124,8 +125,7 @@ def laurent(n: int, trials: int, seed: int = 0, mode: str = "numeric") -> dict:
                     failures.append({"kind": "denominator",
                                      "bracket": [symbol_name(x), symbol_name(y)],
                                      "variable": var_name(v)})
-    for trial in range(trials):
-        assignment = random_generic_assignment(n, derive_seed(seed, trial))
+    for trial, assignment in enumerate(points):
         values = {v: bracket_eval(s, t, assignment)
                   for v, (s, t) in defs.items()}
         for (x, y), lp in expansions.items():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drbracket import brackets, cli, verify
+from drbracket import brackets, verify
 from drbracket.binforms import BinaryForm, dr_series
 from drbracket.brackets import AssignmentBudgetError
 from drbracket.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
@@ -353,7 +354,6 @@ class TestVerifyAll:
         def exhausted(n, seed):
             raise AssignmentBudgetError(f"no generic assignment at n={n}")
         monkeypatch.setattr(brackets, "random_generic_assignment", exhausted)
-        monkeypatch.setattr(verify, "random_generic_assignment", exhausted)
         code, out, err = run(capsys, "verify", "all", "--n", "3",
                              "--trials", "1")
         assert code == EXIT_USAGE and out == ""
@@ -369,8 +369,7 @@ class TestVerifyAll:
             if n == 4:
                 raise AssignmentBudgetError(f"no generic assignment at n={n}")
             return real(n, seed)
-        for module in (brackets, verify, cli):
-            monkeypatch.setattr(module, "random_generic_assignment", sampler)
+        monkeypatch.setattr(brackets, "random_generic_assignment", sampler)
         ran = []
 
         def recording(name, check):
@@ -429,6 +428,21 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *argv, "--format", fmt)
         _, out2, _ = run(capsys, *argv, "--format", fmt)
         assert out1 == out2
+
+    # sha256 of stdout, the same under python -O and any PYTHONHASHSEED:
+    # checks rewritten over lists of points must keep these bytes
+    @pytest.mark.parametrize("argv, digest", [
+        ("verify all --n 6 --trials 10 --format json",
+         "f8240c34d40c2e4e9721b8f234541f227067da3522fc90604d2a01e345a9ee94"),
+        ("verify all --n 4 --mode symbolic --trials 3 --format json",
+         "1ccb829379dff090797e90e483a4a0d70ebbf71bc91653ff468955674f30f38d"),
+        ("verify invariance --n 6 --trials 40 --seed 5 --format json",
+         "3a64a2e0e8082e63410aeef53f8380bf39872d0d24e92124fb5f35d9d114d44d"),
+    ])
+    def test_verify_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_budget_overrun_warns_on_stderr(self, capsys):
         argv = ["dr-series", "--n", "3", "--budget", "0", "--format", "json"]

@@ -347,6 +347,16 @@ class TestJacobian:
             assert max(map(sum, norms)) <= 4 * n ** 3
         assert max(map(sum, formal)) <= 4 * n ** 3
 
+    @pytest.mark.parametrize("end", [0, -1])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_zero_end_coefficient_is_degenerate(self, n, end):
+        # dr_series tests a_0 * a_n by its value part: the packed derivative
+        # of a zero a_0 * a_n is not 0
+        a, b = [4, 3, -2, 5, -1, 6][:n + 1], [7, 1, -3, 2][:n - 1]
+        a[end] = 0
+        with pytest.raises(NumericDegenerateError, match=r"a_0 \* a_n = 0"):
+            jacobian_matrix(a, b)
+
     @pytest.mark.parametrize("bits", [1, 8, 16])
     def test_too_small_radix_raises(self, monkeypatch, bits):
         # a radix below the proved bound must never give a matrix; the point

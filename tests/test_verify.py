@@ -1,7 +1,7 @@
 import pytest
 
-from drbracket import verify
-from drbracket.brackets import all_symbols
+from drbracket import brackets, verify
+from drbracket.brackets import all_symbols, alpha
 from drbracket.verify import CHECKS, NotApplicable, passed
 
 
@@ -104,3 +104,32 @@ class TestRegistry:
         report = CHECKS["invariance"](3, 2)
         assert report["trials"] == 0 and report["skipped"] == 100
         assert not passed(report)
+
+    @pytest.mark.parametrize("name, n", [("theorem1", 3), ("vanishing", 5),
+                                         ("invariance", 4), ("laurent", 4)])
+    def test_numeric_checks_draw_each_point_once(self, monkeypatch, name, n):
+        seeds = []
+        real = brackets.random_generic_assignment
+
+        def counting(n, seed):
+            seeds.append(seed)
+            return real(n, seed)
+        monkeypatch.setattr(brackets, "random_generic_assignment", counting)
+        report = CHECKS[name](n, 20, seed=1)
+        assert passed(report) and report["trials"] == 20
+        assert len(seeds) == len(set(seeds)) == 20
+        if name == "invariance":  # skipped g's redraw no point
+            assert report["skipped"] > 0
+
+    @pytest.mark.parametrize("n, failures", [
+        (4, [{"kind": "symbolic", "n": 4}]),
+        (5, [{"trial": 0}, {"trial": 1}, {"trial": 2}])])
+    def test_vanishing_witnesses(self, monkeypatch, n, failures):
+        # an r = 1 sum plus [a1, a2] vanishes at no point, symbolic or not
+        def corrupted(n, r):
+            poly = brackets.dr_bracket_sum(n, r)
+            poly.add_term([(alpha(1), alpha(2))])
+            return poly
+        monkeypatch.setattr(verify, "dr_bracket_sum", corrupted)
+        report = CHECKS["vanishing"](n, 3)
+        assert report["failures"] == failures and not passed(report)
