@@ -11,9 +11,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Sequence, Tuple)
 
 from .binforms import BinaryForm, _expand, dr_series
 from .multipoly import MultiPoly, align_all
@@ -96,37 +98,78 @@ def canonicalize(factors: Iterable[Tuple[Symbol, Symbol]]) -> BracketMonomial:
 class BracketPolynomial:
     """Integer (or rational) combination of canonical bracket monomials."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_terms", "_memo")
 
     def __init__(self, n: int, terms: Dict[tuple, object] = None):
         self.n = n
-        self.terms = dict(terms or {})
+        self._terms = dict(terms or {})
+        self._memo = None
+
+    @classmethod
+    def _sharing(cls, n: int, memo: "_BracketSumMemo") -> "BracketPolynomial":
+        """The sum held by ``memo``, sharing its terms and rows until the
+        first read of ``terms``."""
+        p = cls.__new__(cls)
+        p.n, p._terms, p._memo = n, memo.terms, memo
+        return p
+
+    @property
+    def terms(self) -> Dict[tuple, object]:
+        """The {factors: coeff} dict.  A sum that shares the memo's terms
+        (dr_bracket_sum) copies them on the first read and drops the memo's
+        chunk rows, so whatever the caller then changes is its own and is
+        what substitute evaluates."""
+        if self._memo is not None:
+            self._terms, self._memo = dict(self._terms), None
+        return self._terms
 
     def add_term(self, factors: Iterable[Tuple[Symbol, Symbol]], coeff=1) -> None:
         mono = canonicalize(factors)
         if mono.sign == 0:
             return
+        terms = self.terms
         c = coeff * mono.sign
-        s = self.terms.get(mono.factors, 0) + c
+        s = terms.get(mono.factors, 0) + c
         if s:
-            self.terms[mono.factors] = s
+            terms[mono.factors] = s
         else:
-            self.terms.pop(mono.factors, None)
+            terms.pop(mono.factors, None)
 
     def __eq__(self, other):
-        return isinstance(other, BracketPolynomial) and self.terms == other.terms
+        return isinstance(other, BracketPolynomial) and self._terms == other._terms
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._terms)
 
     def substitute(self, image: Callable[[Tuple[Symbol, Symbol]], object],
                    zero=0, one=1):
         """Sum over the terms of coeff * prod(image(pair) for each factor),
         computed in the ring of ``zero`` and ``one``; ``image`` is called
-        once per distinct pair."""
+        once per distinct pair the terms use.
+
+        A sum that shares the memo's chunk rows (dr_bracket_sum, before any
+        read of ``terms``) multiplies each chunk's pairs once, with
+        math.prod, and each term as coeff times its n chunk values, instead
+        of its n^2 - n - r factors one by one.  Nothing is kept between
+        calls.  Any other sum is evaluated one factor at a time.
+        """
         values: dict = {}
         total = zero
-        for factors, coeff in self.terms.items():
+        memo = self._memo
+        if memo is not None:
+            pairs, alpha_pairs, beta_pairs = _pair_tables(self.n)
+            chunks = alpha_pairs + beta_pairs
+            chunk_values = {}
+            for c in memo.chunks:
+                for k in chunks[c]:
+                    if k not in values:
+                        values[k] = image(pairs[k])
+                chunk_values[c] = math.prod(map(values.__getitem__, chunks[c]))
+            for coeff, row in memo.rows:
+                total = total + math.prod(map(chunk_values.__getitem__, row),
+                                          start=coeff * one)
+            return total
+        for factors, coeff in self._terms.items():
             prod = coeff * one
             for pair in factors:
                 value = values.get(pair)
@@ -145,13 +188,13 @@ class BracketPolynomial:
         """Expansion as a polynomial in the coordinate variables of the
         symbols in it: the value at their coordinate_point, as a MultiPoly
         even when it is a constant."""
-        symbols = sorted({s for factors in self.terms
+        symbols = sorted({s for factors in self._terms
                           for pair in factors for s in pair})
         return MultiPoly.zero() + self.evaluate(coordinate_point(symbols))
 
     def to_json(self) -> list:
         recs = []
-        for factors, coeff in sorted(self.terms.items()):
+        for factors, coeff in sorted(self._terms.items()):
             recs.append({
                 "sign": 1 if coeff > 0 else -1,
                 "factors": [[symbol_name(s), symbol_name(t)] for s, t in factors],
@@ -212,12 +255,29 @@ def _pair_tables(n: int):
     return pairs, alpha_pairs, beta_pairs
 
 
+class _BracketSumMemo(NamedTuple):
+    """One memoised bracket sum.  ``rows`` lists, in the order of
+    ``terms``, each term's coefficient and its chunk numbers: j - 1 for
+    the chunk alpha_pairs[j - 1] of each j in J, n + i - 1 for the chunk
+    beta_pairs[i - 1] of each i in I (see _pair_tables).  ``chunks`` holds,
+    sorted, the chunk numbers the rows use."""
+
+    terms: Dict[tuple, int]
+    rows: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    chunks: Tuple[int, ...]
+
+
 @functools.lru_cache(maxsize=None)
-def _bracket_sum_terms(n: int, r: int) -> Dict[tuple, int]:
+def _bracket_sum_terms(n: int, r: int) -> _BracketSumMemo:
     """The terms of dr_bracket_sum(n, r), built once per process: the sum
     of the term_factors products over the size-r subsets I of [n], in
-    subsets_colex order, with equal monomials merged.  Callers copy the
-    dict and never hand it out.
+    subsets_colex order, with equal monomials merged, together with each
+    term's row of chunk numbers.  The rows keep the merged coefficients,
+    drop the cancelled terms and follow the order of the term dict; a
+    merged term keeps the chunks of the first subset that gave it, which
+    flatten to the same factors as any other.  Nothing here is ever
+    changed after it is built: dr_bracket_sum shares it, and a sum copies
+    its terms before they can be changed.
 
     Each term's key comes out already canonical, without canonicalize:
     sorting its factors' numbers from _pair_tables sorts its factors.
@@ -226,43 +286,48 @@ def _bracket_sum_terms(n: int, r: int) -> Dict[tuple, int]:
     factors [b_k, a_i], so the term's sign is
     (-1)^(sum_{j in J} (n - j) + r(n - 2)).
 
-    The memo keeps the terms of every (n, r) built: for all r, 0.8 MiB at
-    n = 10, 4.6 MiB at n = 12 and 10.7 MiB at n = 13 on CPython 3.11
-    (tracemalloc), about 2.3 times more per step of n.  Keeping them adds
-    to the peak of a single call only the tables of the copied dicts (4% at
-    n = 10 and 12): verify_theorem1 at n holds all n + 1 sums at once
-    anyway, and each copy shares its key tuples, the bulk of the memory,
-    with the memo.  The memo's terms for all smaller n together take less
-    than those for the largest n built.
+    The memo keeps the terms and rows of every (n, r) built: for all r,
+    1.06 MiB at n = 10, 5.70 MiB at n = 12 and 12.6 MiB at n = 13 on
+    CPython 3.11 (tracemalloc), about 2.3 times more per step of n; the
+    rows take about a seventh of it, and the key tuples most of the rest.
+    A dr_bracket_sum call copies nothing until its caller reads
+    ``terms``, and verify_theorem1 at n holds all n + 1 sums at once
+    anyway.  The memo's entries for all smaller n together take
+    less than those for the largest n built.
     """
     pairs, alpha_pairs, beta_pairs = _pair_tables(n)
+    chunks = alpha_pairs + beta_pairs
     terms: Dict[tuple, int] = {}
+    first_row: Dict[tuple, Tuple[int, ...]] = {}
     for I in subsets_colex(n, r):
         J = [j for j in range(1, n + 1) if j not in I]
-        chunks = ([alpha_pairs[j - 1] for j in J]
-                  + [beta_pairs[i - 1] for i in I])
-        key = tuple(map(pairs.__getitem__,
-                        sorted(itertools.chain.from_iterable(chunks))))
+        row = tuple([j - 1 for j in J] + [n + i - 1 for i in I])
+        key = tuple(map(pairs.__getitem__, sorted(
+            itertools.chain.from_iterable(map(chunks.__getitem__, row)))))
         parity = sum(n - j for j in J) + r * (n - 2)
         s = terms.get(key, 0) + (-1 if parity % 2 else 1)
         if s:
             terms[key] = s
+            first_row.setdefault(key, row)
         else:
             terms.pop(key, None)
-    return terms
+    rows = tuple((coeff, first_row[key]) for key, coeff in terms.items())
+    return _BracketSumMemo(terms, rows,
+                           tuple(sorted({c for _, row in rows for c in row})))
 
 
 def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
     """Bracket-sum expression of the r-th discriminant-resultant (Theorem
-    1), as a new BracketPolynomial on each call: its terms are copied from
-    _bracket_sum_terms, so changing one call's result leaves every other
-    call's unchanged."""
+    1), as a new BracketPolynomial on each call.  It shares the terms and
+    chunk rows of _bracket_sum_terms, so evaluating it costs n chunk values
+    per term, until the first read of its ``terms``, which copies them:
+    changing one call's result leaves every other call's unchanged."""
     if not (2 <= n and 0 <= r <= n):
         raise ValueError("need n >= 2 and 0 <= r <= n")
     if (n, r) == (2, 2):
         raise BracketSumUndefinedError(
             "the (n, r) = (2, 2) entry equals f_0^2, not a bracket sum")
-    return BracketPolynomial(n, _bracket_sum_terms(n, r))
+    return BracketPolynomial._sharing(n, _bracket_sum_terms(n, r))
 
 
 def forms_from_assignment(assignment: Assignment, n: int):

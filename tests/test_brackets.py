@@ -6,11 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from drbracket import brackets
 from drbracket.brackets import (AssignmentBudgetError, BracketPolynomial,
                                 BracketSumUndefinedError, _expand,
                                 all_symbols, alpha, beta, bracket_eval,
-                                canonicalize, coordinate_vars, derive_seed,
-                                dr_bracket_sum, forms_from_assignment,
+                                canonicalize, coordinate_point,
+                                coordinate_vars, derive_seed, dr_bracket_sum,
+                                forms_from_assignment, generic_points,
                                 plucker_relation, random_generic_assignment,
                                 subsets_colex, term_factors, verify_theorem1)
 from drbracket.multipoly import MultiPoly
@@ -162,6 +164,54 @@ class TestBracketSumTables:
         assert p != q
 
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_memo_rows_flatten_to_the_term_keys(self, n):
+        # each row's chunks, mapped through the pair tables, flattened and
+        # sorted, give its term's key, in the order of the terms and with
+        # the same coefficient; (2, 1) has neither terms nor rows
+        pairs, alpha_pairs, beta_pairs = brackets._pair_tables(n)
+        chunks = alpha_pairs + beta_pairs
+        for r in range(n + 1):
+            if (n, r) == (2, 2):
+                continue
+            memo = brackets._bracket_sum_terms(n, r)
+            assert len(memo.rows) == len(memo.terms)
+            for (coeff, row), (key, c) in zip(memo.rows, memo.terms.items()):
+                assert coeff == c
+                assert sorted(k % n for k in row) == list(range(n))
+                assert sum(k >= n for k in row) == r
+                assert key == tuple(pairs[k] for k in sorted(
+                    k for c in row for k in chunks[c]))
+            assert memo.chunks == tuple(sorted(
+                {k for _, row in memo.rows for k in row}))
+        if n == 2:
+            assert brackets._bracket_sum_terms(2, 1) == ({}, (), ())
+
+    def test_terms_are_a_private_copy(self):
+        # the first read of terms copies the memo's dict; a change to it
+        # never reaches the memo or a later call, and evaluate sees it
+        n, r = 5, 2
+        memo = brackets._bracket_sum_terms(n, r)
+        saved = list(memo.terms.items())
+        A = random_generic_assignment(n, 4)
+        p = dr_bracket_sum(n, r)
+        before = p.evaluate(A)
+        terms = p.terms
+        assert terms is not memo.terms and terms == memo.terms
+        assert p.terms is terms
+        key = next(iter(terms))
+        terms[key] += 1
+        assert p.evaluate(A) == reference_evaluate(p, A) != before
+        del terms[key]
+        p.add_term([(alpha(1), beta(1))], 2)
+        assert p.evaluate(A) == reference_evaluate(p, A)
+        assert list(memo.terms.items()) == saved
+        assert brackets._bracket_sum_terms(n, r) is memo
+        q = dr_bracket_sum(n, r)
+        assert q.evaluate(A) == before
+        assert list(q.terms.items()) == saved
+
+
 class TestEvaluate:
     @staticmethod
     def polynomials():
@@ -199,6 +249,64 @@ class TestEvaluate:
         p.evaluate(A)
         assert set(seen) == {f for factors in p.terms for f in factors}
         assert set(seen.values()) == {1}
+
+
+
+def detached(n, r):
+    """dr_bracket_sum(n, r) built term by term from a copy of its terms,
+    so it is evaluated one factor at a time."""
+    return BracketPolynomial(n, dict(dr_bracket_sum(n, r).terms))
+
+
+def all_r(n):
+    return [r for r in range(n + 1) if (n, r) != (2, 2)]
+
+
+class TestChunkedEvaluate:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_integer_points(self, n):
+        for point in generic_points(n, 2, 17):
+            for r in all_r(n):
+                p = dr_bracket_sum(n, r)
+                assert p._memo is not None
+                assert p.evaluate(point) == detached(n, r).evaluate(point)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_coordinate_point(self, n):
+        point = coordinate_point(all_symbols(n))
+        for r in all_r(n):
+            assert (dr_bracket_sum(n, r).evaluate(point)
+                    == detached(n, r).evaluate(point))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_laurent_rows(self, n):
+        from drbracket.laurent import PolygonModel, laurent_expand_poly
+        model = PolygonModel(n)
+        for r in all_r(n):
+            assert (laurent_expand_poly(model, dr_bracket_sum(n, r))
+                    == laurent_expand_poly(model, detached(n, r)))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_image_called_once_per_distinct_pair(self, n):
+        point = random_generic_assignment(n, 2)
+        for r in all_r(n):
+            seen = Counter()
+
+            def image(pair):
+                seen[pair] += 1
+                return bracket_eval(pair[0], pair[1], point)
+            p = dr_bracket_sum(n, r)
+            p.substitute(image)
+            assert seen == Counter(
+                {f for factors in p.terms for f in factors})
+            if r == 0:
+                assert all(t[0] == "a" for _, t in seen)
+
+    def test_r0_expansion_needs_no_beta_coordinates(self):
+        for n in (3, 4):
+            p = dr_bracket_sum(n, 0)
+            assert p.expand_to_coordinates() == \
+                detached(n, 0).expand_to_coordinates()
 
 
 class TestForms:
