@@ -14,8 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
-                    Sequence, Tuple)
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .binforms import BinaryForm, _expand, dr_series
 from .multipoly import MultiPoly, align_all
@@ -98,29 +97,20 @@ def canonicalize(factors: Iterable[Tuple[Symbol, Symbol]]) -> BracketMonomial:
 class BracketPolynomial:
     """Integer (or rational) combination of canonical bracket monomials."""
 
-    __slots__ = ("n", "_terms", "_memo")
+    __slots__ = ("n", "_r", "_terms")
 
     def __init__(self, n: int, terms: Dict[tuple, object] = None):
         self.n = n
+        self._r = None
         self._terms = dict(terms or {})
-        self._memo = None
-
-    @classmethod
-    def _sharing(cls, n: int, memo: "_BracketSumMemo") -> "BracketPolynomial":
-        """The sum held by ``memo``, sharing its terms and rows until the
-        first read of ``terms``."""
-        p = cls.__new__(cls)
-        p.n, p._terms, p._memo = n, memo.terms, memo
-        return p
 
     @property
     def terms(self) -> Dict[tuple, object]:
-        """The {factors: coeff} dict.  A sum that shares the memo's terms
-        (dr_bracket_sum) copies them on the first read and drops the memo's
-        chunk rows, so whatever the caller then changes is its own and is
-        what substitute evaluates."""
-        if self._memo is not None:
-            self._terms, self._memo = dict(self._terms), None
+        """The {factors: coeff} dict.  A sum from dr_bracket_sum builds it on
+        the first read, and is evaluated one factor at a time from then on,
+        so whatever the caller then changes is what substitute evaluates."""
+        if self._terms is None:
+            self._terms = _bracket_sum_terms(self.n, self._r)
         return self._terms
 
     def add_term(self, factors: Iterable[Tuple[Symbol, Symbol]], coeff=1) -> None:
@@ -136,39 +126,51 @@ class BracketPolynomial:
             terms.pop(mono.factors, None)
 
     def __eq__(self, other):
-        return isinstance(other, BracketPolynomial) and self._terms == other._terms
+        return isinstance(other, BracketPolynomial) and self.terms == other.terms
 
     def __len__(self):
-        return len(self._terms)
+        return len(self.terms)
 
     def substitute(self, image: Callable[[Tuple[Symbol, Symbol]], object],
                    zero=0, one=1):
         """Sum over the terms of coeff * prod(image(pair) for each factor),
         computed in the ring of ``zero`` and ``one``; ``image`` is called
-        once per distinct pair the terms use.
+        once per distinct pair.
 
-        A sum that shares the memo's chunk rows (dr_bracket_sum, before any
-        read of ``terms``) multiplies each chunk's pairs once, with
-        math.prod, and each term as coeff times its n chunk values, instead
-        of its n^2 - n - r factors one by one.  Nothing is kept between
-        calls.  Any other sum is evaluated one factor at a time.
+        A sum from dr_bracket_sum whose terms were never read is the t^r
+        coefficient of prod_j (X_j + t Y_j), with X_j the (-1)^(n - j)
+        signed product of the canonical pairs of prod_{i != j} [a_i, a_j]
+        and Y_j the (-1)^(n - 2) signed product of those of
+        prod_k [b_k, a_j] (see _bracket_sum_terms): each chunk of
+        _pair_tables is multiplied once, and after factor j only the
+        coefficients of t^k with max(0, r - n + j) <= k <= min(j, r), the
+        ones the t^r coefficient still depends on, are kept.  Any other sum
+        is evaluated one factor at a time.
         """
         values: dict = {}
-        total = zero
-        memo = self._memo
-        if memo is not None:
-            pairs, alpha_pairs, beta_pairs = _pair_tables(self.n)
-            chunks = alpha_pairs + beta_pairs
-            chunk_values = {}
-            for c in memo.chunks:
-                for k in chunks[c]:
+        if self._terms is None:
+            n, r = self.n, self._r
+            pairs, alpha_pairs, beta_pairs = _pair_tables(n)
+
+            def chunk(numbers, sign):
+                for k in numbers:
                     if k not in values:
                         values[k] = image(pairs[k])
-                chunk_values[c] = math.prod(map(values.__getitem__, chunks[c]))
-            for coeff, row in memo.rows:
-                total = total + math.prod(map(chunk_values.__getitem__, row),
-                                          start=coeff * one)
-            return total
+                return math.prod(map(values.__getitem__, numbers),
+                                 start=sign * one)
+            coeffs = [one] + [zero] * r
+            for j in range(1, n + 1):
+                x = chunk(alpha_pairs[j - 1], (-1) ** (n - j)) if r < n else None
+                y = chunk(beta_pairs[j - 1], (-1) ** (n - 2)) if r else None
+                for k in range(min(j, r), max(0, r - n + j) - 1, -1):
+                    if k == j:
+                        coeffs[k] = coeffs[k - 1] * y
+                    elif k == 0:
+                        coeffs[k] = coeffs[k] * x
+                    else:
+                        coeffs[k] = coeffs[k] * x + coeffs[k - 1] * y
+            return coeffs[r]
+        total = zero
         for factors, coeff in self._terms.items():
             prod = coeff * one
             for pair in factors:
@@ -188,13 +190,17 @@ class BracketPolynomial:
         """Expansion as a polynomial in the coordinate variables of the
         symbols in it: the value at their coordinate_point, as a MultiPoly
         even when it is a constant."""
-        symbols = sorted({s for factors in self._terms
-                          for pair in factors for s in pair})
+        if self._terms is None:
+            symbols = ([alpha(i) for i in range(1, self.n + 1)]
+                       if self._r == 0 else all_symbols(self.n))
+        else:
+            symbols = sorted({s for factors in self._terms
+                              for pair in factors for s in pair})
         return MultiPoly.zero() + self.evaluate(coordinate_point(symbols))
 
     def to_json(self) -> list:
         recs = []
-        for factors, coeff in sorted(self._terms.items()):
+        for factors, coeff in sorted(self.terms.items()):
             recs.append({
                 "sign": 1 if coeff > 0 else -1,
                 "factors": [[symbol_name(s), symbol_name(t)] for s, t in factors],
@@ -255,29 +261,10 @@ def _pair_tables(n: int):
     return pairs, alpha_pairs, beta_pairs
 
 
-class _BracketSumMemo(NamedTuple):
-    """One memoised bracket sum.  ``rows`` lists, in the order of
-    ``terms``, each term's coefficient and its chunk numbers: j - 1 for
-    the chunk alpha_pairs[j - 1] of each j in J, n + i - 1 for the chunk
-    beta_pairs[i - 1] of each i in I (see _pair_tables).  ``chunks`` holds,
-    sorted, the chunk numbers the rows use."""
-
-    terms: Dict[tuple, int]
-    rows: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    chunks: Tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=None)
-def _bracket_sum_terms(n: int, r: int) -> _BracketSumMemo:
-    """The terms of dr_bracket_sum(n, r), built once per process: the sum
-    of the term_factors products over the size-r subsets I of [n], in
-    subsets_colex order, with equal monomials merged, together with each
-    term's row of chunk numbers.  The rows keep the merged coefficients,
-    drop the cancelled terms and follow the order of the term dict; a
-    merged term keeps the chunks of the first subset that gave it, which
-    flatten to the same factors as any other.  Nothing here is ever
-    changed after it is built: dr_bracket_sum shares it, and a sum copies
-    its terms before they can be changed.
+def _bracket_sum_terms(n: int, r: int) -> Dict[tuple, int]:
+    """The terms of dr_bracket_sum(n, r): the sum of the term_factors
+    products over the size-r subsets I of [n], in subsets_colex order,
+    with equal monomials merged.
 
     Each term's key comes out already canonical, without canonicalize:
     sorting its factors' numbers from _pair_tables sorts its factors.
@@ -285,49 +272,36 @@ def _bracket_sum_terms(n: int, r: int) -> _BracketSumMemo:
     indices i > j of each j in the complement J of I, and all r(n - 2)
     factors [b_k, a_i], so the term's sign is
     (-1)^(sum_{j in J} (n - j) + r(n - 2)).
-
-    The memo keeps the terms and rows of every (n, r) built: for all r,
-    1.06 MiB at n = 10, 5.70 MiB at n = 12 and 12.6 MiB at n = 13 on
-    CPython 3.11 (tracemalloc), about 2.3 times more per step of n; the
-    rows take about a seventh of it, and the key tuples most of the rest.
-    A dr_bracket_sum call copies nothing until its caller reads
-    ``terms``, and verify_theorem1 at n holds all n + 1 sums at once
-    anyway.  The memo's entries for all smaller n together take
-    less than those for the largest n built.
     """
     pairs, alpha_pairs, beta_pairs = _pair_tables(n)
-    chunks = alpha_pairs + beta_pairs
     terms: Dict[tuple, int] = {}
-    first_row: Dict[tuple, Tuple[int, ...]] = {}
     for I in subsets_colex(n, r):
         J = [j for j in range(1, n + 1) if j not in I]
-        row = tuple([j - 1 for j in J] + [n + i - 1 for i in I])
-        key = tuple(map(pairs.__getitem__, sorted(
-            itertools.chain.from_iterable(map(chunks.__getitem__, row)))))
+        key = tuple(map(pairs.__getitem__, sorted(itertools.chain(
+            *(alpha_pairs[j - 1] for j in J), *(beta_pairs[i - 1] for i in I)))))
         parity = sum(n - j for j in J) + r * (n - 2)
         s = terms.get(key, 0) + (-1 if parity % 2 else 1)
         if s:
             terms[key] = s
-            first_row.setdefault(key, row)
         else:
             terms.pop(key, None)
-    rows = tuple((coeff, first_row[key]) for key, coeff in terms.items())
-    return _BracketSumMemo(terms, rows,
-                           tuple(sorted({c for _, row in rows for c in row})))
+    return terms
 
 
 def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
     """Bracket-sum expression of the r-th discriminant-resultant (Theorem
-    1), as a new BracketPolynomial on each call.  It shares the terms and
-    chunk rows of _bracket_sum_terms, so evaluating it costs n chunk values
-    per term, until the first read of its ``terms``, which copies them:
-    changing one call's result leaves every other call's unchanged."""
+    1), as a new BracketPolynomial on each call.  It holds only (n, r), and
+    is evaluated in product form (see substitute) until the first read of
+    its terms (``terms``, ``len``, ``==``, ``to_json``, ``add_term``)
+    builds them."""
     if not (2 <= n and 0 <= r <= n):
         raise ValueError("need n >= 2 and 0 <= r <= n")
     if (n, r) == (2, 2):
         raise BracketSumUndefinedError(
             "the (n, r) = (2, 2) entry equals f_0^2, not a bracket sum")
-    return BracketPolynomial._sharing(n, _bracket_sum_terms(n, r))
+    p = BracketPolynomial(n)
+    p._r, p._terms = r, None
+    return p
 
 
 def forms_from_assignment(assignment: Assignment, n: int):
@@ -407,7 +381,7 @@ def verify_theorem1(n: int, trials: int = 100, seed: int = 0,
     if n < 2:
         raise ValueError("need n >= 2")
     check_mode_and_trials(mode, trials)
-    # draw before building the sums, which at large n take far longer
+    # draw before any sum is evaluated, so an exhausted sampler stops first
     points = ([coordinate_point(all_symbols(n))] if mode == "symbolic"
               else generic_points(n, trials, seed))
     report = {"n": n, "mode": mode, "trials": len(points), "seed": seed,

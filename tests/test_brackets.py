@@ -163,41 +163,17 @@ class TestBracketSumTables:
         assert q == dr_bracket_sum(5, 2) == reference_bracket_sum(5, 2)
         assert p != q
 
-
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_memo_rows_flatten_to_the_term_keys(self, n):
-        # each row's chunks, mapped through the pair tables, flattened and
-        # sorted, give its term's key, in the order of the terms and with
-        # the same coefficient; (2, 1) has neither terms nor rows
-        pairs, alpha_pairs, beta_pairs = brackets._pair_tables(n)
-        chunks = alpha_pairs + beta_pairs
-        for r in range(n + 1):
-            if (n, r) == (2, 2):
-                continue
-            memo = brackets._bracket_sum_terms(n, r)
-            assert len(memo.rows) == len(memo.terms)
-            for (coeff, row), (key, c) in zip(memo.rows, memo.terms.items()):
-                assert coeff == c
-                assert sorted(k % n for k in row) == list(range(n))
-                assert sum(k >= n for k in row) == r
-                assert key == tuple(pairs[k] for k in sorted(
-                    k for c in row for k in chunks[c]))
-            assert memo.chunks == tuple(sorted(
-                {k for _, row in memo.rows for k in row}))
-        if n == 2:
-            assert brackets._bracket_sum_terms(2, 1) == ({}, (), ())
-
     def test_terms_are_a_private_copy(self):
-        # the first read of terms copies the memo's dict; a change to it
-        # never reaches the memo or a later call, and evaluate sees it
+        # a sum holds no term dict until its terms are read; a changed sum
+        # evaluates what it holds, and a new call is unaffected
         n, r = 5, 2
-        memo = brackets._bracket_sum_terms(n, r)
-        saved = list(memo.terms.items())
+        saved = list(reference_bracket_sum(n, r).terms.items())
         A = random_generic_assignment(n, 4)
         p = dr_bracket_sum(n, r)
         before = p.evaluate(A)
+        assert p._terms is None
         terms = p.terms
-        assert terms is not memo.terms and terms == memo.terms
+        assert list(terms.items()) == saved
         assert p.terms is terms
         key = next(iter(terms))
         terms[key] += 1
@@ -205,9 +181,8 @@ class TestBracketSumTables:
         del terms[key]
         p.add_term([(alpha(1), beta(1))], 2)
         assert p.evaluate(A) == reference_evaluate(p, A)
-        assert list(memo.terms.items()) == saved
-        assert brackets._bracket_sum_terms(n, r) is memo
         q = dr_bracket_sum(n, r)
+        assert q._terms is None
         assert q.evaluate(A) == before
         assert list(q.terms.items()) == saved
 
@@ -263,12 +238,14 @@ def all_r(n):
 
 
 class TestChunkedEvaluate:
-    @pytest.mark.parametrize("n", range(2, 11))
+    """dr_bracket_sum's product form, on the 2n chunks of _pair_tables."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_integer_points(self, n):
         for point in generic_points(n, 2, 17):
             for r in all_r(n):
                 p = dr_bracket_sum(n, r)
-                assert p._memo is not None
+                assert p._terms is None
                 assert p.evaluate(point) == detached(n, r).evaluate(point)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -297,10 +274,33 @@ class TestChunkedEvaluate:
                 return bracket_eval(pair[0], pair[1], point)
             p = dr_bracket_sum(n, r)
             p.substitute(image)
+            if (n, r) == (2, 1):
+                # the two terms cancel, but the product still has [a1, a2]
+                assert p.terms == {}
+                assert seen == Counter({(alpha(1), alpha(2)): 1})
+                continue
             assert seen == Counter(
                 {f for factors in p.terms for f in factors})
             if r == 0:
                 assert all(t[0] == "a" for _, t in seen)
+
+    def test_checks_build_no_term_dict(self, monkeypatch):
+        # a silent fall-back to the per-factor loop would build the terms
+        from drbracket import verify
+        from drbracket.laurent import PolygonModel, laurent_expand_poly
+        model = PolygonModel(4)
+        want = laurent_expand_poly(model, detached(4, 2))
+
+        def unbuilt(n, r):
+            raise AssertionError(f"built the terms of ({n}, {r})")
+        monkeypatch.setattr(brackets, "_bracket_sum_terms", unbuilt)
+        assert verify_theorem1(8, trials=3, seed=1)["failures"] == []
+        assert verify_theorem1(3, mode="symbolic")["failures"] == []
+        for n in (4, 5):
+            assert passed(verify.vanishing(n, trials=3, seed=1))
+        assert laurent_expand_poly(model, dr_bracket_sum(4, 2)) == want
+        for n in (2, 3, 4):
+            assert dr_bracket_sum(n, 1).expand_to_coordinates().is_zero
 
     def test_r0_expansion_needs_no_beta_coordinates(self):
         for n in (3, 4):
@@ -444,16 +444,13 @@ class TestVerifyTheorem1:
         assert built == []
 
     def test_corrupted_sum_does_not_poison_the_memo(self, monkeypatch):
-        # every sum of the corrupted run comes from the memo, and the one
-        # changed after it was handed out leaves the memo as it was
-        import drbracket.brackets as brackets
+        # a sum changed after it was handed out leaves every later call as
+        # it was
         n = 5
         assert verify_theorem1(n, trials=2, seed=3)["failures"] == []
-        hits = brackets._bracket_sum_terms.cache_info().hits
         with monkeypatch.context() as patch:
             corrupt_bracket_sum(patch, 2)
             rep = verify_theorem1(n, trials=2, seed=3)
-        assert brackets._bracket_sum_terms.cache_info().hits == hits + n + 1
         assert [(f["trial"], f["r"]) for f in rep["failures"]] == \
             [(0, 2), (1, 2)]
         assert brackets.dr_bracket_sum is dr_bracket_sum

@@ -430,8 +430,8 @@ class TestDeterminism:
         assert out1 == out2
 
     # sha256 of stdout, the same under python -O and any PYTHONHASHSEED:
-    # checks rewritten over lists of points, and bracket sums evaluated on
-    # their chunks, must keep these bytes
+    # checks rewritten over lists of points, and bracket sums evaluated in
+    # product form, must keep these bytes
     @pytest.mark.parametrize("argv, digest", [
         ("verify all --n 6 --trials 10 --format json",
          "f8240c34d40c2e4e9721b8f234541f227067da3522fc90604d2a01e345a9ee94"),
@@ -441,6 +441,8 @@ class TestDeterminism:
          "3a64a2e0e8082e63410aeef53f8380bf39872d0d24e92124fb5f35d9d114d44d"),
         ("verify theorem1 --n 8 --trials 100 --seed 3 --format json",
          "0bd6819f8b5feeec77ca6fec285d01c436bae38a9688ad397a07a3a3af171821"),
+        ("verify theorem1 --n 16 --trials 2 --seed 1 --format json",
+         "f1c175498f98e55e7d85e6774eff262d20e99a37bb444111b9bdbeff14849aae"),
     ])
     def test_verify_bytes_are_pinned(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv.split())
