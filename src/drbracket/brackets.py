@@ -106,18 +106,20 @@ class BracketPolynomial:
 
     @property
     def terms(self) -> Dict[tuple, object]:
-        """The {factors: coeff} dict.  A sum from dr_bracket_sum builds it on
-        the first read, and is evaluated one factor at a time from then on,
-        so whatever the caller then changes is what substitute evaluates."""
-        if self._terms is None:
-            self._terms = _bracket_sum_terms(self.n, self._r)
+        """The {factors: coeff} dict.  A read-only sum from dr_bracket_sum
+        builds a new one on each read and keeps none."""
+        if self._r is not None:
+            return _bracket_sum_terms(self.n, self._r)
         return self._terms
 
     def add_term(self, factors: Iterable[Tuple[Symbol, Symbol]], coeff=1) -> None:
+        if self._r is not None:
+            raise TypeError("a sum from dr_bracket_sum is read-only; change "
+                            "a copy, BracketPolynomial(n, p.terms)")
         mono = canonicalize(factors)
         if mono.sign == 0:
             return
-        terms = self.terms
+        terms = self._terms
         c = coeff * mono.sign
         s = terms.get(mono.factors, 0) + c
         if s:
@@ -137,18 +139,17 @@ class BracketPolynomial:
         computed in the ring of ``zero`` and ``one``; ``image`` is called
         once per distinct pair.
 
-        A sum from dr_bracket_sum whose terms were never read is the t^r
-        coefficient of prod_j (X_j + t Y_j), with X_j the (-1)^(n - j)
-        signed product of the canonical pairs of prod_{i != j} [a_i, a_j]
-        and Y_j the (-1)^(n - 2) signed product of those of
-        prod_k [b_k, a_j] (see _bracket_sum_terms): each chunk of
-        _pair_tables is multiplied once, and after factor j only the
-        coefficients of t^k with max(0, r - n + j) <= k <= min(j, r), the
-        ones the t^r coefficient still depends on, are kept.  Any other sum
-        is evaluated one factor at a time.
+        A sum from dr_bracket_sum is always the t^r coefficient of
+        prod_j (X_j + t Y_j), with X_j the (-1)^(n - j) signed product of the
+        canonical pairs of prod_{i != j} [a_i, a_j] and Y_j the (-1)^(n - 2)
+        signed product of those of prod_k [b_k, a_j] (see _bracket_sum_terms):
+        each chunk of _pair_tables is multiplied once, and after factor j only
+        the coefficients of t^k with max(0, r - n + j) <= k <= min(j, r), the
+        ones the t^r coefficient still depends on, are kept.  Any other
+        polynomial is evaluated one factor at a time.
         """
         values: dict = {}
-        if self._terms is None:
+        if self._r is not None:
             n, r = self.n, self._r
             pairs, alpha_pairs, beta_pairs = _pair_tables(n)
 
@@ -190,7 +191,7 @@ class BracketPolynomial:
         """Expansion as a polynomial in the coordinate variables of the
         symbols in it: the value at their coordinate_point, as a MultiPoly
         even when it is a constant."""
-        if self._terms is None:
+        if self._r is not None:
             symbols = ([alpha(i) for i in range(1, self.n + 1)]
                        if self._r == 0 else all_symbols(self.n))
         else:
@@ -290,10 +291,9 @@ def _bracket_sum_terms(n: int, r: int) -> Dict[tuple, int]:
 
 def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
     """Bracket-sum expression of the r-th discriminant-resultant (Theorem
-    1), as a new BracketPolynomial on each call.  It holds only (n, r), and
-    is evaluated in product form (see substitute) until the first read of
-    its terms (``terms``, ``len``, ``==``, ``to_json``, ``add_term``)
-    builds them."""
+    1), as a new read-only BracketPolynomial on each call: it holds only
+    (n, r), is always evaluated in product form (see substitute) and builds
+    its terms anew on each read (``terms``, ``len``, ``==``, ``to_json``)."""
     if not (2 <= n and 0 <= r <= n):
         raise ValueError("need n >= 2 and 0 <= r <= n")
     if (n, r) == (2, 2):

@@ -158,33 +158,70 @@ class TestBracketSumTables:
     def test_calls_return_independent_objects(self):
         p, q = dr_bracket_sum(5, 2), dr_bracket_sum(5, 2)
         assert p is not q and p.terms is not q.terms
-        p.terms[next(iter(p.terms))] += 1
-        p.add_term([(alpha(1), beta(1))])
-        assert q == dr_bracket_sum(5, 2) == reference_bracket_sum(5, 2)
-        assert p != q
+        copy = BracketPolynomial(5, p.terms)
+        copy.terms[next(iter(copy.terms))] += 1
+        copy.add_term([(alpha(1), beta(1))])
+        assert p == q == dr_bracket_sum(5, 2) == reference_bracket_sum(5, 2)
+        assert copy != p
 
     def test_terms_are_a_private_copy(self):
-        # a sum holds no term dict until its terms are read; a changed sum
-        # evaluates what it holds, and a new call is unaffected
+        # reads never change a sum; a copy of its terms can be changed, and
+        # evaluates what it holds
         n, r = 5, 2
         saved = list(reference_bracket_sum(n, r).terms.items())
         A = random_generic_assignment(n, 4)
         p = dr_bracket_sum(n, r)
         before = p.evaluate(A)
-        assert p._terms is None
         terms = p.terms
         assert list(terms.items()) == saved
-        assert p.terms is terms
         key = next(iter(terms))
         terms[key] += 1
-        assert p.evaluate(A) == reference_evaluate(p, A) != before
-        del terms[key]
-        p.add_term([(alpha(1), beta(1))], 2)
-        assert p.evaluate(A) == reference_evaluate(p, A)
-        q = dr_bracket_sum(n, r)
-        assert q._terms is None
-        assert q.evaluate(A) == before
-        assert list(q.terms.items()) == saved
+        assert p.evaluate(A) == before
+        assert list(p.terms.items()) == saved
+        copy = BracketPolynomial(n, p.terms)
+        copy.terms[key] += 1
+        assert copy.evaluate(A) == reference_evaluate(copy, A) != before
+        del copy.terms[key]
+        copy.add_term([(alpha(1), beta(1))], 2)
+        assert copy.evaluate(A) == reference_evaluate(copy, A)
+        assert p.evaluate(A) == before
+        assert list(p.terms.items()) == saved
+
+
+@pytest.mark.parametrize("n, r", [(5, 2), (12, 6)])
+class TestReadOnlySum:
+    """A sum from dr_bracket_sum is read-only: each read of its terms builds
+    a new dict, and no read changes the sum or how it is evaluated."""
+
+    def test_each_read_builds_new_terms(self, n, r):
+        p = dr_bracket_sum(n, r)
+        assert p.terms is not p.terms
+        assert p.terms == p.terms
+
+    @pytest.mark.parametrize("read", [len, lambda p: p == p,
+                                      lambda p: p.to_json()],
+                             ids=["len", "eq", "to_json"])
+    def test_reads_leave_the_value_alone(self, n, r, read):
+        A = random_generic_assignment(n, 4)
+        p = dr_bracket_sum(n, r)
+        before = p.evaluate(A)
+        read(p)
+        terms = p.terms
+        terms[next(iter(terms))] += 1
+        assert BracketPolynomial(n, terms).evaluate(A) != before
+        read(p)
+        assert p.evaluate(A) == before
+        assert before == BracketPolynomial(n, p.terms).evaluate(A)
+
+    def test_add_term_raises(self, n, r):
+        A = random_generic_assignment(n, 4)
+        p = dr_bracket_sum(n, r)
+        before = p.evaluate(A)
+        with pytest.raises(TypeError,
+                           match=r"BracketPolynomial\(n, p\.terms\)"):
+            p.add_term([(alpha(1), beta(1))])
+        assert p.evaluate(A) == before
+        assert p == dr_bracket_sum(n, r)
 
 
 class TestEvaluate:
@@ -195,7 +232,7 @@ class TestEvaluate:
         for n in (3, 4, 5, 6):
             for r in range(n + 1):
                 yield dr_bracket_sum(n, r)
-        p = dr_bracket_sum(4, 2)
+        p = BracketPolynomial(4, dr_bracket_sum(4, 2).terms)
         p.add_term([(alpha(1), alpha(2)), (alpha(2), beta(2))], F(3, 7))
         p.add_term([], -5)
         yield p
@@ -242,11 +279,14 @@ class TestChunkedEvaluate:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_integer_points(self, n):
-        for point in generic_points(n, 2, 17):
-            for r in all_r(n):
-                p = dr_bracket_sum(n, r)
-                assert p._terms is None
-                assert p.evaluate(point) == detached(n, r).evaluate(point)
+        # equal to the per-factor loop, also after the sum's terms are read
+        points = generic_points(n, 2, 17)
+        for r in all_r(n):
+            p, q = dr_bracket_sum(n, r), detached(n, r)
+            want = [q.evaluate(point) for point in points]
+            assert [p.evaluate(point) for point in points] == want
+            assert len(p) == len(q)
+            assert [p.evaluate(point) for point in points] == want
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_coordinate_point(self, n):
@@ -386,15 +426,16 @@ class TestRandomAssignment:
 
 
 def corrupt_bracket_sum(monkeypatch, bad_r):
-    """Make brackets.dr_bracket_sum add 1 to one coefficient of the r = bad_r
-    sum; at a generic assignment that moves its value by a product of
-    nonzero brackets."""
+    """Make brackets.dr_bracket_sum return, for r = bad_r, a copy of the sum
+    with 1 added to one coefficient; at a generic assignment that moves its
+    value by a product of nonzero brackets."""
     import drbracket.brackets as brackets
     real = brackets.dr_bracket_sum
 
     def corrupted(n, r):
         p = real(n, r)
         if r == bad_r:
+            p = BracketPolynomial(n, p.terms)
             p.terms[next(iter(p.terms))] += 1
         return p
     monkeypatch.setattr(brackets, "dr_bracket_sum", corrupted)
@@ -420,7 +461,7 @@ class TestVerifyTheorem1:
         # corrupting one bracket-sum coefficient must produce a witness
         from drbracket.binforms import dr_series
         n, r = 3, 2
-        corrupted = dr_bracket_sum(n, r)
+        corrupted = BracketPolynomial(n, dr_bracket_sum(n, r).terms)
         factors = next(iter(corrupted.terms))
         corrupted.terms[factors] += 1
         A = random_generic_assignment(n, derive_seed(55, 0))
@@ -444,8 +485,9 @@ class TestVerifyTheorem1:
         assert built == []
 
     def test_corrupted_sum_does_not_poison_the_memo(self, monkeypatch):
-        # a sum changed after it was handed out leaves every later call as
-        # it was
+        # a corrupted copy handed to one run leaves later runs and every
+        # later sum as they were: sums are read-only and nothing is kept
+        # from one call to the next
         n = 5
         assert verify_theorem1(n, trials=2, seed=3)["failures"] == []
         with monkeypatch.context() as patch:

@@ -1,7 +1,7 @@
 import pytest
 
 from drbracket import brackets, verify
-from drbracket.brackets import all_symbols, alpha
+from drbracket.brackets import BracketPolynomial, all_symbols, alpha
 from drbracket.verify import CHECKS, NotApplicable, passed
 
 
@@ -127,7 +127,7 @@ class TestRegistry:
     def test_vanishing_witnesses(self, monkeypatch, n, failures):
         # an r = 1 sum plus [a1, a2] vanishes at no point, symbolic or not
         def corrupted(n, r):
-            poly = brackets.dr_bracket_sum(n, r)
+            poly = BracketPolynomial(n, brackets.dr_bracket_sum(n, r).terms)
             poly.add_term([(alpha(1), alpha(2))])
             return poly
         monkeypatch.setattr(verify, "dr_bracket_sum", corrupted)
