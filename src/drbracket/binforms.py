@@ -9,14 +9,15 @@ order of the Sylvester matrix (Chionh, Zhang & Goldman, J. Symbolic
 Computation 2002); the Sylvester matrix is kept as the reference it is
 tested against.  The Bezout matrix is linear in its second form, so the
 DR series, whose second form is linear in t, builds it twice and samples
-det(B0 + t*B1).  Rational forms are cleared to integer forms on the way
-in and the result unscaled by its grading, so every determinant, exact
-division and interpolation runs over the ints, MultiPoly or DualScalar.
-Each computation picks its determinant once, from its form coefficients:
-Bareiss elimination (det_fraction_free) over ints and dual numbers, and
-division-free expansion by minors (det_by_minors) over MultiPoly, whose
-sparse symbolic entries make elimination's products and exact divisions
-of large minors the dominant cost.
+det(B0 + t*B1).  Each computation takes its forms in once, in _one_ring:
+rational forms are cleared there to integer forms, whose result is
+unscaled by its grading, so every determinant, exact division and
+interpolation runs over the ints, MultiPoly or DualScalar; MultiPoly
+coefficients are lifted onto one namespace; and the determinant is picked
+from the coefficients: Bareiss elimination (det_fraction_free) over ints
+and dual numbers, and division-free expansion by minors (det_by_minors)
+over MultiPoly, whose sparse symbolic entries make elimination's products
+and exact divisions of large minors the dominant cost.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from . import multipoly
@@ -298,13 +300,13 @@ def signed_resultant(f: BinaryForm, g: BinaryForm):
     """Resultant normalized to the bracket product of the forms' symbols.
 
     Equals (-1)^(d*e) * det(sylvester_matrix(f, g)), computed as
-    (-1)^((d+1)*e) * det(bezout_matrix(f, g)) for d >= e, and through
-    res(f, g) = (-1)^(d*e) * res(g, f) for d < e.  Degree-0 arguments are
+    (-1)^((d+1)*e) * det(bezout_matrix(f, g)) for d >= e and as
+    (-1)^d * det(bezout_matrix(g, f)) for d < e, the sign of
+    res(f, g) = (-1)^(d*e) * res(g, f) folded in.  Degree-0 arguments are
     handled as empty products: res(f, c) = c^d and res(c, g) = c^e.
-    Rational forms are cleared to lambda*f and mu*g first and the result
-    unscaled by res(lambda*f, mu*g) = lambda^e * mu^d * res(f, g).  The
-    determinant is expanded by minors when a coefficient is a MultiPoly
-    and taken by Bareiss elimination otherwise.
+    The forms are taken over one ring first (_one_ring): rational forms
+    are cleared to lambda*f and mu*g, and the result is unscaled by
+    res(lambda*f, mu*g) = lambda^e * mu^d * res(f, g).
     """
     d, e = f.degree, g.degree
     if f.is_zero() and g.is_zero():
@@ -315,31 +317,36 @@ def signed_resultant(f: BinaryForm, g: BinaryForm):
         return f.coefficients[0] ** e
     if f.is_zero() or g.is_zero():
         raise ValueError("zero form")
-    if _has_fraction(f.coefficients + g.coefficients):
-        (f, lam), (g, mu) = _cleared(f), _cleared(g)
-        return Fraction(signed_resultant(f, g), lam ** e * mu ** d)
-    if d < e:
-        res = signed_resultant(g, f)
-        return -res if (d * e) % 2 else res
-    det = _det_kernel(f.coefficients + g.coefficients)(bezout_matrix(f, g))
-    return -det if ((d + 1) * e) % 2 else det
+    (f, g), scales, det = _one_ring((f, g))
+    if d >= e:
+        res, odd = det(bezout_matrix(f, g)), (d + 1) * e % 2
+    else:
+        res, odd = det(bezout_matrix(g, f)), d % 2
+    res = -res if odd else res
+    if scales is None:
+        return res
+    lam, mu = scales
+    return Fraction(res, lam ** e * mu ** d)
 
 
 def discriminant(f: BinaryForm):
-    """res(f, x*df/dx) / (a_0 * a_d), sign-normalized as above.  A
-    rational form is cleared to lambda*f first and the result unscaled by
-    disc(lambda*f) = lambda^(2d-2) * disc(f)."""
+    """res(f, x*df/dx) / (a_0 * a_d), sign-normalized as above.
+
+    The form is taken over one ring first (_one_ring), and a_0 * a_d is
+    tested there, before any determinant: a zero value part (a dual
+    number's derivative may be nonzero) raises NumericDegenerateError.
+    A rational form is cleared to lambda*f and the result unscaled by
+    disc(lambda*f) = lambda^(2d-2) * disc(f).
+    """
     d = f.degree
     if d < 2:
         raise ValueError("discriminant needs degree >= 2")
-    if _has_fraction(f.coefficients):
-        f, lam = _cleared(f)
-        return Fraction(discriminant(f), lam ** (2 * d - 2))
-    a0, ad = f.coefficients[0], f.coefficients[-1]
-    denom = a0 * ad
-    if denom == 0:
+    (f,), scales, _ = _one_ring((f,))
+    denom = f.coefficients[0] * f.coefficients[-1]
+    if not _is_unit_pivot(denom):
         raise NumericDegenerateError("a_0 * a_d = 0")
-    return exact_div(signed_resultant(f, f.x_dx()), denom)
+    disc = exact_div(signed_resultant(f, f.x_dx()), denom)
+    return disc if scales is None else Fraction(disc, scales[0] ** (2 * d - 2))
 
 
 @dataclass(frozen=True)
@@ -371,17 +378,17 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     B1 = bezout_matrix(f_n, x*y*f_m), built once, the resultant at t is
     det(B0 + t*B1), of order n (its sign (-1)^((n+1)*n) is 1).  It is
     evaluated at t = 0..n, each sample is divided exactly by a_0*a_n, and
-    the samples are interpolated in t.  The n + 1 determinants are expanded
-    by minors for MultiPoly coefficients and taken by Bareiss elimination
-    for ints and dual numbers.  Each entry is an
-    integer polynomial in the coefficients, so integer forms stay in the
-    integers throughout.  Forms with rational coefficients are first scaled
-    to integer forms lambda*f_n and mu*f_m (lambda, mu the lcm of each
-    form's denominators); each entry is then unscaled exactly by the grading
-    DR_r(lambda*f, mu*g) = lambda^(2n-2-r) * mu^r * DR_r(f, g).  Forms with
-    MultiPoly or DualScalar coefficients are used as they are, MultiPoly
-    coefficients lifted onto one namespace first; such forms with a
-    Fraction coefficient too raise TypeError.
+    the samples are interpolated in t into all n + 1 entries.  Each entry
+    is an integer polynomial in the coefficients, so integer forms stay in
+    the integers throughout.  The forms are taken over one ring first
+    (_one_ring), which also picks the determinant: expansion by minors for
+    MultiPoly coefficients, lifted onto one namespace, and Bareiss
+    elimination for ints and dual numbers.  Forms with rational
+    coefficients are scaled there to integer forms lambda*f_n and mu*f_m
+    (lambda, mu the lcm of each form's denominators); each entry is then
+    unscaled exactly by the grading
+    DR_r(lambda*f, mu*g) = lambda^(2n-2-r) * mu^r * DR_r(f, g), and stays
+    an int when lambda = mu = 1.
     """
     n = f_n.degree
     if n < 2:
@@ -390,17 +397,7 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
         raise ValueError("second form must have degree n - 2")
     if mode not in ("numeric", "symbolic"):
         raise ValueError(f"unknown mode: {mode}")
-    lam = mu = 1
-    coeffs = f_n.coefficients + f_m.coefficients
-    if _has_fraction(coeffs):
-        (f_n, lam), (f_m, mu) = _cleared(f_n), _cleared(f_m)
-    else:
-        # one namespace for the whole series: no product, division or
-        # interpolation step remaps its operands
-        coeffs = align_all(coeffs)
-        f_n = BinaryForm.from_coeffs(coeffs[:n + 1])
-        f_m = BinaryForm.from_coeffs(coeffs[n + 1:])
-    det = _det_kernel(coeffs)
+    (f_n, f_m), scales, det = _one_ring((f_n, f_m))
     a0, an = f_n.coefficients[0], f_n.coefficients[-1]
     denom = a0 * an
     if not _is_unit_pivot(denom):  # a dual's derivative may be nonzero
@@ -415,34 +412,40 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
             Bt = [[u + v for u, v in zip(r, r1)] for r, r1 in zip(Bt, B1)]
         samples.append(exact_div(det(Bt), denom))
     entries = interpolate_in_t(samples)
-    entries += [entries[0] * 0] * (n + 1 - len(entries))
-    if lam != 1 or mu != 1:
+    if scales not in (None, (1, 1)):
+        lam, mu = scales
         entries = [Fraction(e, lam ** (2 * n - 2 - r) * mu ** r)
                    for r, e in enumerate(entries)]
     return DRSeries(n, tuple(entries))
 
 
-def _det_kernel(coeffs):
-    """The determinant for matrices built from these form coefficients,
-    chosen once per computation: expansion by minors when a MultiPoly is
-    among them, Bareiss otherwise (ints and dual numbers)."""
-    if any(c.__class__ is MultiPoly for c in coeffs):
-        return det_by_minors
-    return det_fraction_free
+def _one_ring(forms):
+    """The forms of one computation over one ring: (forms, scales, det).
 
-
-def _has_fraction(coeffs) -> bool:
-    """Whether a Fraction is among the coefficients; TypeError if one is
-    mixed with a MultiPoly or DualScalar, as no ring here holds both."""
-    if not any(isinstance(c, Fraction) for c in coeffs):
-        return False
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-        raise TypeError("a form mixes Fraction and MultiPoly or DualScalar")
-    return True
-
-
-def _cleared(f: BinaryForm):
-    """(s*f, s) for s the lcm of f's denominators: s*f has int coefficients."""
-    s = math.lcm(*(c.denominator for c in f.coefficients))
-    return BinaryForm.from_coeffs(tuple(c.numerator * (s // c.denominator)
-                                        for c in f.coefficients)), s
+    Forms with a Fraction coefficient become the integer forms s*f, s the
+    lcm of f's denominators, and scales holds each s; a Fraction mixed
+    with a MultiPoly or DualScalar raises TypeError, as no ring here holds
+    both.  Otherwise scales is None and MultiPoly coefficients are lifted
+    onto one namespace, so that no product, division or interpolation step
+    remaps its operands.  det is the determinant for matrices built from
+    the forms, looked up in this module on each call: expansion by minors
+    when a coefficient is a MultiPoly, Bareiss otherwise (ints and dual
+    numbers).
+    """
+    coeffs = [c for f in forms for c in f.coefficients]
+    if any(isinstance(c, Fraction) for c in coeffs):
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError("a form mixes Fraction and MultiPoly or "
+                            "DualScalar")
+        scales = tuple(math.lcm(*(c.denominator for c in f.coefficients))
+                       for f in forms)
+        forms = tuple(BinaryForm.from_coeffs(tuple(
+            c.numerator * (s // c.denominator) for c in f.coefficients))
+            for f, s in zip(forms, scales))
+        return forms, scales, det_fraction_free
+    if not any(c.__class__ is MultiPoly for c in coeffs):
+        return forms, None, det_fraction_free
+    lifted = iter(align_all(coeffs))
+    forms = tuple(BinaryForm.from_coeffs(islice(lifted, f.degree + 1))
+                  for f in forms)
+    return forms, None, det_by_minors

@@ -95,7 +95,8 @@ class MultiPoly:
                 return NotImplemented
             c = int(other)
             return self.terms == ({(0,) * len(self.variables): c} if c else {})
-        a, b = _align(self, other)
+        a, b = ((self, other) if other.variables == self.variables
+                else align_all((self, other)))
         return a.terms == b.terms
 
     def __hash__(self):
@@ -131,7 +132,7 @@ class MultiPoly:
         """self + other, or self - other when negate is set."""
         if other.__class__ is MultiPoly:
             a, b = ((self, other) if other.variables == self.variables
-                    else _align(self, other))
+                    else align_all((self, other)))
             pairs = b.terms.items()
         elif isinstance(other, int):
             # a constant is the term at the zero exponent of self's namespace
@@ -149,7 +150,7 @@ class MultiPoly:
             return _make(self.variables,
                          {e: c * v for e, v in self.terms.items()} if c else {})
         a, b = ((self, other) if other.variables == self.variables
-                else _align(self, other))
+                else align_all((self, other)))
         return _make(a.variables, _product(a.terms, b.terms))
 
     __rmul__ = __mul__
@@ -178,7 +179,8 @@ class MultiPoly:
                 e: _quotient(c, q) for e, c in self.terms.items()})
         if q.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        a, b = (self, q) if q.variables == self.variables else _align(self, q)
+        a, b = ((self, q) if q.variables == self.variables
+                else align_all((self, q)))
         if len(b.terms) == 1:
             ((e_q, c_q),) = b.terms.items()
             quo = {tuple(map(sub, e, e_q)): _quotient(c, c_q)
@@ -337,14 +339,6 @@ def _product(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _align(p: MultiPoly, q: MultiPoly):
-    """Remap both polynomials onto the sorted union namespace."""
-    if p.variables == q.variables:
-        return p, q
-    vs = tuple(sorted(set(p.variables) | set(q.variables)))
-    return _remap(p, vs), _remap(q, vs)
-
-
 def align_all(values: Sequence) -> list:
     """The values with every MultiPoly among them remapped onto the sorted
     union of their namespaces; other values are kept as they are.  A long
@@ -381,7 +375,7 @@ def interpolate_in_t(values: Iterable):
     Every coefficient combines all values (even the constant term is
     c_0 - 0*c), so with mixed kinds each has the widest kind.  Returns the
     coefficient list of the unique polynomial of degree < m in the
-    interpolation parameter, trailing zeros trimmed.
+    interpolation parameter, all m of them, trailing zeros included.
     """
     diffs = list(values)
     m = len(diffs)
@@ -398,8 +392,6 @@ def interpolate_in_t(values: Iterable):
             nxt[j] = coeffs[j - 1] - coeffs[j] * k
         nxt[0] = newton[k] - coeffs[0] * k
         coeffs = nxt
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
     return coeffs
 
 

@@ -210,8 +210,8 @@ class TestDetByMinors:
 
 
 class TestKernelChoice:
-    """Each series picks its determinant once: minors for MultiPoly forms,
-    Bareiss for ints, Fractions (cleared to ints) and dual numbers."""
+    """Each computation picks its determinant once: minors for MultiPoly
+    forms, Bareiss for ints, Fractions (cleared to ints) and dual numbers."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -256,6 +256,31 @@ class TestKernelChoice:
         dr_series(f, g)
         assert calls == {"bareiss": 4, "minors": 0}
 
+    def test_rational_discriminant_runs_one_bareiss(self, monkeypatch):
+        f = BinaryForm.from_coeffs((F(3, 7), F(-5, 2), F(1), F(2, 3)))
+        calls = self._count(monkeypatch)
+        disc = discriminant(f)
+        assert calls == {"bareiss": 1, "minors": 0}
+        assert disc == sylvester_resultant(f, f.x_dx()) / (F(3, 7) * F(2, 3))
+
+    def test_rational_resultant_below_runs_one_bareiss(self, monkeypatch):
+        # d < e: one Bezout determinant of (g, f), no second pass
+        f = BinaryForm.from_coeffs((F(1, 2), F(-3), F(5, 4)))
+        g = BinaryForm.from_coeffs((F(2, 3), F(1), F(0), F(-7, 6), F(1, 5)))
+        calls = self._count(monkeypatch)
+        res = signed_resultant(f, g)
+        assert calls == {"bareiss": 1, "minors": 0}
+        assert res == sylvester_resultant(f, g) and type(res) is F
+
+    @pytest.mark.parametrize("coeffs", [(5, 0, 0), (0, 1, 1),
+                                        (F(1, 2), F(1, 3), F(0))])
+    def test_degenerate_discriminant_runs_no_determinant(self, monkeypatch,
+                                                         coeffs):
+        calls = self._count(monkeypatch)
+        with pytest.raises(NumericDegenerateError, match="a_0 \\* a_d = 0"):
+            discriminant(BinaryForm.from_coeffs(coeffs))
+        assert calls == {"bareiss": 0, "minors": 0}
+
     def test_resultant_picks_by_its_coefficients(self, monkeypatch):
         calls = self._count(monkeypatch)
         signed_resultant(BinaryForm.generic(3), BinaryForm.generic(2, "b"))
@@ -290,6 +315,13 @@ class TestSignedResultant:
         c = BinaryForm.from_coeffs((MultiPoly.variable("b0"),))
         b0 = MultiPoly.variable("b0")
         assert signed_resultant(f, c) == b0 ** 2
+
+    def test_zero_form_with_degree_zero_form(self):
+        # a degree-0 argument is an empty product, even beside a zero form
+        zero2 = BinaryForm.from_coeffs((0, 0))
+        assert signed_resultant(zero2, BinaryForm.from_coeffs((3,))) == 3
+        zero0 = BinaryForm.from_coeffs((0,))
+        assert signed_resultant(zero0, BinaryForm.from_coeffs((1, 2, 3))) == 0
 
     def test_swap_antisymmetry(self):
         rng = random.Random(9)
@@ -511,6 +543,23 @@ class TestDiscriminant:
         f = BinaryForm.from_coeffs((F(0), F(1), F(1)))
         with pytest.raises(NumericDegenerateError):
             discriminant(f)
+
+    def test_zero_valued_dual_end_coefficient(self):
+        # a_0*a_d with a zero value part is degenerate even when its
+        # derivative is not, so no exact division by it is tried
+        f = BinaryForm.from_coeffs([DualScalar(1), DualScalar(2),
+                                    DualScalar(3), DualScalar(0, 1)])
+        with pytest.raises(NumericDegenerateError, match="a_0 \\* a_d = 0"):
+            discriminant(f)
+        rng = random.Random(29)
+        for _ in range(50):
+            d = rng.randint(2, 5)
+            coeffs = [DualScalar(rng.randint(-9, 9), rng.randint(-9, 9))
+                      for _ in range(d + 1)]
+            end = rng.choice((0, d))
+            coeffs[end] = DualScalar(0, rng.randint(-9, 9))
+            with pytest.raises(NumericDegenerateError):
+                discriminant(BinaryForm.from_coeffs(coeffs))
 
     def test_zero_multipoly_end_coefficient(self):
         f = BinaryForm.from_coeffs((MultiPoly.constant(0),
