@@ -333,8 +333,9 @@ def discriminant(f: BinaryForm):
     """res(f, x*df/dx) / (a_0 * a_d), sign-normalized as above.
 
     The form is taken over one ring first (_one_ring), and a_0 * a_d is
-    tested there, before any determinant: a zero value part (a dual
-    number's derivative may be nonzero) raises NumericDegenerateError.
+    tested in that ring, before any determinant: a zero value part (a
+    dual number's derivative may be nonzero) raises
+    NumericDegenerateError.
     A rational form is cleared to lambda*f and the result unscaled by
     disc(lambda*f) = lambda^(2d-2) * disc(f).
     """
