@@ -17,12 +17,15 @@ coefficients are lifted onto one namespace; and the determinant is picked
 from the coefficients: Bareiss elimination (det_fraction_free) over ints
 and dual numbers, and division-free expansion by minors (det_by_minors)
 over MultiPoly, whose sparse symbolic entries make elimination's products
-and exact divisions of large minors the dominant cost.
+and exact divisions of large minors the dominant cost.  The expansion
+runs on exponent tuples packed into ints, so a monomial product is one
+int addition, and each product accumulates in place into its minor.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -240,11 +243,20 @@ def det_by_minors(M):
     polynomial entries, as in a Bezout matrix over symbolic coefficients,
     that beats elimination, whose every step multiplies two large minors
     and divides by a third; Bareiss (det_fraction_free) stays the kernel
-    for ints and dual numbers.  The entries are lifted onto one namespace
-    first and the expansion runs on their term dicts with MultiPoly's own
-    _product and _sum.  An entry that is neither an int nor a MultiPoly (a
-    Fraction, a DualScalar) raises TypeError.  Returns a MultiPoly, or 1
-    for the empty matrix, as det_fraction_free does.
+    for ints and dual numbers.
+
+    The entries are lifted onto one namespace, and each exponent tuple is
+    packed once into an int of fixed-width fields, one per variable
+    (Monagan & Pearce, CASC 2007).  A term of a minor of k rows is a
+    product of k entry terms, so none of its fields exceeds N times the
+    largest entry exponent; the fields are made that wide, rounded up to
+    whole bytes, so adding two packed keys multiplies the monomials and
+    never carries from one field into the next.  Each product adds
+    straight into the term dict of its target minor, the sign folded into
+    the entry's coefficient, and zeros are dropped once per row; the
+    result is unpacked once.  An entry that is neither an int nor a
+    MultiPoly (a Fraction, a DualScalar) raises TypeError.  Returns a
+    MultiPoly, or 1 for the empty matrix, as det_fraction_free does.
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -263,28 +275,69 @@ def det_by_minors(M):
         else:
             raise TypeError(f"det_by_minors takes int and MultiPoly "
                             f"entries, not {x!r}")
+    top = max((max(e, default=0) for t in terms for e in t), default=0)
+    fields = _exponent_fields(len(vs), n * top)
+    pack, size = fields.pack, fields.size
+    # each entry as its (packed exponent, coeff) pairs, and negated
+    packed = [[(int.from_bytes(pack(*e), "little"), c) for e, c in t.items()]
+              for t in terms]
+    negated = [[(e, -c) for e, c in t] for t in packed]
     # minors[cols]: the determinant of rows 0..k-1 and the columns in cols
-    minors = {1 << j: entry for j, entry in enumerate(terms[:n]) if entry}
+    minors = {1 << j: dict(entry) for j, entry in enumerate(packed[:n])
+              if entry}
     for k in range(1, n):
-        row = terms[k * n:(k + 1) * n]
         nxt: dict = {}
         for cols, minor in minors.items():
-            for j, entry in enumerate(row):
+            pairs = minor.items()
+            for j in range(n):
                 bit = 1 << j
-                if cols & bit or not entry:
+                if cols & bit or not packed[k * n + j]:
                     continue
                 # row k is the last row of the minor on cols | bit, and
                 # column j has (cols & (bit - 1)).bit_count() columns before it
-                negate = (k + (cols & (bit - 1)).bit_count()) % 2
-                key = cols | bit
-                prod = multipoly._product(entry, minor)
-                old = nxt.get(key)
-                if old is None and not negate:
-                    nxt[key] = prod  # the first term of this minor
-                else:
-                    nxt[key] = multipoly._sum(old or {}, prod.items(), negate)
-        minors = {cols: m for cols, m in nxt.items() if m}
-    return multipoly._make(vs, minors.get((1 << n) - 1, {}))
+                odd = (k + (cols & (bit - 1)).bit_count()) & 1
+                entry = (negated if odd else packed)[k * n + j]
+                target = nxt.setdefault(cols | bit, {})
+                get = target.get
+                for e1, c1 in entry:
+                    for e2, c2 in pairs:
+                        e = e1 + e2
+                        target[e] = get(e, 0) + c1 * c2
+        minors = {}
+        for cols, minor in nxt.items():
+            minor = {e: c for e, c in minor.items() if c}
+            if minor:
+                minors[cols] = minor
+    unpack = fields.unpack
+    det = minors.get((1 << n) - 1, {})
+    return multipoly._make(vs, {unpack(e.to_bytes(size, "little")): c
+                                for e, c in det.items()})
+
+
+def _exponent_fields(m: int, bound: int):
+    """Packing of m exponents, each at most bound, into little-endian
+    fields of whole bytes: a struct.Struct of 1-, 2-, 4- or 8-byte
+    unsigned fields, or _WideFields beyond 8 bytes."""
+    for code, w in (("B", 1), ("H", 2), ("I", 4), ("Q", 8)):
+        if bound < 1 << 8 * w:
+            return struct.Struct(f"<{m}{code}")
+    return _WideFields(m, (bound.bit_length() + 7) // 8)
+
+
+class _WideFields:
+    """struct.Struct's pack, unpack and size for m little-endian unsigned
+    fields of w bytes each, for exponents no standard field holds."""
+
+    def __init__(self, m: int, w: int):
+        self.w, self.size = w, m * w
+
+    def pack(self, *exps) -> bytes:
+        return b"".join(k.to_bytes(self.w, "little") for k in exps)
+
+    def unpack(self, data: bytes) -> tuple:
+        w = self.w
+        return tuple(int.from_bytes(data[i:i + w], "little")
+                     for i in range(0, self.size, w))
 
 
 def _refuse_fractions(M) -> None:
@@ -304,25 +357,27 @@ def signed_resultant(f: BinaryForm, g: BinaryForm):
     (-1)^d * det(bezout_matrix(g, f)) for d < e, the sign of
     res(f, g) = (-1)^(d*e) * res(g, f) folded in.  Degree-0 arguments are
     handled as empty products: res(f, c) = c^d and res(c, g) = c^e.
-    The forms are taken over one ring first (_one_ring): rational forms
-    are cleared to lambda*f and mu*g, and the result is unscaled by
-    res(lambda*f, mu*g) = lambda^e * mu^d * res(f, g).
+    The forms are taken over one ring first (_one_ring), degree-0 forms
+    too: rational forms are cleared to lambda*f and mu*g, and the result
+    is unscaled by res(lambda*f, mu*g) = lambda^e * mu^d * res(f, g);
+    forms whose denominators are all 1 give an int, as int forms do.
     """
     d, e = f.degree, g.degree
     if f.is_zero() and g.is_zero():
         raise ValueError("resultant of two zero forms")
-    if e == 0:
-        return g.coefficients[0] ** d
-    if d == 0:
-        return f.coefficients[0] ** e
-    if f.is_zero() or g.is_zero():
+    if d and e and (f.is_zero() or g.is_zero()):
         raise ValueError("zero form")
     (f, g), scales, det = _one_ring((f, g))
-    if d >= e:
-        res, odd = det(bezout_matrix(f, g)), (d + 1) * e % 2
+    if e == 0:
+        res = g.coefficients[0] ** d
+    elif d == 0:
+        res = f.coefficients[0] ** e
+    elif d >= e:
+        res = det(bezout_matrix(f, g))
+        res = -res if (d + 1) * e % 2 else res
     else:
-        res, odd = det(bezout_matrix(g, f)), d % 2
-    res = -res if odd else res
+        res = det(bezout_matrix(g, f))
+        res = -res if d % 2 else res
     if scales is None:
         return res
     lam, mu = scales
@@ -337,7 +392,8 @@ def discriminant(f: BinaryForm):
     dual number's derivative may be nonzero) raises
     NumericDegenerateError.
     A rational form is cleared to lambda*f and the result unscaled by
-    disc(lambda*f) = lambda^(2d-2) * disc(f).
+    disc(lambda*f) = lambda^(2d-2) * disc(f); a form whose denominators
+    are all 1 gives an int, as an int form does.
     """
     d = f.degree
     if d < 2:
@@ -413,7 +469,7 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
             Bt = [[u + v for u, v in zip(r, r1)] for r, r1 in zip(Bt, B1)]
         samples.append(exact_div(det(Bt), denom))
     entries = interpolate_in_t(samples)
-    if scales not in (None, (1, 1)):
+    if scales is not None:
         lam, mu = scales
         entries = [Fraction(e, lam ** (2 * n - 2 - r) * mu ** r)
                    for r, e in enumerate(entries)]
@@ -424,9 +480,11 @@ def _one_ring(forms):
     """The forms of one computation over one ring: (forms, scales, det).
 
     Forms with a Fraction coefficient become the integer forms s*f, s the
-    lcm of f's denominators, and scales holds each s; a Fraction mixed
-    with a MultiPoly or DualScalar raises TypeError, as no ring here holds
-    both.  Otherwise scales is None and MultiPoly coefficients are lifted
+    lcm of f's denominators, and scales holds each s, or is None when
+    every s is 1, so that integral rational forms give int results as int
+    forms do; a Fraction mixed with a MultiPoly or DualScalar raises
+    TypeError, as no ring here holds both.  Otherwise scales is None and
+    MultiPoly coefficients are lifted
     onto one namespace, so that no product, division or interpolation step
     remaps its operands.  det is the determinant for matrices built from
     the forms, looked up in this module on each call: expansion by minors
@@ -443,6 +501,8 @@ def _one_ring(forms):
         forms = tuple(BinaryForm.from_coeffs(tuple(
             c.numerator * (s // c.denominator) for c in f.coefficients))
             for f, s in zip(forms, scales))
+        if all(s == 1 for s in scales):
+            scales = None  # integral: the results are ints, as for int forms
         return forms, scales, det_fraction_free
     if not any(c.__class__ is MultiPoly for c in coeffs):
         return forms, None, det_fraction_free

@@ -10,7 +10,8 @@ bracket expansion lies in Z[...], and rational forms are cleared to
 integer forms once where binforms takes them in.  All values are
 immutable after construction.  The sum and product loops over term dicts,
 _sum and _product, are also the arithmetic of the Laurent layer's
-exponent-row ring and of binforms' expansion by minors.
+exponent-row ring.  binforms' expansion by minors reads and builds term
+dicts but multiplies on exponents packed into ints, with its own loop.
 """
 
 from __future__ import annotations

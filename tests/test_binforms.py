@@ -160,6 +160,66 @@ class TestDetByMinors:
         M = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(5)]
         assert det_by_minors(M) == det_fraction_free(M) == permutation_det(M)
 
+    @pytest.mark.parametrize("order", range(1, 5))
+    def test_int_only_matrices_give_a_multipoly(self, order):
+        rng = random.Random(17 + order)
+        M = [[rng.randint(-5, 5) for _ in range(order)] for _ in range(order)]
+        M[0][0] = M[0][0] or 1
+        det = det_by_minors(M)
+        assert isinstance(det, MultiPoly) and det.variables == ()
+        assert det == det_fraction_free(M) == permutation_det(M)
+
+    # Exponents are packed into fields of 1, 2, 4 or 8 bytes, or wider,
+    # sized for order * top; these sit just below and just above each
+    # boundary, and the diagonal's x^top * y reaches the bound in x, next
+    # to y's field, so a carry out of x's field would change y's exponent.
+    @pytest.mark.parametrize("order, top", [
+        (1, 255), (1, 256), (4, 63), (4, 64), (4, 16383), (4, 16384),
+        (4, 2 ** 62 - 1), (4, 2 ** 62)], ids=[
+        "order1-255", "order1-256", "order4-63", "order4-64", "order4-16383",
+        "order4-16384", "order4-2^62-1", "order4-2^62"])
+    def test_fields_at_byte_boundaries(self, order, top):
+        rng = random.Random(order * 1000 + top % 997)
+        u, x, y, z = (MultiPoly.variable(v) for v in "uxyz")
+        for _ in range(3):
+            M = [[sum(rng.choice([-2, -1, 1, 3]) * v ** rng.choice([1, top - 1])
+                      for v in rng.sample([u, x, y, z], rng.randint(1, 3)))
+                  for _ in range(order)] for _ in range(order)]
+            for i in range(order):
+                M[i][i] = M[i][i] + x ** top * y
+            det = det_by_minors(M)
+            assert det == det_fraction_free(M)
+            assert det == permutation_det(M)
+            ix, iy = det.variables.index("x"), det.variables.index("y")
+            assert det.terms[tuple(
+                order * top if i == ix else order if i == iy else 0
+                for i in range(len(det.variables)))] == 1
+            assert max(e[ix] for e in det.terms) == order * top
+
+    def test_keys_wider_than_64_bits(self):
+        # each entry holds a monomial in three names of its own, so the
+        # namespace has 3 * order^2 = 48 variables, one byte each
+        order = 4
+        rng = random.Random(204)
+        names = [f"v{i:02d}" for i in range(3 * order * order)]
+        M = [[sparse_entry(rng, names) for _ in range(order)]
+             for _ in range(order)]
+        for i in range(order):
+            for j in range(order):
+                k = 3 * (i * order + j)
+                M[i][j] = M[i][j] + (MultiPoly.variable(names[k])
+                                     * MultiPoly.variable(names[k + 1])
+                                     * MultiPoly.variable(names[k + 2]) ** 2)
+        det = det_by_minors(M)
+        assert len(det.variables) >= 40
+        assert not det.is_zero
+        assert det == det_fraction_free(M)
+        assert det == permutation_det(M)
+        M[order - 1] = list(M[0])
+        assert det_by_minors(M).is_zero
+        M[0] = [0] * order
+        assert det_by_minors(M).is_zero
+
     def test_empty_matrix_is_one(self):
         assert det_by_minors([]) == det_fraction_free([]) == 1
 
@@ -758,6 +818,30 @@ class TestScalarDomains:
             assert all(type(e) is int for e in dr_series(f, g).entries)
         assert discriminant(BinaryForm.from_coeffs([1, 0, 1])) == 4
         assert type(discriminant(BinaryForm.from_coeffs([1, 0, 1]))) is int
+
+    def test_integral_rational_input_gives_int_results(self):
+        # `dr-series --forms` parses every coefficient, "3" too, into a
+        # Fraction; whole-number Fractions give what the same ints give
+        rng = random.Random(47)
+
+        def as_fractions(form):
+            return BinaryForm.from_coeffs([F(c) for c in form.coefficients])
+
+        for n in range(2, 7):
+            f, g = self._forms(rng, n, lambda p, q: p)
+            c = BinaryForm.from_coeffs((rng.choice([-3, 2, 5]),))
+            pairs = [(f, f.x_dx()), (c, f), (f, c)]
+            if g.degree >= 1 and not g.is_zero():
+                pairs += [(f, g), (g, f)]
+            results = []
+            for ring in (lambda h: h, as_fractions):
+                values = list(dr_series(ring(f), ring(g)).entries)
+                values.append(discriminant(ring(f)))
+                values += [signed_resultant(ring(p), ring(q)) for p, q in pairs]
+                results.append(values)
+            ints, fractions = results
+            assert fractions == ints
+            assert [type(v) for v in fractions] == [int] * len(ints)
 
     def test_rational_input_is_unscaled_exactly(self):
         f = BinaryForm.from_coeffs((F(1, 2), F(0), F(1)))
