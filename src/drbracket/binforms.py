@@ -277,26 +277,26 @@ def det_by_minors(M):
                             f"entries, not {x!r}")
     top = max((max(e, default=0) for t in terms for e in t), default=0)
     fields = _exponent_fields(len(vs), n * top)
-    pack, size = fields.pack, fields.size
-    # each entry as its (packed exponent, coeff) pairs, and negated
-    packed = [[(int.from_bytes(pack(*e), "little"), c) for e, c in t.items()]
-              for t in terms]
-    negated = [[(e, -c) for e, c in t] for t in packed]
+    # each entry as its (packed exponent, coeff) pairs
+    packed = [[(int.from_bytes(fields.pack(*e), "little"), c)
+               for e, c in t.items()] for t in terms]
     # minors[cols]: the determinant of rows 0..k-1 and the columns in cols
     minors = {1 << j: dict(entry) for j, entry in enumerate(packed[:n])
               if entry}
     for k in range(1, n):
+        row = packed[k * n:(k + 1) * n]
+        negated = [[(e, -c) for e, c in entry] for entry in row]
         nxt: dict = {}
         for cols, minor in minors.items():
             pairs = minor.items()
-            for j in range(n):
+            for j, entry in enumerate(row):
                 bit = 1 << j
-                if cols & bit or not packed[k * n + j]:
+                if cols & bit or not entry:
                     continue
                 # row k is the last row of the minor on cols | bit, and
                 # column j has (cols & (bit - 1)).bit_count() columns before it
-                odd = (k + (cols & (bit - 1)).bit_count()) & 1
-                entry = (negated if odd else packed)[k * n + j]
+                if (k + (cols & (bit - 1)).bit_count()) & 1:
+                    entry = negated[j]
                 target = nxt.setdefault(cols | bit, {})
                 get = target.get
                 for e1, c1 in entry:
@@ -308,7 +308,7 @@ def det_by_minors(M):
             minor = {e: c for e, c in minor.items() if c}
             if minor:
                 minors[cols] = minor
-    unpack = fields.unpack
+    unpack, size = fields.unpack, fields.size
     det = minors.get((1 << n) - 1, {})
     return multipoly._make(vs, {unpack(e.to_bytes(size, "little")): c
                                 for e, c in det.items()})
@@ -369,15 +369,14 @@ def signed_resultant(f: BinaryForm, g: BinaryForm):
         raise ValueError("zero form")
     (f, g), scales, det = _one_ring((f, g))
     if e == 0:
-        res = g.coefficients[0] ** d
+        res, odd = g.coefficients[0] ** d, 0
     elif d == 0:
-        res = f.coefficients[0] ** e
+        res, odd = f.coefficients[0] ** e, 0
     elif d >= e:
-        res = det(bezout_matrix(f, g))
-        res = -res if (d + 1) * e % 2 else res
+        res, odd = det(bezout_matrix(f, g)), (d + 1) * e % 2
     else:
-        res = det(bezout_matrix(g, f))
-        res = -res if d % 2 else res
+        res, odd = det(bezout_matrix(g, f)), d % 2
+    res = -res if odd else res
     if scales is None:
         return res
     lam, mu = scales
