@@ -18,14 +18,12 @@ from the coefficients: Bareiss elimination (det_fraction_free) over ints
 and dual numbers, and division-free expansion by minors (det_by_minors)
 over MultiPoly, whose sparse symbolic entries make elimination's products
 and exact divisions of large minors the dominant cost.  The expansion
-runs on exponent tuples packed into ints, so a monomial product is one
-int addition, and each product accumulates in place into its minor.
+multiplies MultiPoly's packed term dicts in place into its minors.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -183,15 +181,14 @@ def det_fraction_free(M):
     integer matrix never leaves the integers), dual numbers and MultiPoly.
     The library calls it on ints and dual numbers; MultiPoly matrices go
     through det_by_minors, and this stays the ring-generic reference that
-    kernel is tested against.  A Fraction
-    entry raises TypeError at every order: from order 3 on the first exact
-    division refuses it, and a check of the entries does so at orders 1 and
-    2 and where a column of zeros ends the elimination before that
-    division.  Dual numbers work when every pivot has a nonzero value part;
-    otherwise NumericDegenerateError is raised.  An order-N matrix takes
-    about N^3/3 updates, each two products and one exact division;
-    resultants and the DR series of numeric forms call it on Bezout
-    matrices of order max(d, e).
+    kernel is tested against.  A Fraction entry raises TypeError at every
+    order: from order 3 on the first exact division refuses it, and a check
+    of the entries does so at orders 1 and 2 and where a column of zeros
+    ends the elimination before that division.  Dual numbers work when
+    every pivot has a nonzero value part; otherwise NumericDegenerateError
+    is raised.  An order-N matrix takes about N^3/3 updates, each two
+    products and one exact division; resultants and the DR series of
+    numeric forms call it on Bezout matrices of order max(d, e).
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -245,17 +242,12 @@ def det_by_minors(M):
     and divides by a third; Bareiss (det_fraction_free) stays the kernel
     for ints and dual numbers.
 
-    The entries are lifted onto one namespace, and each exponent tuple is
-    packed once into an int of fixed-width fields, one per variable
-    (Monagan & Pearce, CASC 2007).  A term of a minor of k rows is a
-    product of k entry terms, so none of its fields exceeds N times the
-    largest entry exponent; the fields are made that wide, rounded up to
-    whole bytes, so adding two packed keys multiplies the monomials and
-    never carries from one field into the next.  Each product adds
-    straight into the term dict of its target minor, the sign folded into
-    the entry's coefficient, and zeros are dropped once per row; the
-    result is unpacked once.  An entry that is neither an int nor a
-    MultiPoly (a Fraction, a DualScalar) raises TypeError.  Returns a
+    The entries are lifted onto one namespace and a field width that
+    align_all sizes for products of N entries, so adding two of MultiPoly's
+    packed keys multiplies their monomials without a carry.  Each product
+    adds into the term dict of its target minor, the sign folded into the
+    entry's coefficient, and zeros are dropped once per row.  An entry that
+    is neither an int nor a MultiPoly raises TypeError.  Returns a
     MultiPoly, or 1 for the empty matrix, as det_fraction_free does.
     """
     n = len(M)
@@ -263,23 +255,19 @@ def det_by_minors(M):
         raise ValueError("matrix must be square")
     if n == 0:
         return 1
-    flat = multipoly.align_all([x for row in M for x in row])
-    vs = next((x.variables for x in flat if x.__class__ is MultiPoly), ())
-    one = (0,) * len(vs)
-    terms = []
+    flat = multipoly.align_all([x for row in M for x in row], n)
+    like, top = MultiPoly.zero(), 0
+    # each entry as its (packed exponent, coeff) pairs
+    packed = []
     for x in flat:
         if x.__class__ is MultiPoly:
-            terms.append(x.terms)
+            like, top = x, (x._top if x._top > top else top)
+            packed.append(list(x._terms.items()))
         elif isinstance(x, int):
-            terms.append({one: int(x)} if x else {})
+            packed.append([(0, int(x))] if x else [])
         else:
             raise TypeError(f"det_by_minors takes int and MultiPoly "
                             f"entries, not {x!r}")
-    top = max((max(e, default=0) for t in terms for e in t), default=0)
-    fields = _exponent_fields(len(vs), n * top)
-    # each entry as its (packed exponent, coeff) pairs
-    packed = [[(int.from_bytes(fields.pack(*e), "little"), c)
-               for e, c in t.items()] for t in terms]
     # minors[cols]: the determinant of rows 0..k-1 and the columns in cols
     minors = {1 << j: dict(entry) for j, entry in enumerate(packed[:n])
               if entry}
@@ -308,36 +296,8 @@ def det_by_minors(M):
             minor = {e: c for e, c in minor.items() if c}
             if minor:
                 minors[cols] = minor
-    unpack, size = fields.unpack, fields.size
-    det = minors.get((1 << n) - 1, {})
-    return multipoly._make(vs, {unpack(e.to_bytes(size, "little")): c
-                                for e, c in det.items()})
-
-
-def _exponent_fields(m: int, bound: int):
-    """Packing of m exponents, each at most bound, into little-endian
-    fields of whole bytes: a struct.Struct of 1-, 2-, 4- or 8-byte
-    unsigned fields, or _WideFields beyond 8 bytes."""
-    for code, w in (("B", 1), ("H", 2), ("I", 4), ("Q", 8)):
-        if bound < 1 << 8 * w:
-            return struct.Struct(f"<{m}{code}")
-    return _WideFields(m, (bound.bit_length() + 7) // 8)
-
-
-class _WideFields:
-    """struct.Struct's pack, unpack and size for m little-endian unsigned
-    fields of w bytes each, for exponents no standard field holds."""
-
-    def __init__(self, m: int, w: int):
-        self.w, self.size = w, m * w
-
-    def pack(self, *exps) -> bytes:
-        return b"".join(k.to_bytes(self.w, "little") for k in exps)
-
-    def unpack(self, data: bytes) -> tuple:
-        w = self.w
-        return tuple(int.from_bytes(data[i:i + w], "little")
-                     for i in range(0, self.size, w))
+    return multipoly._make(like.variables, like._w, n * top,
+                           minors.get((1 << n) - 1, {}))
 
 
 def _refuse_fractions(M) -> None:
@@ -483,12 +443,11 @@ def _one_ring(forms):
     every s is 1, so that integral rational forms give int results as int
     forms do; a Fraction mixed with a MultiPoly or DualScalar raises
     TypeError, as no ring here holds both.  Otherwise scales is None and
-    MultiPoly coefficients are lifted
-    onto one namespace, so that no product, division or interpolation step
-    remaps its operands.  det is the determinant for matrices built from
-    the forms, looked up in this module on each call: expansion by minors
-    when a coefficient is a MultiPoly, Bareiss otherwise (ints and dual
-    numbers).
+    MultiPoly coefficients are lifted onto one namespace and width, so that
+    no product, division or interpolation step remaps its operands.  det is
+    the determinant for matrices built from the forms, looked up in this
+    module on each call: expansion by minors when a coefficient is a
+    MultiPoly, Bareiss otherwise (ints and dual numbers).
     """
     coeffs = [c for f in forms for c in f.coefficients]
     if any(isinstance(c, Fraction) for c in coeffs):

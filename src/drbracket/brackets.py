@@ -133,6 +133,14 @@ class BracketPolynomial:
     def __len__(self):
         return len(self.terms)
 
+    def degree(self) -> int:
+        """The number of factors of its longest term (each term of
+        dr_bracket_sum(n, r) has (n - r)(n - 1) + r(n - 2)), 0 for none."""
+        if self._r is not None:
+            n, r = self.n, self._r
+            return (n - r) * (n - 1) + r * (n - 2)
+        return max(map(len, self._terms), default=0)
+
     def substitute(self, image: Callable[[Tuple[Symbol, Symbol]], object],
                    zero=0, one=1):
         """Sum over the terms of coeff * prod(image(pair) for each factor),

@@ -15,8 +15,9 @@ bracket-sum term of I is sum_{j not in I} alpha_j + sum_{i in I} beta_i
 over one per-n table of 2n symbol rows, each the summed lm rows of one
 symbol's bracket expansions.  The lm of DR_{n,r} is that of its dominant
 term I = [r]; the full expansion of the bracket sum stays the oracle for
-small n.  It multiplies out in exponent rows, with the sum and product
-loops that MultiPoly's terms use.
+small n.  It multiplies out in exponent rows packed into ints, with the
+sum and product loops of MultiPoly's terms: packing is linear, so adding
+two keys adds their rows, negative exponents included.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .brackets import (BracketPolynomial, Symbol, _pair_tables, alpha, beta,
                        dr_bracket_sum, subsets_colex)
-from .multipoly import _product, _sum
+from .multipoly import _guards, _pack, _product, _sum, _unpack, _width
 from .rationals import format_rational
 
 # ("A", i), ("B", k), ("C", i), ("D", k); the family letters sort in lex
@@ -145,12 +146,25 @@ def _from_rows(columns: Sequence[Var], rows: dict) -> LaurentPoly:
     return LaurentPoly({_monomial(columns, row): c for row, c in rows.items()})
 
 
+def _packed(rows: dict, w: int) -> dict:
+    """{exponent row: coeff} with each row packed into one int of w-bit
+    fields; _unpacked recovers entries in [-2^(w-1), 2^(w-1))."""
+    return {_pack(row, w): c for row, c in rows.items()}
+
+
+def _unpacked(rows: dict, w: int, m: int) -> dict:
+    """The inverse of _packed for rows of m entries: adding 2^(w-1) to
+    every field lifts each entry into [0, 2^w)."""
+    half, bias = 1 << (w - 1), _guards(m, w)
+    return {tuple(k - half for k in _unpack(key + bias, w, m)): c
+            for key, c in rows.items()}
+
+
 class _Rows:
-    """A Laurent polynomial as {exponent row: coeff} over one model's
-    columns, with no zero coefficient: the Laurent layer's one ring, which
-    laurent_expand_poly multiplies in.  It adds and multiplies with
-    MultiPoly's term-dict loops, which take negative exponents as they
-    take any other."""
+    """A Laurent polynomial as {packed exponent row: coeff} over one
+    model's columns (_packed), with no zero coefficient: the Laurent
+    layer's one ring, which laurent_expand_poly multiplies in.  It adds
+    and multiplies with MultiPoly's term-dict loops."""
 
     __slots__ = ("terms",)
 
@@ -337,13 +351,16 @@ def laurent_expand_bracket(model: PolygonModel, x: Symbol, y: Symbol) -> Laurent
 
 def laurent_expand_poly(model: PolygonModel, bp: BracketPolynomial) -> LaurentPoly:
     """Multiplicative-additive extension of the per-bracket expansion,
-    multiplied out in exponent rows over the model's columns."""
+    multiplied out in packed exponent rows over the model's columns.  A
+    bracket's row has entries 0 and +-1, so fields of _width(bp.degree())
+    bits hold the rows of every product of its terms' brackets."""
     n = model.n
     columns = _model_tables(n)[0]
+    w = _width(bp.degree())
     total = bp.substitute(
-        lambda pair: _Rows(_bracket_rows(n, pair[0], pair[1])),
-        _Rows({}), _Rows({(0,) * len(columns): 1}))
-    return _from_rows(columns, total.terms)
+        lambda pair: _Rows(_packed(_bracket_rows(n, pair[0], pair[1]), w)),
+        _Rows({}), _Rows({0: 1}))
+    return _from_rows(columns, _unpacked(total.terms, w, len(columns)))
 
 
 def lex_leading_monomial(p: LaurentPoly, model: PolygonModel) -> LaurentMonomial:

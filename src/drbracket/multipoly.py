@@ -1,17 +1,18 @@
-"""Sparse multivariate polynomials with integer coefficients.
+"""Sparse multivariate polynomials with integer coefficients, immutable.
 
-Terms are keyed by exponent tuples over a sorted variable namespace.
-Arithmetic on two different namespaces remaps both operands onto their
-sorted union, so mixed namespaces always work; a long computation (a
-symbolic DR series, a coordinate expansion) lifts its inputs onto one
-namespace once with align_all, and its arithmetic then never remaps.
-Every coefficient is a plain int: each DR entry, determinant minor and
-bracket expansion lies in Z[...], and rational forms are cleared to
-integer forms once where binforms takes them in.  All values are
-immutable after construction.  The sum and product loops over term dicts,
-_sum and _product, are also the arithmetic of the Laurent layer's
-exponent-row ring.  binforms' expansion by minors reads and builds term
-dicts but multiplies on exponents packed into ints, with its own loop.
+Each term's exponent vector over a sorted variable namespace is packed into
+one int key (Monagan & Pearce, CASC 2007): a field of w bits per variable,
+the first variable most significant, so that int order is lex order and a
+monomial product is one key addition.  A polynomial carries its width w (8,
+16, 32, ... bits) and a bound top on its exponents below 2^(w-1), so the top
+bit of every field is a guard no key sets: a product whose tops could reach
+it widens its operands first, and an exact quotient sees a borrow as a
+cleared guard bit.  Operands over two namespaces or widths are remapped onto
+the sorted union and the wider width; a long computation lifts its inputs
+once with align_all.  ``terms`` is a read-only view keyed by exponent tuples;
+library code (binforms' expansion by minors too) reads the packed dict.
+Every coefficient is a plain int: rational forms are cleared to integer
+forms once where binforms takes them in.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 # the C core of heapq: importing heapq itself also loads its pure-Python
 # module, about 0.15 MiB more peak RSS for three functions
 from _heapq import heapify, heappop, heappush
-from operator import add, neg, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .rationals import DualScalar, NotDivisibleError, parse_rational
@@ -32,8 +33,6 @@ class MissingVariableError(KeyError):
 
 def _coeff(x) -> int:
     """A coefficient as a plain int; anything but an int is refused."""
-    if x.__class__ is int:
-        return x
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"not an integer coefficient: {x!r}")
@@ -47,35 +46,75 @@ def _quotient(a: int, b: int) -> int:
     return q
 
 
+def _width(top: int) -> int:
+    """The narrowest width of 8, 16, 32, ... bits with its guard above top."""
+    w = 8
+    while top >> (w - 1):
+        w *= 2
+    return w
+
+
+def _guards(m: int, w: int) -> int:
+    """The guard bits of m fields of w bits, as one int."""
+    return ((1 << m * w) - 1) // ((1 << w) - 1) << (w - 1)
+
+
+def _pack(exps, w: int) -> int:
+    """The sum of exps[j] * 2^(w*(m-1-j)): negative exponents pack too."""
+    key = 0
+    for k in exps:
+        key = (key << w) + k
+    return key
+
+
+def _unpack(key: int, w: int, m: int) -> tuple:
+    if w == 8:  # a byte per field, the most common width
+        return tuple(key.to_bytes(m, "big"))
+    mask = (1 << w) - 1
+    return tuple((key >> s) & mask for s in range((m - 1) * w, -1, -w))
+
+
 class MultiPoly:
     """Immutable sparse polynomial with int coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_terms", "_w", "_top")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple, object]):
+    def __new__(cls, variables: Sequence[str], terms: Mapping[tuple, object]):
         vs = tuple(variables)
-        if list(vs) != sorted(vs):
-            raise ValueError("variable namespace must be sorted")
-        clean = {}
+        if any(u >= v for u, v in zip(vs, vs[1:])):
+            raise ValueError("variable namespace must be sorted, without "
+                             "repeats")
+        rows = []
         for exps, c in terms.items():
             c = _coeff(c)
             if len(exps) != len(vs):
                 raise ValueError("exponent vector does not match namespace")
-            if any(e < 0 for e in exps):
+            if any(not isinstance(k, int) or k.__class__ is bool
+                   for k in exps):
+                raise TypeError(f"not an integer exponent in {exps!r}")
+            if any(k < 0 for k in exps):
                 raise ValueError("negative exponent in polynomial term")
             if c:
-                clean[tuple(exps)] = c
-        object.__setattr__(self, "variables", vs)
-        object.__setattr__(self, "terms", clean)
+                rows.append((exps, c))
+        top = max((max(e, default=0) for e, _ in rows), default=0)
+        w = _width(top)
+        return _make(vs, w, top, {_pack(e, w): c for e, c in rows})
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple, int]:
+        """The terms keyed by exponent tuples: a read-only copy."""
+        w, m = self._w, len(self.variables)
+        return MappingProxyType({_unpack(e, w, m): c
+                                 for e, c in self._terms.items()})
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def constant(cls, c) -> "MultiPoly":
         c = _coeff(c)
-        return cls((), {(): c} if c else {})
+        return _make((), 8, 0, {0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -83,22 +122,22 @@ class MultiPoly:
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls((), {})
+        return _make((), 8, 0, {})
 
     # -- structure ---------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other):
         if other.__class__ is not MultiPoly:
             if not isinstance(other, int):
                 return NotImplemented
             c = int(other)
-            return self.terms == ({(0,) * len(self.variables): c} if c else {})
+            return self._terms == ({0: c} if c else {})
         a, b = ((self, other) if other.variables == self.variables
-                else align_all((self, other)))
-        return a.terms == b.terms
+                and other._w == self._w else align_all((self, other)))
+        return a._terms == b._terms
 
     def __hash__(self):
         p = self._trim()
@@ -106,13 +145,14 @@ class MultiPoly:
 
     def _trim(self) -> "MultiPoly":
         """Drop variables that occur in no term (canonical for eq/hash)."""
-        used = [i for i, v in enumerate(self.variables)
-                if any(e[i] for e in self.terms)]
-        if len(used) == len(self.variables):
+        used = 0
+        for e in self._terms:
+            used |= e
+        fields = _unpack(used, self._w, len(self.variables))
+        if all(fields):
             return self
-        vs = tuple(self.variables[i] for i in used)
-        terms = {tuple(e[i] for i in used): c for e, c in self.terms.items()}
-        return _make(vs, terms)
+        vs = tuple(v for v, k in zip(self.variables, fields) if k)
+        return _remap(self, vs, self._w)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -121,7 +161,8 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.variables, {e: -c for e, c in self.terms.items()})
+        return _make(self.variables, self._w, self._top,
+                     {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self._combine(other, True)
@@ -133,26 +174,30 @@ class MultiPoly:
         """self + other, or self - other when negate is set."""
         if other.__class__ is MultiPoly:
             a, b = ((self, other) if other.variables == self.variables
-                    else align_all((self, other)))
-            pairs = b.terms.items()
+                and other._w == self._w else align_all((self, other)))
+            pairs = b._terms.items()
+            top = a._top if a._top > b._top else b._top
         elif isinstance(other, int):
-            # a constant is the term at the zero exponent of self's namespace
-            a = self
-            pairs = (((0,) * len(self.variables), int(other)),)
+            # a constant is the term at key 0, whatever the namespace
+            a, pairs, top = self, ((0, int(other)),), self._top
         else:
             return NotImplemented
-        return _make(a.variables, _sum(a.terms, pairs, negate))
+        return _make(a.variables, a._w, top, _sum(a._terms, pairs, negate))
 
     def __mul__(self, other):
         if other.__class__ is not MultiPoly:
             if not isinstance(other, int):
                 return NotImplemented
             c = int(other)
-            return _make(self.variables,
-                         {e: c * v for e, v in self.terms.items()} if c else {})
-        a, b = ((self, other) if other.variables == self.variables
-                else align_all((self, other)))
-        return _make(a.variables, _product(a.terms, b.terms))
+            return _make(self.variables, self._w, self._top,
+                         {e: c * v for e, v in self._terms.items()} if c else {})
+        top = self._top + other._top
+        if (other.variables == self.variables and other._w == self._w
+                and not top >> (self._w - 1)):
+            a, b = self, other
+        else:  # remap, and widen where the product's top reaches a guard bit
+            a, b = align_all((self, other), 2)
+        return _make(a.variables, a._w, top, _product(a._terms, b._terms))
 
     __rmul__ = __mul__
 
@@ -174,32 +219,40 @@ class MultiPoly:
         if q.__class__ is not MultiPoly:
             if not isinstance(q, int):
                 raise TypeError(f"cannot divide a polynomial by {q!r}")
-            if not q:
-                raise ZeroDivisionError("division by zero")
-            return _make(self.variables, {
-                e: _quotient(c, q) for e, c in self.terms.items()})
+            q = _make(self.variables, self._w, 0, {0: int(q)} if q else {})
         if q.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
+            raise ZeroDivisionError("division by zero")
         a, b = ((self, q) if q.variables == self.variables
-                else align_all((self, q)))
-        if len(b.terms) == 1:
-            ((e_q, c_q),) = b.terms.items()
-            quo = {tuple(map(sub, e, e_q)): _quotient(c, c_q)
-                   for e, c in a.terms.items()}
-            if quo and any(e_q) and min(map(min, quo)) < 0:
-                raise NotDivisibleError("no exact quotient")
-            return _make(a.variables, quo)
-        # Long division by lex-leading terms.  The remainder is keyed by
-        # negated exponents, so the heap's smallest key is its lex-leading
-        # term.  Every key pushed lies below the term being divided out, so
-        # each key enters the heap once while it is live; a popped key that
-        # has since cancelled is skipped.
-        lt_q = max(b.terms)
-        c_q = b.terms[lt_q]
-        neg_lt_q = tuple(map(neg, lt_q))
-        q_rest = [(tuple(map(neg, e)), c) for e, c in b.terms.items()
-                  if e != lt_q]
-        rem = {tuple(map(neg, e)): c for e, c in a.terms.items()}
+                and q._w == self._w else align_all((self, q)))
+        # (e | guard) - e_q keeps every guard bit of e exactly when no field
+        # of e_q exceeds that of e; clearing them leaves the quotient's key
+        w, m = a._w, len(a.variables)
+        guard = _guards(m, w)
+        if len(b._terms) == 1:
+            ((e_q, c_q),) = b._terms.items()
+            if not e_q:  # a constant divides the coefficients only
+                return _make(a.variables, w, a._top, {
+                    e: _quotient(c, c_q) for e, c in a._terms.items()})
+            quo = {}
+            for e, c in a._terms.items():
+                d = (e | guard) - e_q
+                if d & guard != guard:
+                    raise NotDivisibleError("no exact quotient")
+                quo[d ^ guard] = _quotient(c, c_q)
+            return _make(a.variables, a._w, a._top, quo)
+        # Long division by lex-leading terms, the remainder keyed by negated
+        # keys so that the heap's smallest is its leading term.  A key pushed
+        # lies below the term divided out, so it enters the heap once while
+        # live; a popped key that has since cancelled is skipped.  In an
+        # exact division a remainder term is a term of q times one of the
+        # quotient, with no exponent above the dividend's largest in its
+        # variable: one above that ceiling shows that q does not divide self.
+        ceiling = guard + _pack(map(max, zip(*(
+            _unpack(e, w, m) for e in a._terms))), w)
+        lt_q = max(b._terms)
+        c_q = b._terms[lt_q]
+        q_rest = [(e, c) for e, c in b._terms.items() if e != lt_q]
+        rem = {-e: c for e, c in a._terms.items()}
         get = rem.get
         heap = list(rem)
         heapify(heap)
@@ -209,13 +262,17 @@ class MultiPoly:
             c_r = rem.pop(key, None)  # the leading term cancels exactly
             if c_r is None:
                 continue
-            diff = tuple(map(sub, neg_lt_q, key))
-            if diff and min(diff) < 0:
+            diff = (guard - key) - lt_q  # -key sets no guard bit
+            if diff & guard != guard:
                 raise NotDivisibleError("no exact quotient")
+            diff ^= guard
             c = _quotient(c_r, c_q)
             quo[diff] = c
             for e, cq in q_rest:
-                tgt = tuple(map(sub, e, diff))
+                tgt = e + diff
+                if (ceiling - tgt) & guard != guard:  # no field borrows
+                    raise NotDivisibleError("no exact quotient")
+                tgt = -tgt
                 old = get(tgt)
                 if old is None:
                     rem[tgt] = -c * cq
@@ -226,26 +283,26 @@ class MultiPoly:
                         rem[tgt] = s
                     else:
                         del rem[tgt]
-        return _make(a.variables, quo)
+        return _make(a.variables, a._w, a._top, quo)
 
     def derivative(self, var: str) -> "MultiPoly":
-        if var not in self.variables:
-            return _make(self.variables, {})
-        i = self.variables.index(var)
+        vs, w = self.variables, self._w
+        if var not in vs:
+            return _make(vs, w, self._top, {})
+        shift = (len(vs) - 1 - vs.index(var)) * w
+        mask, one = (1 << w) - 1, 1 << shift
         # lowering the exponent of var is one-to-one on the terms it keeps
-        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-               for e, c in self.terms.items() if e[i]}
-        return _make(self.variables, out)
+        out = {e - one: c * k for e, c in self._terms.items()
+               if (k := (e >> shift) & mask)}
+        return _make(vs, w, self._top, out)
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, point: Mapping[str, object]):
         """Exact value at a point; values may be ints or rationals."""
-        vals = []
         for v in self.variables:
             if v not in point:
                 raise MissingVariableError(v)
-            vals.append(point[v])
-        acc = 0
+        vals, acc = [point[v] for v in self.variables], 0
         for e, c in self.terms.items():
             term = c
             for x, k in zip(vals, e):
@@ -257,20 +314,23 @@ class MultiPoly:
     # -- serialization ---------------------------------------------------------
     def to_json(self) -> dict:
         p = self._trim()
-        recs = [{"coefficient": str(c),
-                 "exponents": list(e)}
+        recs = [{"coefficient": str(c), "exponents": list(e)}
                 for e, c in sorted(p.terms.items())]
         return {"variables": list(p.variables), "terms": recs}
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":
-        """Inverse of to_json; a non-integral "p/q" raises ValueError."""
+        """Inverse of to_json; a non-integral "p/q" coefficient or a
+        monomial listed twice raises ValueError."""
         terms = {}
         for rec in data["terms"]:
             c = parse_rational(rec["coefficient"])
             if c.denominator != 1:
                 raise ValueError(f"not an integer coefficient: {c}")
-            terms[tuple(rec["exponents"])] = c.numerator
+            exps = tuple(rec["exponents"])
+            if exps in terms:
+                raise ValueError(f"exponents {list(exps)} listed twice")
+            terms[exps] = c.numerator
         return cls(list(data["variables"]), terms)
 
     def __str__(self):
@@ -288,25 +348,29 @@ class MultiPoly:
 
 _new = object.__new__
 _set_variables = MultiPoly.variables.__set__
-_set_terms = MultiPoly.terms.__set__
+_set_terms = MultiPoly._terms.__set__
+_set_width = MultiPoly._w.__set__
+_set_top = MultiPoly._top.__set__
 
 
-def _make(variables: tuple, terms: dict) -> MultiPoly:
-    """Constructor for results of arithmetic, which trusts its inputs: a
-    sorted namespace, non-negative exponent tuples of its length and nonzero
-    int coefficients.  Skips the checks of __init__ and sets the slots
-    through their descriptors."""
+def _make(variables: tuple, w: int, top: int, terms: dict) -> MultiPoly:
+    """Constructor for results of arithmetic, which trusts its inputs
+    (nonzero int coefficients, exponents at most top < 2^(w-1)) and sets
+    the slots through their descriptors."""
     p = _new(MultiPoly)
     _set_variables(p, variables)
     _set_terms(p, terms)
+    _set_width(p, w)
+    _set_top(p, top)
     return p
 
 
 # The two term-dict kernels, shared with the Laurent row ring: a term dict
-# maps exponent tuples over one set of columns to nonzero coefficients.
+# maps packed keys to nonzero coefficients, and a sum of two keys is the
+# key of the product of their monomials.
 
 def _sum(a: dict, pairs, negate: bool = False) -> dict:
-    """The terms of a plus the (exponent, coeff) pairs, or minus them when
+    """The terms of a plus the (key, coeff) pairs, or minus them when
     negate is set, as a new dict without zero coefficients."""
     out = dict(a)
     get = out.get
@@ -320,50 +384,48 @@ def _sum(a: dict, pairs, negate: bool = False) -> dict:
 
 
 def _product(a: dict, b: dict) -> dict:
-    """The product of two term dicts over the same columns, neither of
-    which holds a zero coefficient, as a new dict without zero
-    coefficients."""
+    """The product of two term dicts without zero coefficients, whose
+    fields hold the product's exponents, as a new such dict."""
     if len(a) == 1 or len(b) == 1:
-        # a monomial times p: each term moves to a distinct exponent and,
-        # with no zero coefficient in either input, none vanishes
+        # a monomial times p: each term moves to a distinct key and, with
+        # no zero coefficient in either input, none vanishes
         if len(b) != 1:
             a, b = b, a
         ((e2, c2),) = b.items()
-        return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+        return {e1 + e2: c1 * c2 for e1, c1 in a.items()}
     out: dict = {}
     get = out.get
     b_items = list(b.items())
     for e1, c1 in a.items():
         for e2, c2 in b_items:
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
 
-def align_all(values: Sequence) -> list:
+def align_all(values: Sequence, factors: int = 1) -> list:
     """The values with every MultiPoly among them remapped onto the sorted
-    union of their namespaces; other values are kept as they are.  A long
-    computation lifts its inputs once, so that its arithmetic never meets
-    two different namespaces."""
-    names = set()
-    for v in values:
-        if v.__class__ is MultiPoly:
-            names.update(v.variables)
-    vs = tuple(sorted(names))
-    return [_remap(v, vs) if v.__class__ is MultiPoly else v for v in values]
+    union of their namespaces and the widest of their widths, widened until
+    a product of ``factors`` of them packs below the guard bits; other
+    values are kept as they are."""
+    polys = [v for v in values if v.__class__ is MultiPoly]
+    vs = tuple(sorted({x for p in polys for x in p.variables}))
+    top = max([p._top for p in polys], default=0)
+    w = max([_width(factors * top)] + [p._w for p in polys])
+    return [_remap(v, vs, w) if v.__class__ is MultiPoly else v for v in values]
 
 
-def _remap(p: MultiPoly, vs: tuple) -> MultiPoly:
-    if p.variables == vs:
+def _remap(p: MultiPoly, vs: tuple, w: int) -> MultiPoly:
+    """p over the namespace vs, which holds every variable p uses, in
+    fields of w bits."""
+    if p.variables == vs and p._w == w:
         return p
-    idx = [vs.index(v) for v in p.variables]
-    terms = {}
-    for e, c in p.terms.items():
-        ne = [0] * len(vs)
-        for i, k in zip(idx, e):
-            ne[i] = k
-        terms[tuple(ne)] = c
-    return _make(vs, terms)
+    m, n, mask = len(p.variables), len(vs), (1 << p._w) - 1
+    # (old shift, new shift) of each field of p that vs keeps
+    moves = [((m - 1 - i) * p._w, (n - 1 - vs.index(v)) * w)
+             for i, v in enumerate(p.variables) if v in vs]
+    return _make(vs, w, p._top, {sum(((e >> s) & mask) << t for s, t in moves): c
+                                 for e, c in p._terms.items()})
 
 
 def interpolate_in_t(values: Iterable):

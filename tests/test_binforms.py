@@ -168,15 +168,19 @@ class TestDetByMinors:
         assert isinstance(det, MultiPoly) and det.variables == ()
         assert det == det_fraction_free(M) == permutation_det(M)
 
-    # Exponents are packed into fields of 1, 2, 4 or 8 bytes, or wider,
-    # sized for order * top; these sit just below and just above each
-    # boundary, and the diagonal's x^top * y reaches the bound in x, next
+    # Exponents are packed into fields of 8, 16, 32, ... bits whose top
+    # bit is a guard, sized for order * top; the cases sit just below and
+    # just above the guard bits of 8-, 16- and 64-bit fields and the byte
+    # boundaries, and the diagonal's x^top * y reaches the bound in x, next
     # to y's field, so a carry out of x's field would change y's exponent.
     @pytest.mark.parametrize("order, top", [
         (1, 255), (1, 256), (4, 63), (4, 64), (4, 16383), (4, 16384),
-        (4, 2 ** 62 - 1), (4, 2 ** 62)], ids=[
+        (4, 2 ** 62 - 1), (4, 2 ** 62), (1, 127), (1, 128), (4, 31), (4, 32),
+        (4, 8191), (4, 8192), (4, 2 ** 61 - 1), (4, 2 ** 61)], ids=[
         "order1-255", "order1-256", "order4-63", "order4-64", "order4-16383",
-        "order4-16384", "order4-2^62-1", "order4-2^62"])
+        "order4-16384", "order4-2^62-1", "order4-2^62", "order1-127",
+        "order1-128", "order4-31", "order4-32", "order4-8191", "order4-8192",
+        "order4-2^61-1", "order4-2^61"])
     def test_fields_at_byte_boundaries(self, order, top):
         rng = random.Random(order * 1000 + top % 997)
         u, x, y, z = (MultiPoly.variable(v) for v in "uxyz")

@@ -142,6 +142,21 @@ def reference_evaluate(poly, assignment):
     return total
 
 
+class TestDegree:
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_every_term_of_a_bracket_sum_has_its_degree(self, n):
+        for r in range(n + 1):
+            bp = dr_bracket_sum(n, r)
+            assert {len(factors) for factors in bp.terms} == {bp.degree()}
+
+    def test_longest_term_of_a_built_polynomial(self):
+        bp = BracketPolynomial(3)
+        assert bp.degree() == 0
+        bp.add_term([(alpha(1), alpha(2))] * 3)
+        bp.add_term([(alpha(1), beta(1))])
+        assert bp.degree() == 3
+
+
 class TestBracketSumTables:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_canonicalized_terms(self, n):

@@ -15,7 +15,8 @@ from drbracket.laurent import (DIRECT_N_MAX, LaurentMonomial, LaurentPoly,
                                laurent_expand_bracket, laurent_expand_poly,
                                lex_leading_monomial, lm_dr_closed_form)
 from drbracket.laurent import (_Rows, _from_rows, _model_tables, _monomial,
-                               _symbol_rows, _term_lm_row)
+                               _packed, _symbol_rows, _term_lm_row,
+                               _unpacked)
 from drbracket.multipoly import _product, _sum
 
 
@@ -149,6 +150,10 @@ def rows_of(p, columns):
     return {m.row(columns): c for m, c in p.terms.items()}
 
 
+def packed_rows(p, columns):
+    return _packed(rows_of(p, columns), 8)
+
+
 class TestRowKernel:
     """The row tables and the row product against the sparse references."""
 
@@ -181,10 +186,12 @@ class TestRowKernel:
         assert laurent_expand_poly(model, bp) == sparse_expand_poly(model, bp)
 
     def test_product_matches_the_sparse_reference(self):
-        # _product over a model's columns, converted back by
-        # _from_rows, against the term-by-term sparse product
+        # _product over a model's columns on packed rows, unpacked and
+        # converted back by _from_rows, against the term-by-term sparse
+        # product
         rng = random.Random(73)
         columns = _model_tables(10)[0]
+        m = len(columns)
         variables = [("A", 1), ("A", 2), ("A", 10), ("B", 1), ("C", 1),
                      ("C", 3), ("D", 2)]
         cases = [(-2, -1, 1, 2), (F(1, 2), F(-1, 2), F(2, 3), 3, -1)]
@@ -193,31 +200,44 @@ class TestRowKernel:
             for _ in range(300):
                 p = random_laurent_poly(rng, variables, coefficients)
                 q = random_laurent_poly(rng, variables, coefficients)
-                rows = _product(rows_of(p, columns), rows_of(q, columns))
-                got = _from_rows(columns, rows)
+                rows = _product(packed_rows(p, columns), packed_rows(q, columns))
+                got = _from_rows(columns, _unpacked(rows, 8, m))
                 assert got == sparse_product(p, q)
                 assert all(c != 0 for c in rows.values())
-                for m in got.terms:
-                    assert m == LaurentMonomial.from_dict(dict(m.exponents))
+                for mono_ in got.terms:
+                    assert mono_ == LaurentMonomial.from_dict(dict(mono_.exponents))
                 merged += len(got.terms) < len(p.terms) * len(q.terms)
         assert merged > 0
         # (x + y)(x - y): the cross terms cancel
         x, y = mono(A1=1, C3=-2), mono(A2=-1)
-        plus = _Rows(rows_of(poly((x, 1), (y, F(1, 2))), columns))
-        minus = _Rows(rows_of(poly((x, 1), (y, F(-1, 2))), columns))
-        got = _from_rows(columns, (plus * minus).terms)
+        plus = _Rows(packed_rows(poly((x, 1), (y, F(1, 2))), columns))
+        minus = _Rows(packed_rows(poly((x, 1), (y, F(-1, 2))), columns))
+        got = _from_rows(columns, _unpacked((plus * minus).terms, 8, m))
         assert got.terms == {mono(A1=2, C3=-4): 1, mono(A2=-2): F(-1, 4)}
         assert (plus * 3).terms == (3 * plus).terms == \
-            _product(plus.terms, rows_of(poly((mono(), 3)), columns))
+            _product(plus.terms, packed_rows(poly((mono(), 3)), columns))
 
     def test_row_kernels_drop_zero_coefficients(self):
         # the rows of laurent_expand_poly never pass through LaurentPoly's
         # constructor until the end, so the kernels drop zeros themselves
         x, y = (1, 0, -2), (0, -1, 0)
-        p, q = {x: 1, y: F(1, 2)}, {x: 1, y: F(-1, 2)}
-        assert _product(p, q) == {(2, 0, -4): 1, (0, -2, 0): F(-1, 4)}
-        assert _sum(p, q.items()) == {x: 2}
-        assert _sum({}, {y: 0}.items()) == {}
+        p, q = _packed({x: 1, y: F(1, 2)}, 8), _packed({x: 1, y: F(-1, 2)}, 8)
+        assert _unpacked(_product(p, q), 8, 3) == {(2, 0, -4): 1,
+                                                   (0, -2, 0): F(-1, 4)}
+        assert _unpacked(_sum(p, q.items()), 8, 3) == {x: 2}
+        assert _sum({}, _packed({y: 0}, 8).items()) == {}
+
+    @pytest.mark.parametrize("w", [8, 16])
+    def test_packed_rows_at_the_field_edges(self, w):
+        # entries in [-2^(w-1), 2^(w-1)) unpack exactly, and the keys sort
+        # as the rows do, the first column the most significant
+        half = 2 ** (w - 1)
+        edges = (-half, -half + 1, -1, 0, 1, half - 2, half - 1)
+        rows = {row: 1 for row in itertools.product(edges, repeat=3)}
+        packed = _packed(rows, w)
+        assert _unpacked(packed, w, 3) == rows
+        assert [_unpacked({k: 1}, w, 3).popitem()[0]
+                for k in sorted(packed)] == sorted(rows)
 
     def test_symbol_outside_the_model_is_rejected(self):
         model = PolygonModel(4)
@@ -374,7 +394,8 @@ class TestLeadingMonomial:
             return lex_leading_monomial(_from_rows(columns, rows), m)
         for _ in range(50):
             p, q = rand_rows(), rand_rows()
-            pq = _product(p, q)
+            pq = _unpacked(_product(_packed(p, 8), _packed(q, 8)), 8,
+                           len(columns))
             assert max(pq) == tuple(a + b for a, b in zip(max(p), max(q)))
             assert lm(pq) == mono_product(lm(p), lm(q))
 

@@ -502,3 +502,217 @@ class TestIntCoefficients:
                                (("x",), {(1,): 0.5}, TypeError)):
             with pytest.raises(err):
                 MultiPoly(vs, terms)
+
+
+class TestInputValidation:
+    def test_non_int_exponent_is_refused(self):
+        with pytest.raises(TypeError):
+            MultiPoly(("x",), {(1.5,): 1})
+        with pytest.raises(TypeError):
+            MultiPoly(("x",), {(2.0,): 1})
+        with pytest.raises(TypeError):
+            MultiPoly.from_json({"variables": ["x"], "terms": [
+                {"coefficient": "3", "exponents": [0.5]}]})
+
+    def test_bool_exponent_is_refused(self):
+        with pytest.raises(TypeError):
+            MultiPoly(("x",), {(True,): 1})
+        with pytest.raises(TypeError):
+            MultiPoly.from_json({"variables": ["x", "y"], "terms": [
+                {"coefficient": "1", "exponents": [1, False]}]})
+
+    def test_repeated_variable_is_refused(self):
+        for vs in (("x", "x"), ("a", "b", "b")):
+            with pytest.raises(ValueError):
+                MultiPoly(vs, {})
+        with pytest.raises(ValueError):
+            MultiPoly.from_json({"variables": ["x", "x"], "terms": []})
+
+    def test_duplicate_monomial_in_json_is_refused(self):
+        with pytest.raises(ValueError):
+            MultiPoly.from_json({"variables": ["x"], "terms": [
+                {"coefficient": "3", "exponents": [1]},
+                {"coefficient": "4", "exponents": [1]}]})
+
+
+# -- packed keys against a tuple-keyed reference --------------------------------
+# Exponents near the guard bit of 8-, 16-, 32- and 64-bit fields, where a
+# polynomial's field width must grow, mixed with small ones.
+BOUNDARY_EXPONENTS = [126, 127, 128, 129, 2 ** 15 - 1, 2 ** 15,
+                      2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1, 2 ** 63]
+wide_exponents = st.one_of(st.integers(0, 3), st.sampled_from(BOUNDARY_EXPONENTS))
+
+
+def wide_polys_over(namespaces, min_size=0, max_size=4):
+    return st.sampled_from(namespaces).flatmap(
+        lambda vs: st.dictionaries(
+            st.tuples(*[wide_exponents] * len(vs)), coefficients,
+            min_size=min_size, max_size=max_size).map(
+            lambda terms: MultiPoly(vs, terms)))
+
+
+wide_polys = wide_polys_over([("u",), ("v", "w"), ("u", "v"), ("u", "v", "w")])
+
+
+def assert_packed(p: MultiPoly):
+    """The exponent bound of p holds every exponent and lies below the
+    guard bit of its width."""
+    assert p._top < 2 ** (p._w - 1)
+    assert all(max(e, default=0) <= p._top for e in p.terms)
+
+
+def narrowest_width(top):
+    w = 8
+    while top >= 2 ** (w - 1):
+        w *= 2
+    return w
+
+
+def ref_rows(p: dict, vs) -> dict:
+    """A reference dict as {exponent tuple over vs: coeff}."""
+    return {tuple(dict(m).get(v, 0) for v in vs): c for m, c in p.items()}
+
+
+def ref_div(a: dict, b: dict):
+    """Long division of reference dicts by lex-leading terms over the
+    variables of both, on exponent tuples; None when b does not divide a."""
+    vs = sorted({v for p in (a, b) for m in p for v, _ in m})
+    rem, q = ref_rows(a, vs), ref_rows(b, vs)
+    lt = max(q)
+    quo = {}
+    while rem:
+        lead = max(rem)
+        d = tuple(x - y for x, y in zip(lead, lt))
+        c = rem[lead] / q[lt]
+        if min(d, default=0) < 0 or c.denominator != 1:
+            return None
+        quo[tuple((v, k) for v, k in zip(vs, d) if k)] = c
+        for e, cq in q.items():
+            t = tuple(x + y for x, y in zip(e, d))
+            s = rem.get(t, F(0)) - c * cq
+            if s:
+                rem[t] = s
+            else:
+                del rem[t]
+    return quo
+
+
+def ref_eval(p: dict, point) -> F:
+    total = F(0)
+    for m, c in p.items():
+        for v, k in m:
+            c *= F(point[v]) ** k
+        total += c
+    return total
+
+
+def ref_str(p: dict) -> str:
+    vs = sorted({v for m in p for v, _ in m})
+    parts = []
+    for e, c in sorted(ref_rows(p, vs).items(), reverse=True):
+        mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(vs, e) if k)
+        parts.append(f"{c}*{mono}" if mono else str(c))
+    return " + ".join(parts) or "0"
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys, wide_polys)
+def test_packed_arithmetic_matches_tuple_reference(p, q):
+    rp, rq = ref_of(p), ref_of(q)
+    # the product of a sum and a difference needs the exponent bounds
+    # that the sum and the difference carry to widen its operands
+    for result, expected in ((p + q, ref_add(rp, rq)),
+                             (p - q, ref_add(rp, rq, -1)),
+                             (p * q, ref_mul(rp, rq)),
+                             (q * p, ref_mul(rp, rq)),
+                             ((p + q) * (p - q), ref_mul(ref_add(rp, rq),
+                                                         ref_add(rp, rq, -1)))):
+        assert_canonical(result)
+        assert_packed(result)
+        assert ref_of(result) == expected
+    for var in ("u", "v", "w"):
+        assert_packed(p.derivative(var))
+        assert ref_of(p.derivative(var)) == ref_derivative(rp, var)
+    assert p.to_json() == ref_to_json(rp)
+    assert str(p) == ref_str(rp) and str(p * q) == ref_str(ref_mul(rp, rq))
+    # values in {-1, 0, 1} keep the powers of the huge exponents small
+    for values in ((1, 1, 1), (-1, 1, -1), (0, -1, 1)):
+        point = dict(zip(("u", "v", "w"), values))
+        assert p.evaluate(point) == ref_eval(rp, point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys, wide_polys, mixed_polys, mixed_polys)
+def test_packed_exact_div_matches_tuple_reference(p, q, small_p, small_q):
+    # exact quotients at every width; any quotient of small exponents, for
+    # long division that fails takes as many steps as the exponents allow
+    # (u^N + v^N by u + v runs N steps for an even N)
+    if not q.is_zero:
+        quotient = (p * q).exact_div(q)
+        assert_packed(quotient)
+        assert ref_of(quotient) == ref_of(p)
+    if small_q.is_zero:
+        return
+    expected = ref_div(ref_of(small_p), ref_of(small_q))
+    if expected is None:
+        with pytest.raises(NotDivisibleError):
+            small_p.exact_div(small_q)
+    else:
+        assert ref_of(small_p.exact_div(small_q)) == expected
+
+
+def test_long_division_stops_above_the_dividends_degrees():
+    # each step of v^N / (v + w^3) trades a factor v for w^3; the first
+    # remainder term with a w already exceeds the dividend's degree in w
+    for n in (5, 2 ** 63):
+        dividend = MultiPoly(("v", "w"), {(n, 0): 1})
+        with pytest.raises(NotDivisibleError):
+            dividend.exact_div(MultiPoly(("v", "w"), {(1, 0): 1, (0, 3): 1}))
+    assert ref_div(ref_of(x ** 5), ref_of(x + y ** 3)) is None
+
+
+@pytest.mark.parametrize("divisor", [
+    MultiPoly(("v",), {(1,): 1}),                     # one term
+    MultiPoly(("v", "w"), {(1, 0): 1, (0, 1): 1})])   # long division
+def test_borrow_in_a_middle_field_only(divisor):
+    # u*w^5 / v: only the middle field, v's, borrows; as a plain int
+    # difference the borrow would be taken from u's field and leave w's
+    # as it is
+    dividend = MultiPoly(("u", "v", "w"), {(1, 0, 5): 1, (0, 0, 1): 3})
+    with pytest.raises(NotDivisibleError):
+        dividend.exact_div(divisor)
+    assert ref_div(ref_of(dividend), ref_of(divisor)) is None
+    assert (dividend * divisor).exact_div(divisor) == dividend
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys, st.sampled_from(BOUNDARY_EXPONENTS))
+def test_eq_and_hash_across_widths_and_namespaces(p, k):
+    # the same polynomial over a wider field (a quotient keeps the width
+    # of its dividend) and over a larger namespace
+    big = MultiPoly(("x",), {(k,): 1})
+    wide = (p * big).exact_div(big)
+    padded = p + MultiPoly(("a", "z"), {})
+    for other in (wide, padded):
+        assert other == p and p == other
+        assert hash(other) == hash(p)
+        assert other.to_json() == p.to_json() and str(other) == str(p)
+    assert wide._w >= narrowest_width(k) and "x" in wide.variables
+    assert padded.variables == tuple(sorted({"a", "z", *p.variables}))
+    assert (p + 1 == wide + 1) and (p * 3 == wide * 3)
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 64])
+def test_width_grows_past_the_guard_bit(w):
+    edge = 2 ** (w - 1) - 1
+    u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+    at = MultiPoly(("u", "v"), {(edge, 1): 2, (1, edge): -1})
+    assert at._w == w
+    past = at * u
+    assert past._w == 2 * w
+    assert past.terms == {(edge + 1, 1): 2, (2, edge): -1}
+    assert MultiPoly(("u",), {(edge + 1,): 1})._w == 2 * w
+    assert ref_of(at * at) == ref_mul(ref_of(at), ref_of(at))
+    assert (past * v).exact_div(u * v) == at
+    assert past.derivative("u").terms == {(edge, 1): 2 * (edge + 1),
+                                          (1, edge): -2}
