@@ -239,7 +239,7 @@ class MultiPoly:
                 if d & guard != guard:
                     raise NotDivisibleError("no exact quotient")
                 quo[d ^ guard] = _quotient(c, c_q)
-            return _make(a.variables, a._w, a._top, quo)
+            return _make(a.variables, w, a._top, quo)
         # Long division by lex-leading terms, the remainder keyed by negated
         # keys so that the heap's smallest is its leading term.  A key pushed
         # lies below the term divided out, so it enters the heap once while
@@ -270,7 +270,7 @@ class MultiPoly:
             quo[diff] = c
             for e, cq in q_rest:
                 tgt = e + diff
-                if (ceiling - tgt) & guard != guard:  # no field borrows
+                if (ceiling - tgt) & guard != guard:  # a field above it
                     raise NotDivisibleError("no exact quotient")
                 tgt = -tgt
                 old = get(tgt)
@@ -283,7 +283,7 @@ class MultiPoly:
                         rem[tgt] = s
                     else:
                         del rem[tgt]
-        return _make(a.variables, a._w, a._top, quo)
+        return _make(a.variables, w, a._top, quo)
 
     def derivative(self, var: str) -> "MultiPoly":
         vs, w = self.variables, self._w
