@@ -238,7 +238,7 @@ class MultiPoly:
                 d = (e | guard) - e_q
                 if d & guard != guard:
                     raise NotDivisibleError("no exact quotient")
-                quo[d ^ guard] = _quotient(c, c_q)
+                quo[d ^ guard] = c if c_q == 1 else _quotient(c, c_q)
             return _make(a.variables, w, a._top, quo)
         # Long division by lex-leading terms, the remainder keyed by negated
         # keys so that the heap's smallest is its leading term.  A key pushed
@@ -336,10 +336,10 @@ class MultiPoly:
     def __str__(self):
         if self.is_zero:
             return "0"
-        parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(f"{v}^{k}" if k > 1 else v
-                            for v, k in zip(self.variables, e) if k)
+        w, m, parts = self._w, len(self.variables), []
+        for e, c in sorted(self._terms.items(), reverse=True):
+            mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k
+                            in zip(self.variables, _unpack(e, w, m)) if k)
             parts.append(f"{c}*{mono}" if mono else str(c))
         return " + ".join(parts)
 
