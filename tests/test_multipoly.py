@@ -364,10 +364,11 @@ def assert_canonical(p: MultiPoly):
 coefficients = st.integers(-30, 30)
 
 
-def polys_over(namespaces, min_size=0, max_size=6):
+def polys_over(namespaces, min_size=0, max_size=6,
+               exponents=st.integers(0, 3)):
     return st.sampled_from(namespaces).flatmap(
         lambda vs: st.dictionaries(
-            st.tuples(*[st.integers(0, 3)] * len(vs)), coefficients,
+            st.tuples(*[exponents] * len(vs)), coefficients,
             min_size=min_size, max_size=max_size).map(
             lambda terms: MultiPoly(vs, terms)))
 
@@ -542,16 +543,8 @@ BOUNDARY_EXPONENTS = [126, 127, 128, 129, 2 ** 15 - 1, 2 ** 15,
                       2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1, 2 ** 63]
 wide_exponents = st.one_of(st.integers(0, 3), st.sampled_from(BOUNDARY_EXPONENTS))
 
-
-def wide_polys_over(namespaces, min_size=0, max_size=4):
-    return st.sampled_from(namespaces).flatmap(
-        lambda vs: st.dictionaries(
-            st.tuples(*[wide_exponents] * len(vs)), coefficients,
-            min_size=min_size, max_size=max_size).map(
-            lambda terms: MultiPoly(vs, terms)))
-
-
-wide_polys = wide_polys_over([("u",), ("v", "w"), ("u", "v"), ("u", "v", "w")])
+wide_polys = polys_over([("u",), ("v", "w"), ("u", "v"), ("u", "v", "w")],
+                        max_size=4, exponents=wide_exponents)
 
 
 def assert_packed(p: MultiPoly):
