@@ -18,7 +18,8 @@ from the coefficients: Bareiss elimination (det_fraction_free) over ints
 and dual numbers, and division-free expansion by minors (det_by_minors)
 over MultiPoly, whose sparse symbolic entries make elimination's products
 and exact divisions of large minors the dominant cost.  The expansion
-multiplies MultiPoly's packed term dicts in place into its minors.
+multiplies MultiPoly's packed term dicts in place into its minors.  The
+Bezout matrices of a DR series are persymmetric: Bareiss eliminates half.
 """
 
 from __future__ import annotations
@@ -156,7 +157,9 @@ def bezout_matrix(f: BinaryForm, g: BinaryForm):
     whole matrix costs 2*d*e ring multiplications.
     det(bezout_matrix(f, g)) = (-1)^((d+1)*e) * res(f, g), the resultant of
     the Sylvester matrix.  Every entry is linear in g, so a zero g is
-    allowed (it gives a matrix of zeros in the Bezout rows).
+    allowed (it gives a matrix of zeros in the Bezout rows).  For d = e it
+    is persymmetric, M[i][j] == M[d-1-j][d-1-i]: a symmetric Bezoutian
+    with its columns reversed (Heinig & Rost 1984).
     """
     d, e = f.degree, g.degree
     if not 1 <= e <= d:
@@ -188,7 +191,11 @@ def det_fraction_free(M):
     every pivot has a nonzero value part; otherwise NumericDegenerateError
     is raised.  An order-N matrix takes about N^3/3 updates, each two
     products and one exact division; resultants and the DR series of
-    numeric forms call it on Bezout matrices of order max(d, e).
+    numeric forms call it on Bezout matrices of order max(d, e).  A
+    persymmetric matrix, as bezout_matrix gives for d = e, goes through
+    _det_persymmetric first, in about N^3/6 updates; on a zero diagonal
+    pivot that pass gives up, and the elimination below runs on M, as it
+    does on any other matrix (a hybrid Bezout matrix of d > e among them).
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -197,6 +204,8 @@ def det_fraction_free(M):
         return 1
     if n <= 2:
         _refuse_fractions(M)
+    if (det := _det_persymmetric(M)) is not None:
+        return det
     A = [list(row) for row in M]
     sign = 1
     prev = None
@@ -226,6 +235,38 @@ def det_fraction_free(M):
         prev = pivot
     det = A[n - 1][n - 1]
     return -det if sign < 0 else det
+
+
+def _det_persymmetric(M):
+    """det M = (-1)^(N(N-1)/2) * det S by Bareiss on the symmetric S = M*J
+    (M's columns reversed), which stays symmetric: only S[i][j] with j >= i
+    is updated, and S[i][k] is read as S[k][i].  None when M is not
+    persymmetric, M[i][j] == M[N-1-j][N-1-i] with both of one class (so a
+    Fraction in the unread half is still refused), or when a pivot S[k][k]
+    has a zero value; a dual matrix may so get its determinant where the
+    general elimination finds no unit pivot in a column and raises."""
+    n = len(M)
+    for i in range(n - 1):
+        for j in range(n - 1 - i):
+            x, y = M[i][j], M[n - 1 - j][n - 1 - i]
+            if x.__class__ is not y.__class__ or x != y:
+                return None
+    A = [row[::-1] for row in M]
+    prev = None
+    for k in range(n - 1):
+        pivot_row = A[k]
+        pivot = pivot_row[k]
+        if not _is_unit_pivot(pivot):
+            return None
+        for i in range(k + 1, n):
+            row = A[i]
+            lead = pivot_row[i]
+            for j in range(i, n):
+                num = row[j] * pivot - lead * pivot_row[j]
+                row[j] = num if prev is None else exact_div(num, prev)
+        prev = pivot
+    det = A[n - 1][n - 1]
+    return -det if n % 4 in (2, 3) else det
 
 
 def det_by_minors(M):

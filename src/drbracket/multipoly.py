@@ -103,6 +103,9 @@ class MultiPoly:
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):  # copies keep the width and packed keys
+        return _make, (self.variables, self._w, self._top, dict(self._terms))
+
     @property
     def terms(self) -> Mapping[tuple, int]:
         """The terms keyed by exponent tuples: a read-only copy."""

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drbracket import binforms
 from drbracket.binforms import (BinaryForm, NumericDegenerateError,
@@ -45,8 +47,7 @@ def permutation_det(M):
     n = len(M)
     total = 0
     for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j]
-                         for i in range(n) for j in range(i + 1, n))
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
         term = -1 if inversions % 2 else 1
         for i in range(n):
             term = term * M[i][perm[i]]
@@ -107,8 +108,17 @@ class TestDeterminant:
         # a column of zeros ends the elimination before any division
         [[0, F(1, 2), 1], [0, 1, 0], [0, 0, 1]],
         [[1, 2, 3], [2, 4, F(6)], [3, 6, 9]],
+        # persymmetric: a proper Fraction and its mirror image, read by the
+        # symmetric pass; and an integral one whose mirror image is an int,
+        # so that the pass, which reads only one of the two, is not taken
+        [[F(1, 2), 2, 4], [3, 5, 2], [6, 3, F(1, 2)]],
+        [[1, 2, 4], [3, 5, 2], [6, 3, F(1)]],
+        [[1, F(1, 2), 2, 4], [3, 5, 2, 2], [0, 1, 5, F(1, 2)],
+         [7, 0, 3, 1]],
     ], ids=["order1", "order1-integral", "order2", "order2-singular",
-            "order3", "order3-zero-column", "order3-zero-second-column"])
+            "order3", "order3-zero-column", "order3-zero-second-column",
+            "order3-persymmetric", "order3-persymmetric-int-mirror",
+            "order4-persymmetric"])
     def test_one_fraction_is_refused_at_every_order(self, M):
         with pytest.raises(TypeError):
             det_fraction_free(M)
@@ -117,6 +127,150 @@ class TestDeterminant:
         rng = random.Random(3)
         M = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
         assert det_fraction_free(M) == permutation_det(M)
+
+
+def is_persymmetric(M):
+    n = len(M)
+    return all(M[i][j] == M[n - 1 - j][n - 1 - i]
+               for i in range(n) for j in range(n))
+
+
+@st.composite
+def persymmetric_matrices(draw, entries, max_order):
+    """Matrices of order 1..max_order with M[i][j] == M[n-1-j][n-1-i]:
+    each entry on or above the anti-diagonal is drawn, the rest mirrored."""
+    n = draw(st.integers(1, max_order))
+    M = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n - i):
+            M[i][j] = M[n - 1 - j][n - 1 - i] = draw(entries)
+    return M
+
+
+small_ints = st.integers(-3, 3)
+duals = st.builds(DualScalar, small_ints, small_ints)
+form_coeffs = st.lists(st.integers(-9, 9), min_size=2, max_size=10)
+
+
+def reversal(n):
+    """J, the order-n matrix of ones on the anti-diagonal."""
+    return [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+
+
+def general_det(M):
+    """det_fraction_free with the symmetric pass switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binforms, "_det_persymmetric", lambda M: None)
+        return det_fraction_free(M)
+
+
+class TestPersymmetric:
+    """Bareiss on the symmetric S = M*J for persymmetric M: the equal-degree
+    Bezout matrices, and a fallback to the general elimination."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(form_coeffs, st.data())
+    def test_equal_degree_int_bezoutians(self, f, data):
+        g = data.draw(st.lists(st.integers(-9, 9), min_size=len(f),
+                               max_size=len(f)))
+        M = bezout_matrix(BinaryForm.from_coeffs(f), BinaryForm.from_coeffs(g))
+        assert is_persymmetric(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(duals, min_size=2, max_size=7), st.data())
+    def test_equal_degree_dual_bezoutians(self, f, data):
+        g = data.draw(st.lists(duals, min_size=len(f), max_size=len(f)))
+        M = bezout_matrix(BinaryForm.from_coeffs(f), BinaryForm.from_coeffs(g))
+        assert is_persymmetric(M)
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_equal_degree_generic_bezoutians(self, d):
+        f = BinaryForm.generic(d)
+        for g in (BinaryForm.generic(d, "b"), f.x_dx()):
+            M = bezout_matrix(f, g)
+            assert is_persymmetric(M)
+            assert binforms._det_persymmetric(M) == det_by_minors(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(persymmetric_matrices(small_ints, 8))
+    @example([[1, 1], [1, 1]])                       # singular
+    @example([[2, 1, 2], [4, 2, 1], [2, 4, 2]])      # singular
+    @example(reversal(1))
+    @example(reversal(6))
+    @example(reversal(7))
+    @example([[2, 1, 0], [3, 0, 1], [0, 3, 2]])      # zero first pivot
+    @example([[2, 1, 1], [3, 1, 1], [5, 3, 2]])      # zero second pivot
+    def test_int_matrices_match_permutation_det(self, M):
+        det = permutation_det(M)
+        assert det_fraction_free(M) == det
+        assert binforms._det_persymmetric(M) in (None, det)
+
+    def test_zero_pivots_fall_back(self):
+        for M in ([[2, 1, 0], [3, 0, 1], [0, 3, 2]],
+                  [[2, 1, 1], [3, 1, 1], [5, 3, 2]]):
+            assert is_persymmetric(M)
+            assert binforms._det_persymmetric(M) is None
+        assert binforms._det_persymmetric(reversal(6)) == -1
+
+    @settings(max_examples=150, deadline=None)
+    @given(persymmetric_matrices(duals, 6))
+    def test_dual_matrices_match_the_general_path(self, M):
+        det = binforms._det_persymmetric(M)
+        try:
+            want = general_det(M)
+        except NumericDegenerateError:
+            # no unit pivot left for the general elimination; one on the
+            # diagonal of S still gives the exact determinant
+            if det is not None:
+                want = permutation_det(M)
+                assert (det.value, det.derivative) == (want.value,
+                                                       want.derivative)
+            return
+        got = det_fraction_free(M)
+        assert (got.value, got.derivative) == (want.value, want.derivative)
+        if det is not None:
+            assert (det.value, det.derivative) == (want.value,
+                                                   want.derivative)
+
+    def test_dual_matrix_without_a_unit_pivot_is_refused(self):
+        e = DualScalar(0, 1)
+        for M in ([[e, DualScalar(0, 3)], [DualScalar(0, 2), e]],
+                  [[e, DualScalar(1), e], [e, e, DualScalar(1)],
+                   [e, e, e]]):
+            with pytest.raises(NumericDegenerateError):
+                det_fraction_free(M)
+
+    def test_mismatched_mirror_image_is_not_persymmetric(self):
+        # the entries of one pair compare equal but are of two classes
+        M = [[1, 2, 4], [3, 5, 2], [6, 3, DualScalar(1)]]
+        assert binforms._det_persymmetric(M) is None
+        assert det_fraction_free(M) == permutation_det(M)
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "dual"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_numeric_series_takes_the_symmetric_path(self, monkeypatch, n,
+                                                     kind):
+        # every sample det(B0 + t*B1) of a numeric series is persymmetric
+        # with unit diagonal pivots here, so none of them falls back
+        rng = random.Random(200 + n)
+        make = {"int": int, "fraction": lambda c: F(c, 3),
+                "dual": lambda c: DualScalar(c, rng.randint(-2, 2))}[kind]
+        f = BinaryForm.from_coeffs([make(rng.randint(1, 9))
+                                    for _ in range(n + 1)])
+        g = BinaryForm.from_coeffs([make(rng.randint(-9, 9))
+                                    for _ in range(n - 1)])
+        results = []
+
+        def recording(M):
+            results.append(symmetric(M))
+            return results[-1]
+        symmetric = binforms._det_persymmetric
+        monkeypatch.setattr(binforms, "_det_persymmetric", recording)
+        series = dr_series(f, g)
+        assert len(results) == n + 1
+        assert all(r is not None for r in results)
+        monkeypatch.setattr(binforms, "_det_persymmetric", lambda M: None)
+        assert dr_series(f, g) == series
 
 
 def sparse_entry(rng, names):

@@ -449,6 +449,28 @@ class TestDeterminism:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # numeric series of rational forms, sha256 of stdout: n = 8 is the
+    # --forms case of CI's python -O steps, n = 12 cli-rational's largest
+    # size; both recorded before Bareiss took the symmetric pass on
+    # persymmetric Bezout matrices, which must keep these bytes
+    @pytest.mark.parametrize("forms, digest", [
+        ('{"f_n":{"degree":8,"coefficients":["3/7","-5/2","1","0","2/3",'
+         '"-1/4","7","-9/5","11/6"]},"f_m":{"degree":6,"coefficients":'
+         '["-5/2","3/7","0","4/9","-1","2","1/3"]}}',
+         "bf12601f0f9b6b3be9607c1edb062988934dd6c9899573ca52b0bb4487c63b4a"),
+        ('{"f_n":{"degree":12,"coefficients":["5/3","-7/2","2","0","-4/9",'
+         '"13/5","-1","3/8","11/4","-6/7","1/2","9","-8/11"]},"f_m":'
+         '{"degree":10,"coefficients":["-2/5","7/3","0","1","-3/4","5/6",'
+         '"-9/2","4/7","10","-1/9","3/2"]}}',
+         "d67f67533a2aac0335c30cf7f72b6238c4b58ac493527e15e9e5a96b52bc2f78"),
+    ], ids=["n8", "n12"])
+    def test_numeric_series_bytes_are_pinned(self, capsys, forms, digest):
+        n = str(json.loads(forms)["f_n"]["degree"])
+        code, out, _ = run(capsys, "dr-series", "--mode", "numeric", "--n", n,
+                           "--forms", forms, "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_budget_overrun_warns_on_stderr(self, capsys):
         argv = ["dr-series", "--n", "3", "--budget", "0", "--format", "json"]
         code1, out1, err1 = run(capsys, *argv)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drbracket.binforms import BinaryForm, dr_series
+from drbracket.binforms import BinaryForm, DRSeries, dr_series
 from drbracket.multipoly import (MissingVariableError, MultiPoly,
                                  NotDivisibleError, exact_div,
                                  interpolate_in_t)
@@ -709,3 +711,37 @@ def test_width_grows_past_the_guard_bit(w):
     assert (past * v).exact_div(u * v) == at
     assert past.derivative("u").terms == {(edge, 1): 2 * (edge + 1),
                                           (1, edge): -2}
+
+
+ROUND_TRIPS = [copy.copy, copy.deepcopy,
+               lambda p: pickle.loads(pickle.dumps(p)),
+               lambda p: pickle.loads(pickle.dumps(p, protocol=0))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys, st.sampled_from(ROUND_TRIPS))
+def test_copy_and_pickle_round_trips(p, round_trip):
+    # widths of 8 to 128 bits (a^200 alone needs 16, and a quotient keeps
+    # the width of its dividend): the copy keeps the namespace, width,
+    # exponent bound and packed keys, and so == and hash
+    big = MultiPoly(("x",), {(2 ** 40,): 1})
+    for q in (p, p * p + MultiPoly(("a",), {(200,): 3}),
+              (p * big).exact_div(big)):
+        r = round_trip(q)
+        assert r.__class__ is MultiPoly
+        assert (r.variables, r._w, r._top) == (q.variables, q._w, q._top)
+        assert r._terms == q._terms and r.terms == q.terms
+        assert r == q and hash(r) == hash(q) and str(r) == str(q)
+        assert r * q == q * q and r - q == 0
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS)
+def test_symbolic_series_and_generic_forms_round_trip(round_trip):
+    f = BinaryForm.generic(3)
+    series = dr_series(f, BinaryForm.generic(1, "b"), mode="symbolic")
+    for value in (f, series):
+        assert round_trip(value) == value
+    copied = round_trip(series)
+    assert isinstance(copied, DRSeries) and copied.to_json() == series.to_json()
+    with pytest.raises(AttributeError):
+        round_trip(MultiPoly.variable("x")).variables = ("y",)
