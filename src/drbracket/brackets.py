@@ -151,10 +151,9 @@ class BracketPolynomial:
         prod_j (X_j + t Y_j), with X_j the (-1)^(n - j) signed product of the
         canonical pairs of prod_{i != j} [a_i, a_j] and Y_j the (-1)^(n - 2)
         signed product of those of prod_k [b_k, a_j] (see _bracket_sum_terms):
-        each chunk of _pair_tables is multiplied once, and after factor j only
-        the coefficients of t^k with max(0, r - n + j) <= k <= min(j, r), the
-        ones the t^r coefficient still depends on, are kept.  Any other
-        polynomial is evaluated one factor at a time.
+        each chunk of _pair_tables is multiplied once and the chunks go to
+        _product_form.  Any other polynomial is evaluated one factor at a
+        time.
         """
         values: dict = {}
         if self._r is not None:
@@ -167,18 +166,13 @@ class BracketPolynomial:
                         values[k] = image(pairs[k])
                 return math.prod(map(values.__getitem__, numbers),
                                  start=sign * one)
-            coeffs = [one] + [zero] * r
+            xs, ys = [], []
             for j in range(1, n + 1):
-                x = chunk(alpha_pairs[j - 1], (-1) ** (n - j)) if r < n else None
-                y = chunk(beta_pairs[j - 1], (-1) ** (n - 2)) if r else None
-                for k in range(min(j, r), max(0, r - n + j) - 1, -1):
-                    if k == j:
-                        coeffs[k] = coeffs[k - 1] * y
-                    elif k == 0:
-                        coeffs[k] = coeffs[k] * x
-                    else:
-                        coeffs[k] = coeffs[k] * x + coeffs[k - 1] * y
-            return coeffs[r]
+                if r < n:
+                    xs.append(chunk(alpha_pairs[j - 1], (-1) ** (n - j)))
+                if r:
+                    ys.append(chunk(beta_pairs[j - 1], (-1) ** (n - 2)))
+            return _product_form(n, r, xs, ys, zero, one)
         total = zero
         for factors, coeff in self._terms.items():
             prod = coeff * one
@@ -191,9 +185,34 @@ class BracketPolynomial:
         return total
 
     def evaluate(self, assignment: Assignment):
-        """Exact value; integer coefficients and coordinates give an int."""
-        return self.substitute(
-            lambda pair: bracket_eval(pair[0], pair[1], assignment))
+        """Exact value; integer coefficients and coordinates give an int.
+
+        A sum from dr_bracket_sum reads the coordinates of each symbol it
+        needs once and computes each bracket it needs once, with the
+        chunks, factor order and signs of substitute: [a_i, a_j] for the
+        X_j when r < n and [a_i, b_k] for the Y_i when r > 0, never a
+        [b_k, b_l].
+        """
+        if self._r is None:
+            return self.substitute(
+                lambda pair: bracket_eval(pair[0], pair[1], assignment))
+        n, r = self.n, self._r
+        a = [assignment[alpha(i)] for i in range(1, n + 1)]
+        xs = ys = ()
+        if r < n:
+            # upper[i][j - i - 1] is [a_(i+1), a_(j+1)] for i < j
+            upper = [[ui * vj - uj * vi for uj, vj in a[i + 1:]]
+                     for i, (ui, vi) in enumerate(a)]
+            xs = [math.prod(itertools.chain(
+                      [upper[i][j - i - 1] for i in range(j)], upper[j]),
+                      start=(-1) ** (n - 1 - j))
+                  for j in range(n)]
+        if r:
+            b = [assignment[beta(k)] for k in range(1, n - 1)]
+            sign = (-1) ** (n - 2)
+            ys = [math.prod([ui * vk - uk * vi for uk, vk in b], start=sign)
+                  for ui, vi in a]
+        return _product_form(n, r, xs, ys, 0, 1)
 
     def expand_to_coordinates(self) -> MultiPoly:
         """Expansion as a polynomial in the coordinate variables of the
@@ -270,6 +289,24 @@ def _pair_tables(n: int):
     return pairs, alpha_pairs, beta_pairs
 
 
+def _product_form(n: int, r: int, xs: Sequence, ys: Sequence, zero, one):
+    """The t^r coefficient of prod_{j=1}^{n} (X_j + t Y_j), with X_j =
+    xs[j - 1] and Y_j = ys[j - 1]: xs is read only when r < n and ys only
+    when r > 0.  After factor j only the coefficients of t^k with
+    max(0, r - n + j) <= k <= min(j, r), the ones the t^r coefficient still
+    depends on, are kept."""
+    coeffs = [one] + [zero] * r
+    for j in range(1, n + 1):
+        for k in range(min(j, r), max(0, r - n + j) - 1, -1):
+            if k == j:
+                coeffs[k] = coeffs[k - 1] * ys[j - 1]
+            elif k == 0:
+                coeffs[k] = coeffs[k] * xs[j - 1]
+            else:
+                coeffs[k] = coeffs[k] * xs[j - 1] + coeffs[k - 1] * ys[j - 1]
+    return coeffs[r]
+
+
 def _bracket_sum_terms(n: int, r: int) -> Dict[tuple, int]:
     """The terms of dr_bracket_sum(n, r): the sum of the term_factors
     products over the size-r subsets I of [n], in subsets_colex order,
@@ -330,28 +367,52 @@ def all_symbols(n: int) -> List[Symbol]:
     return [alpha(i) for i in range(1, n + 1)] + [beta(k) for k in range(1, n - 1)]
 
 
+def _all_brackets_nonzero(vectors: Sequence[Tuple[int, int]]) -> bool:
+    """Whether u_s*v_t - u_t*v_s != 0 for every two of the integer vectors,
+    in one pass: with two or more, exactly when none is (0, 0) and no two
+    have the same direction, each (u, v) divided by its gcd, with the sign
+    that makes the first nonzero coordinate positive."""
+    if len(vectors) < 2:
+        return True
+    directions = set()
+    for u, v in vectors:
+        g = math.gcd(u, v)
+        if not g:
+            return False
+        if u < 0 or (not u and v < 0):
+            g = -g
+        d = (u // g, v // g)
+        if d in directions:
+            return False
+        directions.add(d)
+    return True
+
+
 def random_generic_assignment(n: int, seed: int) -> Dict[Symbol, tuple]:
     """Integer-coordinate assignment with all pairwise brackets nonzero and
     all alpha coordinates nonzero (so a_0*a_n != 0).  Deterministic per seed.
 
     Coordinates are drawn from [-ASSIGNMENT_BOUND, ASSIGNMENT_BOUND]; after
     ASSIGNMENT_BUDGET rejected candidates AssignmentBudgetError is raised.
+    A candidate gives its symbols (u, v) in all_symbols order, and each
+    coordinate is drawn as CPython's Random.randint(-B, B) draws it:
+    getrandbits(k), k = (2B + 1).bit_length(), drawn again while >= 2B + 1,
+    minus B.  So the stream is that of one randint per coordinate.
     """
     rng = Random(derive_seed(seed, "assignment"))
     symbols = all_symbols(n)
     bound = ASSIGNMENT_BOUND
+    width = 2 * bound + 1
+    draws = map(rng.getrandbits, itertools.repeat(width.bit_length()))
+    accepted = filter(width.__gt__, draws)
+    size, alpha_size = 2 * len(symbols), 2 * n
     for _ in range(ASSIGNMENT_BUDGET):
-        cand = {s: (rng.randint(-bound, bound), rng.randint(-bound, bound))
-                for s in symbols}
-        if any(u == 0 or v == 0 for s, (u, v) in cand.items() if s[0] == "a"):
+        c = [x - bound for x in itertools.islice(accepted, size)]
+        if 0 in c[:alpha_size]:
             continue
-        ok = True
-        for s, t in itertools.combinations(symbols, 2):
-            if bracket_eval(s, t, cand) == 0:
-                ok = False
-                break
-        if ok:
-            return cand
+        vectors = list(zip(c[0::2], c[1::2]))
+        if _all_brackets_nonzero(vectors):
+            return dict(zip(symbols, vectors))
     raise AssignmentBudgetError(
         f"no generic assignment at n={n} among {ASSIGNMENT_BUDGET} candidates "
         f"with coordinates in [-{bound}, {bound}]; try another seed or a "

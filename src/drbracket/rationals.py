@@ -111,8 +111,16 @@ class DualScalar:
         return DualScalar(v, d)
 
     def __eq__(self, other):
-        o = DualScalar.lift(other)
-        return self.value == o.value and self.derivative == o.derivative
+        if isinstance(other, DualScalar):
+            return (self.value == other.value
+                    and self.derivative == other.derivative)
+        if isinstance(other, int):
+            return self.value == other and not self.derivative
+        return NotImplemented
 
     def __hash__(self):
+        # equal to an int v exactly when the derivative is 0, so it then
+        # hashes as v does
+        if not self.derivative:
+            return hash(self.value)
         return hash((self.value, self.derivative))

@@ -1,15 +1,20 @@
+import hashlib
 import json
 import math
 import random
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drbracket import brackets
 from drbracket.brackets import (AssignmentBudgetError, BracketPolynomial,
-                                BracketSumUndefinedError, _expand,
-                                all_symbols, alpha, beta, bracket_eval,
+                                BracketSumUndefinedError,
+                                _all_brackets_nonzero, _expand, all_symbols,
+                                alpha, assignment_to_json, beta, bracket_eval,
                                 canonicalize, coordinate_point,
                                 coordinate_vars, derive_seed, dr_bracket_sum,
                                 forms_from_assignment, generic_points,
@@ -17,6 +22,8 @@ from drbracket.brackets import (AssignmentBudgetError, BracketPolynomial,
                                 subsets_colex, term_factors, verify_theorem1)
 from drbracket.multipoly import MultiPoly
 from drbracket.verify import passed
+
+import sampler_oracle
 
 
 class TestBracketEval:
@@ -262,21 +269,51 @@ class TestEvaluate:
             assert got == want
             assert type(got) is type(want)
 
-    def test_each_bracket_computed_once(self, monkeypatch):
-        import drbracket.brackets as brackets
-        A = random_generic_assignment(5, 1)
-        seen = Counter()
+    def test_each_bracket_computed_once(self):
+        # each symbol the sum needs is read once, and each bracket it needs,
+        # [s, t] = u_s*v_t - u_t*v_s, takes its two products once each
+        for n in (3, 5):
+            point = random_generic_assignment(n, 1)
+            for r in range(n + 1):
+                p = dr_bracket_sum(n, r)
+                counting = CountingPoint(point)
+                assert p.evaluate(counting) == reference_evaluate(p, point)
+                needed = {pair for factors in p.terms for pair in factors}
+                assert counting.products == Counter(
+                    [(s, t) for s, t in needed] + [(t, s) for s, t in needed])
+                assert counting.reads == Counter(
+                    {x for pair in needed for x in pair})
+                if r == 0:
+                    assert all(s[0] == "a" for s in counting.reads)
 
-        def counting(s, t, assignment):
-            seen[s, t] += 1
-            return real(s, t, assignment)
-        real = brackets.bracket_eval
-        monkeypatch.setattr(brackets, "bracket_eval", counting)
-        p = dr_bracket_sum(5, 2)
-        p.evaluate(A)
-        assert set(seen) == {f for factors in p.terms for f in factors}
-        assert set(seen.values()) == {1}
 
+class Coordinate:
+    """An int coordinate of a symbol that counts the products it is in."""
+
+    def __init__(self, symbol, value, products):
+        self.symbol, self.value, self.products = symbol, value, products
+
+    def __mul__(self, other):
+        self.products[self.symbol, other.symbol] += 1
+        return self.value * other.value
+
+
+class CountingPoint(Mapping):
+    """A point that counts the reads of each symbol, and whose coordinates
+    count the products of each ordered pair of symbols."""
+
+    def __init__(self, point):
+        self.point, self.reads, self.products = point, Counter(), Counter()
+
+    def __getitem__(self, s):
+        self.reads[s] += 1
+        return tuple(Coordinate(s, x, self.products) for x in self.point[s])
+
+    def __iter__(self):
+        return iter(self.point)
+
+    def __len__(self):
+        return len(self.point)
 
 
 def detached(n, r):
@@ -438,6 +475,67 @@ class TestRandomAssignment:
         for s, (u, v) in A.items():
             if s[0] == "a":
                 assert u != 0 and v != 0
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_matches_the_randint_sampler(self, n):
+        assert sampler_oracle.first_difference(n, range(200)) == ""
+
+    def test_budget_message_matches_the_randint_sampler(self):
+        n, seed = sampler_oracle.EXHAUSTED
+        message = sampler_oracle.budget_message(
+            sampler_oracle.randint_sampler, n, seed)
+        assert message.startswith(f"no generic assignment at n={n} among ")
+        with pytest.raises(AssignmentBudgetError) as info:
+            random_generic_assignment(n, seed)
+        assert str(info.value) == message
+
+    # sha256 of the JSON list of assignment_to_json(p) over
+    # generic_points(n, 5, seed), keys sorted: the draws of the seeded
+    # stream, the same on every interpreter
+    DRAW_DIGESTS = {
+        (2, 0): "106f183d6d2855d05af9279d9cdec67a3a7f6dd945aa7399e68f0d6256d9b7e6",
+        (5, 1): "7c875fbf22a9560d4292618cdab2d9a44f25e8c3f1d90aaf084de9a3cd2c8dcc",
+        (8, 0): "808aaae4b94c450d70800d5965390e4f942a68b5148857b96371fcb2d1eac7d9",
+        (8, 2211): "e4af8a25bd69ad2430d7c8798896593970baccea925a6ed157d3aca311fcaba6",
+        (12, 7): "f032d6143dd75018f8c2442d83299c919dce9ddd7e27e5fb4e8e9cd0dad839f3",
+        (16, 3): "b132fa17e18ee454f7d9ed5d5b6504fb5a8c548df99da4ff064c0719bc3379e0",
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(DRAW_DIGESTS))
+    def test_pinned_draws(self, n, seed):
+        points = [assignment_to_json(p) for p in generic_points(n, 5, seed)]
+        blob = json.dumps(points, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.DRAW_DIGESTS[n, seed]
+
+
+small = st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30)
+
+
+@st.composite
+def vector_lists(draw):
+    """Short lists of integer vectors with zeros, zero coordinates and
+    scaled copies of other vectors among them."""
+    vectors = draw(st.lists(st.tuples(small, small), max_size=7))
+    for _ in range(draw(st.integers(0, 2)) if vectors else 0):
+        u, v = draw(st.sampled_from(vectors))
+        k = draw(st.integers(-4, 4))
+        vectors.insert(draw(st.integers(0, len(vectors))), (k * u, k * v))
+    return vectors
+
+
+class TestGenericityTest:
+    @settings(max_examples=400, deadline=None)
+    @given(vector_lists())
+    @example([])
+    @example([(0, 0)])
+    @example([(3, 1), (0, 0)])
+    @example([(2, 4), (-1, -2)])
+    @example([(0, 3), (0, -5)])
+    @example([(5, 0), (-2, 0)])
+    @example([(1, 2), (2, 1), (0, 1), (1, 0), (-1, 1)])
+    def test_matches_the_pairwise_test(self, vectors):
+        assert (_all_brackets_nonzero(vectors)
+                == sampler_oracle.pairwise_nonzero(vectors))
 
 
 def corrupt_bracket_sum(monkeypatch, bad_r):

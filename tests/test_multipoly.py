@@ -236,10 +236,28 @@ class TestDual:
         assert DualScalar(4) == 4 and DualScalar(4, 1) != 4
         assert hash(d) == hash(DualScalar(3, -2)) == hash((3, -2))
         assert len({d, DualScalar(3, -2), DualScalar(3)}) == 2
-        with pytest.raises(TypeError):
-            d == F(1, 2)
+        assert (d == F(1, 2)) is False and d != F(1, 2)
         with pytest.raises(TypeError):
             d + F(1, 2)
+
+    def test_compares_unequal_to_other_types(self):
+        # __eq__ gives such operands back (NotImplemented) instead of raising
+        assert DualScalar(1).__eq__(None) is NotImplemented
+        assert (DualScalar(1) == None) is False  # noqa: E711
+        assert DualScalar(1) != None  # noqa: E711
+        assert (DualScalar(1) == F(1, 2)) is False
+        assert (F(1, 2) == DualScalar(1)) is False
+        assert None not in [DualScalar(1)]
+        assert DualScalar(1) in [None, DualScalar(1)]
+
+    def test_hash_agrees_with_equal_ints(self):
+        assert hash(DualScalar(3)) == hash(3)
+        assert hash(DualScalar(-1)) == hash(-1)
+        table = {3: "three"}
+        assert table[DualScalar(3)] == "three"
+        assert DualScalar(3, 1) not in table
+        assert {DualScalar(3): 1}[3] == 1
+        assert len({3, DualScalar(3), DualScalar(3, 0)}) == 1
 
     def test_arithmetic_with_ints(self):
         d = DualScalar(3, -2)
