@@ -13,13 +13,16 @@ det(B0 + t*B1).  Each computation takes its forms in once, in _one_ring:
 rational forms are cleared there to integer forms, whose result is
 unscaled by its grading, so every determinant, exact division and
 interpolation runs over the ints, MultiPoly or DualScalar; MultiPoly
-coefficients are lifted onto one namespace; and the determinant is picked
-from the coefficients: Bareiss elimination (det_fraction_free) over ints
-and dual numbers, and division-free expansion by minors (det_by_minors)
-over MultiPoly, whose sparse symbolic entries make elimination's products
-and exact divisions of large minors the dominant cost.  The expansion
-multiplies MultiPoly's packed term dicts in place into its minors.  The
-Bezout matrices of a DR series are persymmetric: Bareiss eliminates half.
+coefficients are lifted onto one namespace, and on forms with a variable
+a fixed one (a constant polynomial) enters as its int; and the
+determinant is picked from the coefficients: Bareiss elimination
+(det_fraction_free) over ints and dual numbers, and division-free
+expansion by minors (det_by_minors) whenever a coefficient is a
+MultiPoly, so that results stay MultiPoly: with sparse symbolic entries,
+elimination's products and exact divisions of large minors would be the
+dominant cost.  The expansion multiplies MultiPoly's packed term dicts in
+place into its minors.  The Bezout matrices of a DR series are
+persymmetric: Bareiss eliminates half.
 """
 
 from __future__ import annotations
@@ -159,7 +162,8 @@ def bezout_matrix(f: BinaryForm, g: BinaryForm):
     the Sylvester matrix.  Every entry is linear in g, so a zero g is
     allowed (it gives a matrix of zeros in the Bezout rows).  For d = e it
     is persymmetric, M[i][j] == M[d-1-j][d-1-i]: a symmetric Bezoutian
-    with its columns reversed (Heinig & Rost 1984).
+    with its columns reversed (Heinig & Rost 1984); it is built in full, as
+    over the ints an entry costs about as much as copying its mirror image.
     """
     d, e = f.degree, g.degree
     if not 1 <= e <= d:
@@ -369,10 +373,12 @@ def signed_resultant(f: BinaryForm, g: BinaryForm):
     if d and e and (f.is_zero() or g.is_zero()):
         raise ValueError("zero form")
     (f, g), scales, det = _one_ring((f, g))
+    # c^k as det([[c]])^k, in the ring of the determinant: a MultiPoly
+    # whenever det expands by minors, also where c entered as an int
     if e == 0:
-        res, odd = g.coefficients[0] ** d, 0
+        res, odd = det([[g.coefficients[0]]]) ** d, 0
     elif d == 0:
-        res, odd = f.coefficients[0] ** e, 0
+        res, odd = det([[f.coefficients[0]]]) ** e, 0
     elif d >= e:
         res, odd = det(bezout_matrix(f, g)), (d + 1) * e % 2
     else:
@@ -446,6 +452,9 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     unscaled exactly by the grading
     DR_r(lambda*f, mu*g) = lambda^(2n-2-r) * mu^r * DR_r(f, g), and stays
     an int when lambda = mu = 1.
+
+    mode must be "numeric" or "symbolic" but is read by nothing else: the
+    coefficients alone choose the arithmetic and the determinant.
     """
     n = f_n.degree
     if n < 2:
@@ -485,10 +494,13 @@ def _one_ring(forms):
     forms do; a Fraction mixed with a MultiPoly or DualScalar raises
     TypeError, as no ring here holds both.  Otherwise scales is None and
     MultiPoly coefficients are lifted onto one namespace and width, so that
-    no product, division or interpolation step remaps its operands.  det is
-    the determinant for matrices built from the forms, looked up in this
-    module on each call: expansion by minors when a coefficient is a
-    MultiPoly, Bareiss otherwise (ints and dual numbers).
+    no product, division or interpolation step remaps its operands; then,
+    if some coefficient has a variable, each one without is replaced by its
+    int.  Forms without any variable keep their constants, so that taking
+    them in again (discriminant through signed_resultant) still finds a
+    MultiPoly.  det is the determinant for matrices built from the forms,
+    looked up in this module on each call: expansion by minors when a
+    coefficient was a MultiPoly, Bareiss otherwise (ints and dual numbers).
     """
     coeffs = [c for f in forms for c in f.coefficients]
     if any(isinstance(c, Fraction) for c in coeffs):
@@ -505,7 +517,13 @@ def _one_ring(forms):
         return forms, scales, det_fraction_free
     if not any(c.__class__ is MultiPoly for c in coeffs):
         return forms, None, det_fraction_free
-    lifted = iter(align_all(coeffs))
+    lifted = align_all(coeffs)
+    # keys above 0 hold a variable; a fixed coefficient as an int costs no
+    # polynomial operation
+    if any(c.__class__ is MultiPoly and any(c._terms) for c in lifted):
+        lifted = [c if c.__class__ is not MultiPoly or any(c._terms)
+                  else c._terms.get(0, 0) for c in lifted]
+    lifted = iter(lifted)
     forms = tuple(BinaryForm.from_coeffs(islice(lifted, f.degree + 1))
                   for f in forms)
     return forms, None, det_by_minors

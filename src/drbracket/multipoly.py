@@ -21,6 +21,7 @@ import math
 # the C core of heapq: importing heapq itself also loads its pure-Python
 # module, about 0.15 MiB more peak RSS for three functions
 from _heapq import heapify, heappop, heappush
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -243,6 +244,8 @@ class MultiPoly:
                     raise NotDivisibleError("no exact quotient")
                 quo[d ^ guard] = c if c_q == 1 else _quotient(c, c_q)
             return _make(a.variables, w, a._top, quo)
+        if _not_a_multiple_at_a_point(a, b):
+            raise NotDivisibleError("no exact quotient")
         # Long division by lex-leading terms, the remainder keyed by negated
         # keys so that the heap's smallest is its leading term.  A key pushed
         # lies below the term divided out, so it enters the heap once while
@@ -347,6 +350,26 @@ class MultiPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+_POINT_TEST_TOP = 64  # keeps b(x0) within a few hundred bits per variable
+
+
+def _not_a_multiple_at_a_point(a: MultiPoly, b: MultiPoly) -> bool:
+    """True when a(x0) is no multiple of b(x0) at x0 = (2, 3, 4, ...), which
+    shows that b does not divide a (a = q*b over the integers makes it
+    one), so that long division need not run as many steps as a's
+    exponents allow; pow reduces a(x0) modulo b(x0) in time logarithmic in
+    them.  False, showing nothing, when b has an exponent above
+    _POINT_TEST_TOP or |b(x0)| < 2.  a and b share namespace and width."""
+    if b._top > _POINT_TEST_TOP:
+        return False
+    w, m, x0 = a._w, len(a.variables), range(2, len(a.variables) + 2)
+    mod = abs(sum(c * math.prod(map(pow, x0, _unpack(e, w, m)))
+                  for e, c in b._terms.items()))
+    return mod > 1 and sum(
+        c * math.prod(map(pow, x0, _unpack(e, w, m), repeat(mod)))
+        for e, c in a._terms.items()) % mod != 0
 
 
 _new = object.__new__

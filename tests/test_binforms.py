@@ -38,6 +38,19 @@ def rand_form(rng, degree, require_ends=False):
             return BinaryForm.from_coeffs(coeffs)
 
 
+def partly_fixed_forms(n, k, seed):
+    """f_n and f_{n-2} over MultiPoly, k of their 2n coefficients fixed to
+    seeded nonzero constants and the others the variables a_i, b_i, as in
+    the benchmark's symbolic workload."""
+    rng = random.Random(seed)
+    names = [f"a{i}" for i in range(n + 1)] + [f"b{i}" for i in range(n - 1)]
+    fixed = set(rng.sample(names, k))
+    coeffs = [MultiPoly.constant(rng.choice([-9, -7, -4, -2, -1, 1, 3, 5, 8]))
+              if v in fixed else MultiPoly.variable(v) for v in names]
+    return (BinaryForm.from_coeffs(coeffs[:n + 1]),
+            BinaryForm.from_coeffs(coeffs[n + 1:]))
+
+
 def bracket(p, q):
     return p[0] * q[1] - q[0] * p[1]
 
@@ -190,6 +203,29 @@ class TestPersymmetric:
             M = bezout_matrix(f, g)
             assert is_persymmetric(M)
             assert binforms._det_persymmetric(M) == det_by_minors(M)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_equal_degree_partly_fixed_bezoutians(self, d):
+        # the fixed coefficients enter as ints, among MultiPoly entries; an
+        # entry may be an int where its mirror image is a constant MultiPoly
+        # of the same value, so the symmetric pass need not take it
+        for k in (1, d, 2 * d):
+            f, g = partly_fixed_forms(d + 2, k, 90 + 10 * d + k)
+            (f,), _, _ = binforms._one_ring((BinaryForm.from_coeffs(
+                f.coefficients[:d + 1]),))
+            M = bezout_matrix(f, f.x_dx())
+            assert is_persymmetric(M)
+            assert det_fraction_free(M) == det_by_minors(M)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_equal_degree_cleared_fraction_bezoutians(self, d):
+        rng = random.Random(70 + d)
+        forms = [BinaryForm.from_coeffs(_fraction_coeffs(rng, d + 1, ""))
+                 for _ in range(2)]
+        (f, g), _, _ = binforms._one_ring(forms)
+        assert all(type(c) is int for c in f.coefficients + g.coefficients)
+        assert is_persymmetric(bezout_matrix(f, g))
+        assert is_persymmetric(bezout_matrix(*forms))
 
     @settings(max_examples=60, deadline=None)
     @given(persymmetric_matrices(small_ints, 8))
@@ -442,6 +478,21 @@ class TestKernelChoice:
         dr_series(BinaryForm.generic(n), BinaryForm.generic(n - 2, "b"),
                   mode="symbolic")
         assert calls == {"bareiss": 0, "minors": n + 1}
+
+    @pytest.mark.parametrize("k", ["one", "n", "all but one", "all"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_partly_fixed_series_never_runs_bareiss(self, monkeypatch, n, k):
+        # fixed coefficients enter as ints, yet the determinant stays the
+        # expansion by minors, so every entry stays a MultiPoly
+        k = {"one": 1, "n": n, "all but one": 2 * n - 1, "all": 2 * n}[k]
+        f, g = partly_fixed_forms(n, k, 300 + 10 * n + k)
+        calls = self._count(monkeypatch)
+        series = dr_series(f, g, mode="symbolic")
+        assert calls == {"bareiss": 0, "minors": n + 1}
+        assert all(type(e) is MultiPoly for e in series.entries)
+        disc = discriminant(f)
+        assert calls == {"bareiss": 0, "minors": n + 2}
+        assert type(disc) is MultiPoly and disc == series.entries[0]
 
     @pytest.mark.parametrize("kind", [lambda c: c, F])
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -935,6 +986,122 @@ class TestSymbolicSeriesBytes:
             assert [e.to_json() for e in entries] == [e.to_json() for e in plain]
             assert [str(e) for e in entries] == [str(e) for e in plain]
             assert entries == plain
+
+
+class TestFixedCoefficients:
+    """Forms over MultiPoly with some coefficients fixed to constants, which
+    enter the Bezout matrices and their determinants as ints."""
+
+    # sha256 of json.dumps(series.to_json(), sort_keys=True) and of
+    # json.dumps([str(e) for e in series.entries]) for
+    # partly_fixed_forms(n, k, 10 * n + k), recorded while every fixed
+    # coefficient still entered as a constant MultiPoly
+    FIXED_DIGESTS = {
+        (3, 1): ("1c6072811b7b4a0eb16cd86425185121178953d8f0d3122342639a05ad8a74b9",
+                 "7b86d60bf4a9c844804586168dbb3feea5c6a16be9a2e8e2de6bf126a6e67d52"),
+        (3, 3): ("870e98b7b69d323a7aa1e124b72daf04ed4e2e607a843c2d1a3b92d26c4deb92",
+                 "e7feac24ddaa4a636da0da2e4030c694fb7737fe1f6baf6345ee549298476975"),
+        (3, 6): ("5c21b82aa32c1fde9362b89f67348b5085199445d76b835a6edf66f69b9ed89c",
+                 "d0eacef766cccbef551a38e469d401e0ac50aaa03877887a50e6376d883e6c3a"),
+        (4, 1): ("a8aebc5dcbd829bb5b201d42f55ed7ae8b4b27de54c37fa29da7fbd80ee1f0b6",
+                 "8f7390846349a95dd93aefc9a79782407a7835688f1d589eb9ae7e535573f76c"),
+        (4, 4): ("c06d75361844a03d2caf8d65a564a19fbef6484a1f3e3b525e585b4e28df9501",
+                 "2d801676658225490c0b3ae73d041617156f047a25837aa69d342b127da1e947"),
+        (4, 8): ("f17a5d454bb56076eef7b50ccde40b66983f65bfcc13c4e9dbb04a5668b15450",
+                 "e76c1ade92373a9d511edf6961b7ff215110a30fb539f57e32702d62c06ecaff"),
+        (5, 1): ("3c6e71a12dfc1b010b4c5f0c4cdc388dca2c4b1fdac72439f310c58e14f9b93f",
+                 "187f4e57081f32b6eea63506cfd1e5332c83adbcc6431bf31266bbfe80ec5b01"),
+        (5, 5): ("6957f42f897c47dda0cfde7d84c56988a872aa0ba727d67669aed15e89e45694",
+                 "4997e017e352e5aed32a108e3cdd829a53390eb212ea6b33788c4dc958316cdb"),
+        (5, 10): ("b4078f2fc88e91ad0be686d1ffecdb6cf63dd84f65d96cd7ec18d5ad40cc706f",
+                  "65e35e94a4498991c122c72c5b8bb2c5dce95c1f72d67b8b25f241e8e7baff75"),
+        # n = 4 with a_2 and b_1 fixed to 0 and a_4 to 3, recorded alike
+        "zeros": ("cf8b970292eb86a8c4432f04c5fbfbd4ef39de48f88bb38e147d6ce0fe32dca0",
+                  "bf8ba1aa8e712c229bf31ffba02f22a9d50ab420bf3d41d2272aa4e7c6c3a09f"),
+    }
+
+    @staticmethod
+    def digests(series):
+        texts = (json.dumps(series.to_json(), sort_keys=True),
+                 json.dumps([str(e) for e in series.entries]))
+        return tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+
+    @pytest.mark.parametrize("case", sorted(FIXED_DIGESTS, key=str))
+    def test_partly_fixed_series_are_pinned(self, case):
+        if case == "zeros":
+            a = [MultiPoly.variable(f"a{i}") for i in range(5)]
+            b = [MultiPoly.variable(f"b{i}") for i in range(3)]
+            a[2], b[1], a[4] = (MultiPoly.constant(0), MultiPoly.constant(0),
+                                MultiPoly.constant(3))
+            f, g = BinaryForm.from_coeffs(a), BinaryForm.from_coeffs(b)
+        else:
+            n, k = case
+            f, g = partly_fixed_forms(n, k, 10 * n + k)
+        series = dr_series(f, g, mode="symbolic")
+        assert all(type(e) is MultiPoly for e in series.entries)
+        assert self.digests(series) == self.FIXED_DIGESTS[case]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fixed_entries_match_the_generic_series(self, n, generic_series):
+        # a fixed coefficient gives the generic entries at its value
+        for k in (1, n, 2 * n - 1):
+            f, g = partly_fixed_forms(n, k, 400 + 10 * n + k)
+            point = {}
+            for i, c in enumerate(f.coefficients + g.coefficients):
+                name = f"a{i}" if i <= n else f"b{i - n - 1}"
+                point[name] = c.evaluate({}) if not c.variables else (
+                    MultiPoly.variable(name))
+            fixed = dr_series(f, g, mode="symbolic").entries
+            assert list(fixed) == [e.evaluate(point)
+                                   for e in generic_series[n].entries]
+
+    CONSTANT_FORMS = [(2, -3, 5, 1), (4,), (1, 7), (-2, 0, 3), (6, 1, 0, 0, 5)]
+
+    @pytest.mark.parametrize("f", CONSTANT_FORMS, ids=str)
+    @pytest.mark.parametrize("g", CONSTANT_FORMS, ids=str)
+    def test_constant_polynomials_give_polynomials(self, f, g):
+        # every coefficient a MultiPoly constant: every result is a
+        # MultiPoly of the value that the int forms give, degree 0 too
+        P = MultiPoly.constant
+        fp = BinaryForm.from_coeffs([P(c) for c in f])
+        gp = BinaryForm.from_coeffs([P(c) for c in g])
+        fi, gi = BinaryForm.from_coeffs(f), BinaryForm.from_coeffs(g)
+        res = signed_resultant(fp, gp)
+        assert type(res) is MultiPoly and res == signed_resultant(fi, gi)
+        if len(f) >= 3 and f[0] and f[-1]:
+            disc = discriminant(fp)
+            assert type(disc) is MultiPoly and disc == discriminant(fi)
+            if len(g) == len(f) - 2:
+                series = dr_series(fp, gp, mode="symbolic")
+                assert [type(e) for e in series.entries] == [MultiPoly] * len(f)
+                assert series.entries == dr_series(fi, gi).entries
+
+    def test_degree_zero_resultants_of_partly_fixed_forms(self):
+        a0 = MultiPoly.variable("a0")
+        f = BinaryForm.from_coeffs((a0, MultiPoly.constant(2),
+                                    MultiPoly.constant(3)))
+        c = BinaryForm.from_coeffs((MultiPoly.constant(4),))
+        for res in (signed_resultant(f, c), signed_resultant(c, f)):
+            assert type(res) is MultiPoly and res == 16
+        assert signed_resultant(BinaryForm.from_coeffs((a0,)), f) == a0 ** 2
+
+    @pytest.mark.parametrize("fixed", [(), (1,), (1, 2), (1, 2, 3)])
+    def test_zero_polynomial_at_a0_is_degenerate(self, fixed):
+        # a MultiPoly zero at a_0 enters as the int 0 and is refused, with
+        # any of the other coefficients fixed
+        a = [MultiPoly.constant(0)] + [
+            MultiPoly.constant(i + 2) if i in fixed
+            else MultiPoly.variable(f"a{i}") for i in range(1, 4)]
+        f, g = BinaryForm.from_coeffs(a), BinaryForm.generic(1, "b")
+        with pytest.raises(NumericDegenerateError):
+            discriminant(f)
+        with pytest.raises(NumericDegenerateError):
+            dr_series(f, g, mode="symbolic")
+        # a polynomial that is zero without being a constant polynomial
+        x = MultiPoly.variable("x")
+        a[0] = x - x
+        with pytest.raises(NumericDegenerateError):
+            dr_series(BinaryForm.from_coeffs(a), g, mode="symbolic")
 
 
 class TestScalarDomains:

@@ -1,15 +1,17 @@
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drbracket.binforms import BinaryForm, DRSeries, dr_series
+from drbracket import multipoly
 from drbracket.multipoly import (MissingVariableError, MultiPoly,
-                                 NotDivisibleError, exact_div,
+                                 NotDivisibleError, align_all, exact_div,
                                  interpolate_in_t)
 from drbracket.rationals import DualScalar, format_rational
 
@@ -658,8 +660,8 @@ def test_packed_arithmetic_matches_tuple_reference(p, q):
 @given(wide_polys, wide_polys, mixed_polys, mixed_polys)
 def test_packed_exact_div_matches_tuple_reference(p, q, small_p, small_q):
     # exact quotients at every width; any quotient of small exponents, for
-    # long division that fails takes as many steps as the exponents allow
-    # (u^N + v^N by u + v runs N steps for an even N)
+    # a failing long division that the point test lets through takes as
+    # many steps as the exponents allow
     if not q.is_zero:
         quotient = (p * q).exact_div(q)
         assert_packed(quotient)
@@ -682,6 +684,80 @@ def test_long_division_stops_above_the_dividends_degrees():
         with pytest.raises(NotDivisibleError):
             dividend.exact_div(MultiPoly(("v", "w"), {(1, 0): 1, (0, 3): 1}))
     assert ref_div(ref_of(x ** 5), ref_of(x + y ** 3)) is None
+
+
+SUM_UV = MultiPoly.variable("u") + MultiPoly.variable("v")
+POWER_SUMS = {n: MultiPoly.variable("u") ** n + MultiPoly.variable("v") ** n
+              for n in (2, 9, 10)}
+
+
+class TestPointTest:
+    """Long division is refused at once where the dividend's value at
+    x0 = (2, 3, 4, ...) is no multiple of the divisor's."""
+
+    def test_power_sums_fail_at_once(self):
+        # u^N + v^N by u + v with N even: long division alone runs N steps
+        u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+        for n in (2, 10, 2 ** 20, 2 ** 63):
+            start = time.perf_counter()
+            with pytest.raises(NotDivisibleError):
+                (u ** n + v ** n).exact_div(u + v)
+            assert time.perf_counter() - start < 1
+        assert (u ** 9 + v ** 9).exact_div(u + v) == sum(
+            (u ** (8 - i) * v ** i * (-1) ** i for i in range(9)),
+            MultiPoly.zero())
+
+    def test_nothing_is_shown_where_it_does_not_apply(self):
+        u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+        # v - u is 1 at (u, v) = (2, 3), and u^65 + 1 is over the exponent
+        # limit of the evaluation: long division decides
+        for b in (v - u, u ** 65 + 1):
+            a, b = align_all((u ** 3 + v, b))
+            assert not multipoly._not_a_multiple_at_a_point(a, b)
+            with pytest.raises(NotDivisibleError):
+                a.exact_div(b)
+        assert ((u ** 65 + 1) * (u + v)).exact_div(u ** 65 + 1) == u + v
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(mixed_polys, wide_polys), polys_over(
+        [("u", "v"), ("v", "w"), ("u", "v", "w")], min_size=2))
+    def test_exact_quotients_are_unchanged(self, p, q):
+        # q has integer coefficients, so no product p*q is refused, and the
+        # quotient is the one long division gives without the test
+        if len(q.terms) < 2:
+            return
+        a, b = align_all((p * q, q))
+        assert not multipoly._not_a_multiple_at_a_point(a, b)
+        quotient = (p * q).exact_div(q)
+        assert quotient == p and quotient.to_json() == p.to_json()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multipoly, "_not_a_multiple_at_a_point",
+                       lambda a, b: False)
+            plain = (p * q).exact_div(q)
+        assert plain.to_json() == quotient.to_json()
+        assert str(plain) == str(quotient)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_polys, polys_over([("u", "v"), ("u", "v", "w")], min_size=2))
+    @example(POWER_SUMS[2], SUM_UV)
+    @example(POWER_SUMS[10], SUM_UV)
+    @example(POWER_SUMS[9], SUM_UV)
+    def test_outcomes_are_those_of_long_division(self, p, q):
+        # on small exponents, whether q divides p, and the quotient, are
+        # what long division alone gives
+        if len(q.terms) < 2:
+            return
+
+        def outcome():
+            try:
+                return p.exact_div(q).to_json()
+            except NotDivisibleError:
+                return None
+        with_test = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multipoly, "_not_a_multiple_at_a_point",
+                       lambda a, b: False)
+            assert outcome() == with_test
 
 
 @pytest.mark.parametrize("divisor", [
