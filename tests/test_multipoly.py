@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drbracket.binforms import BinaryForm, DRSeries, dr_series
 from drbracket import multipoly
+from drbracket.binforms import BinaryForm, DRSeries, dr_series
 from drbracket.multipoly import (MissingVariableError, MultiPoly,
                                  NotDivisibleError, align_all, exact_div,
                                  interpolate_in_t)
