@@ -24,7 +24,8 @@ from .rationals import DualScalar
 
 # Largest n at which run_independence_suite runs the Jacobian check, which
 # grows steeply with n (one series per point, a Bareiss determinant of order
-# n at n + 1 values of t on integers of 2n*K bits, K from _gradient_radix_bits).
+# n - 1 at n + 1 values of t on integers of 2n*K bits, K from
+# _gradient_radix_bits).
 JACOBIAN_N_MAX = 7
 # jacobian_rank draws each coefficient from [-JACOBIAN_BOUND, JACOBIAN_BOUND]
 JACOBIAN_BOUND = 20
@@ -145,21 +146,27 @@ def _gradient_radix_bits(n: int, top: int) -> int:
     directions, at a point whose coordinates are at most top >= 1 in
     absolute value.
 
-    Every Bareiss entry of B_t = B0 + t*B1 (t = 0..n) is, up to sign, a
-    minor of B_t of order k <= n, and each DR_{n,r} is the coefficient of
-    T^r in det(B0 + T*B1) / (a_0*a_n): integer polynomials in the 2n
-    coefficients.  A B0 entry sums at most n terms (q - p)*a_p*a_q and a
-    B1 entry at most n terms a_p*G_q - a_q*G_p, G = (0, b_0..b_{n-2}, 0),
-    so an entry of B_t has l1 norm <= n^2 + t*2n <= 4n^2 and a row <=
-    4n^3, as does a row of B0 + T*B1.  A minor then has l1 norm
-    <= (4n^3)^n and degree <= 2n, and dividing by the monomial a_0*a_n
-    keeps the l1 norm, so each partial of either kind is at most
-    2n * (4n^3)^n * top^(2n-1) in absolute value at the point.  The factor
-    2^n also covers the forward differences of the interpolation, and the
-    two extra bits put every such partial strictly inside (-R/2, R/2).
+    The dual series samples det Bez(h_t, k_t) (t = 0..n), the Bezout
+    matrix of order n - 1 of h_t = f_x + t*y*f_m and k_t = f_y - t*x*f_m,
+    and DR_{n,r} is the coefficient of T^r in
+    (-1)^(n+1) * det Bez(h_T, k_T) / n^(n-2) (binforms.dr_series): integer
+    polynomials in the 2n coefficients.  The coefficients of h_t and k_t,
+    (p+1)*a_{p+1} + t*b_p and (n-q)*a_q - t*b_{q-1}, have l1 norm <= n + t,
+    so c_pq = h_p*k_q - h_q*k_p has l1 norm <= 2(n+t)^2 <= 8n^2, a Bezout
+    entry, a sum of at most n - 1 of them, <= 8n^3, and a row of n - 1
+    entries <= 8n^4; with T formal the coefficients have l1 norm <= n + 1,
+    so the same bounds hold.  Every Bareiss entry is, up to sign, a minor
+    of Bez(h_t, k_t) of order k <= n - 1, whose l1 norm is at most the
+    product of its rows', (8n^4)^k, and whose degree is 2k; DR_{n,r} and
+    the samples have degree 2n - 2 and l1 norm <= (8n^4)^(n-1), as the
+    division by n^(n-2) only shrinks it.  So each partial of any of them
+    is at most 2(n-1) * (8n^4)^(n-1) * top^(2n-3) in absolute value at the
+    point.  The factor 2^n also covers the forward differences of the
+    interpolation, and the two extra bits put every such partial strictly
+    inside (-R/2, R/2).
     """
-    return (2 * n * 2 ** n * (4 * n ** 3) ** n
-            * top ** (2 * n - 1)).bit_length() + 2
+    return (2 * (n - 1) * 2 ** n * (8 * n ** 4) ** (n - 1)
+            * top ** (2 * n - 3)).bit_length() + 2
 
 
 def jacobian_matrix(a: Sequence[int], b: Sequence[int]) -> list:

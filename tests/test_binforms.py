@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drbracket import binforms
@@ -14,9 +14,9 @@ from drbracket.binforms import (BinaryForm, NumericDegenerateError,
                                 det_fraction_free, discriminant, dr_series,
                                 signed_resultant, sl2_transform,
                                 sylvester_matrix)
-from drbracket.multipoly import MultiPoly
+from drbracket.multipoly import MultiPoly, exact_div, interpolate_in_t
 from drbracket.rationals import DualScalar
-from test_reference import ref_det
+from test_reference import ref_det, ref_lagrange
 
 
 def form_from_roots(pairs):
@@ -53,6 +53,38 @@ def partly_fixed_forms(n, k, seed):
 
 def bracket(p, q):
     return p[0] * q[1] - q[0] * p[1]
+
+
+def as_xy(form):
+    """The form written out as a MultiPoly in x and y."""
+    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+    m = form.degree
+    return sum((c * x ** i * y ** (m - i)
+                for i, c in enumerate(form.coefficients)), MultiPoly.zero())
+
+
+def xy_coefficients(p, degree):
+    """The coefficients of x^j*y^(degree-j), j = 0..degree, of a MultiPoly
+    that is a form of that degree in x and y over its other variables."""
+    vs = p.variables
+    rest = tuple(v for v in vs if v not in ("x", "y"))
+    out = [{} for _ in range(degree + 1)]
+    for exps, c in p.terms.items():
+        powers = dict(zip(vs, exps))
+        assert powers.get("x", 0) + powers.get("y", 0) == degree
+        out[powers.get("x", 0)][tuple(powers[v] for v in rest)] = c
+    return [MultiPoly(rest, terms) for terms in out]
+
+
+def euler_pair(f, g, t):
+    """h_t = f_x + t*y*g and k_t = f_y - t*x*g, degree-(n-1) forms built
+    from f and g written out in x and y and differentiated."""
+    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+    fxy, gxy = as_xy(f), as_xy(g)
+    h = fxy.derivative("x") + t * y * gxy
+    k = fxy.derivative("y") - t * x * gxy
+    return tuple(BinaryForm.from_coeffs(xy_coefficients(p, f.degree - 1))
+                 for p in (h, k))
 
 
 def permutation_det(M):
@@ -278,7 +310,7 @@ class TestPersymmetric:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_numeric_series_takes_the_symmetric_path(self, monkeypatch, n,
                                                      kind):
-        # every sample det(B0 + t*B1) of a numeric series is persymmetric
+        # every sample det Bez(h_t, k_t) of a numeric series is persymmetric
         # with unit diagonal pivots here, so none of them falls back
         rng = random.Random(200 + n)
         make = {"int": int, "fraction": lambda c: F(c, 3),
@@ -287,14 +319,16 @@ class TestPersymmetric:
                                     for _ in range(n + 1)])
         g = BinaryForm.from_coeffs([make(rng.randint(-9, 9))
                                     for _ in range(n - 1)])
-        symmetric, results = binforms._det_persymmetric, []
+        symmetric, results, orders = binforms._det_persymmetric, [], []
 
         def recording(M):
+            orders.append(len(M))
             results.append(symmetric(M))
             return results[-1]
         monkeypatch.setattr(binforms, "_det_persymmetric", recording)
         series = dr_series(f, g)
-        assert len(results) == n + 1
+        # one Bezout matrix of h_t and k_t, of order n - 1, per sample
+        assert orders == [n - 1] * (n + 1)
         assert all(r is not None for r in results)
         monkeypatch.setattr(binforms, "_det_persymmetric", lambda M: None)
         assert dr_series(f, g) == series
@@ -458,12 +492,16 @@ class TestKernelChoice:
     forms, Bareiss for ints, Fractions (cleared to ints) and dual numbers."""
 
     @staticmethod
-    def _count(monkeypatch):
+    def _count(monkeypatch, orders=None):
+        """Counts each kernel's calls; orders, a dict of lists keyed like
+        the counts, if given, also gets the order of every matrix."""
         calls = {"bareiss": 0, "minors": 0}
 
         def counting(name, fn):
             def wrapper(M):
                 calls[name] += 1
+                if orders is not None:
+                    orders[name].append(len(M))
                 return fn(M)
             return wrapper
         monkeypatch.setattr(binforms, "det_fraction_free",
@@ -506,6 +544,37 @@ class TestKernelChoice:
         calls = self._count(monkeypatch)
         dr_series(f, g, mode="numeric")
         assert calls == {"bareiss": n + 1, "minors": 0}
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "dual"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_numeric_series_runs_bareiss_of_order_n_minus_1(self, monkeypatch,
+                                                            n, kind):
+        rng = random.Random(400 + n)
+        make = {"int": int, "fraction": lambda c: F(c, 5),
+                "dual": lambda c: DualScalar(c, rng.randint(-3, 3))}[kind]
+        f = BinaryForm.from_coeffs([make(rng.randint(1, 9))
+                                    for _ in range(n + 1)])
+        g = BinaryForm.from_coeffs([make(rng.randint(-9, 9))
+                                    for _ in range(n - 1)])
+        orders = {"bareiss": [], "minors": []}
+        calls = self._count(monkeypatch, orders)
+        dr_series(f, g)
+        assert calls == {"bareiss": n + 1, "minors": 0}
+        assert orders == {"bareiss": [n - 1] * (n + 1), "minors": []}
+
+    @pytest.mark.parametrize("k", [0, 1, "all"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_multipoly_series_expands_order_n(self, monkeypatch, n, k):
+        # MultiPoly forms keep the order-n pencil B0 + t*B1, generic (k = 0)
+        # or partly fixed
+        k = 2 * n if k == "all" else k
+        f, g = (partly_fixed_forms(n, k, 500 + 10 * n + k) if k
+                else (BinaryForm.generic(n), BinaryForm.generic(n - 2, "b")))
+        orders = {"bareiss": [], "minors": []}
+        calls = self._count(monkeypatch, orders)
+        dr_series(f, g, mode="symbolic")
+        assert calls == {"bareiss": 0, "minors": n + 1}
+        assert orders == {"bareiss": [], "minors": [n] * (n + 1)}
 
     def test_dual_series_runs_bareiss(self, monkeypatch):
         f = BinaryForm.from_coeffs([DualScalar(c, int(i == 1))
@@ -921,6 +990,129 @@ class TestDRSeries:
         data = f.to_json()
         assert data == {"degree": 2, "coefficients": ["1/2", "3", "-1"]}
         assert BinaryForm.from_json(data) == f
+
+
+def sylvester_series(f, g):
+    """The order-n reference: res(f, x*f_x + t*x*y*g) / (a_0*a_n) from the
+    Sylvester matrix at t = 0..n (sylvester_resultant), interpolated in t;
+    Fraction samples by Lagrange over the rationals (ref_lagrange)."""
+    n, a = f.degree, f.coefficients
+    xy_g = (0,) + tuple(g.coefficients) + (0,)
+    samples = []
+    for t in range(n + 1):
+        second = BinaryForm.from_coeffs([i * c + t * v
+                                         for i, (c, v) in enumerate(zip(a, xy_g))])
+        res = sylvester_resultant(f, second)
+        samples.append(res / (a[0] * a[n]) if isinstance(res, F)
+                       else exact_div(res, a[0] * a[n]))
+    if any(isinstance(v, F) for v in samples):
+        entries = ref_lagrange(list(enumerate(samples)))
+        return entries + [0] * (n + 1 - len(entries))
+    return interpolate_in_t(samples)
+
+
+@st.composite
+def numeric_form_pairs(draw):
+    """(kind, f_n, f_m) at n = 2..12 with ints, Fractions or dual numbers,
+    a_0 and a_n nonzero in value."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["int", "fraction", "dual"]))
+    scalar = {"int": st.integers(-9, 9),
+              "fraction": st.builds(F, st.integers(-9, 9),
+                                    st.sampled_from([1, 2, 3, 4, 6])),
+              "dual": st.builds(DualScalar, st.integers(-9, 9),
+                                st.integers(-3, 3))}[kind]
+    end = scalar.map(lambda c: c if _is_unit(c) else c + 1)
+    f = [draw(end)] + [draw(scalar) for _ in range(n - 1)] + [draw(end)]
+    g = [draw(scalar) for _ in range(n - 1)]
+    return kind, BinaryForm.from_coeffs(f), BinaryForm.from_coeffs(g)
+
+
+def _is_unit(c):
+    return (c.value if isinstance(c, DualScalar) else c) != 0
+
+
+class TestEulerRoute:
+    """Numeric series from the order n - 1 Bezout determinant of
+    h_t = f_x + t*y*f_m and k_t = f_y - t*x*f_m (Euler's identity
+    x*h_t + y*k_t = n*f)."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_euler_identity(self, n):
+        f, g = BinaryForm.generic(n), BinaryForm.generic(n - 2, "b")
+        h, k = euler_pair(f, g, MultiPoly.variable("t"))
+        assert h.degree == k.degree == n - 1
+        # x*h_t has the coefficients 0, h_0..h_{n-1}, y*k_t k_0..k_{n-1}, 0
+        xh = (0,) + h.coefficients
+        yk = k.coefficients + (0,)
+        for a_i, u, v in zip(f.coefficients, xh, yk):
+            assert u + v == a_i * n
+        x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+        assert x * as_xy(h) + y * as_xy(k) == as_xy(f) * n
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_resultant_identity(self, n):
+        # (-1)^(n+1) * res(h_t, k_t) = n^(n-2) * res(f, x*h_t) / (a_0*a_n),
+        # t a variable; n = 5 has fixed coefficients, to keep it quick
+        f, g = ((BinaryForm.generic(n), BinaryForm.generic(n - 2, "b"))
+                if n < 5 else partly_fixed_forms(n, 5, 77))
+        h, k = euler_pair(f, g, MultiPoly.variable("t"))
+        x_h = BinaryForm.from_coeffs((0,) + h.coefficients)
+        lhs = signed_resultant(h, k) * (-1) ** (n + 1)
+        a0, an = f.coefficients[0], f.coefficients[-1]
+        rhs = (signed_resultant(f, x_h) * n ** (n - 2)).exact_div(a0 * an)
+        assert lhs == rhs and not lhs.is_zero
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_symbolic_series_is_the_bezoutian_of_h_and_k(self, n):
+        # the generic series (order-n pencil) against the identity's side
+        f, g = BinaryForm.generic(n), BinaryForm.generic(n - 2, "b")
+        t = MultiPoly.variable("t")
+        h, k = euler_pair(f, g, t)
+        series = dr_series(f, g, mode="symbolic")
+        total = sum((e * t ** r for r, e in enumerate(series.entries)),
+                    MultiPoly.zero())
+        det = det_by_minors(bezout_matrix(h, k))
+        assert det * (-1) ** (n + 1) == total * n ** (n - 2)
+
+    @settings(max_examples=45, deadline=None)
+    @given(numeric_form_pairs())
+    @example(("int", BinaryForm.from_coeffs((1, 0, 1)),
+              BinaryForm.from_coeffs((0,))))
+    @example(("fraction", BinaryForm.from_coeffs((F(1, 2), F(0), F(1))),
+              BinaryForm.from_coeffs((F(3, 5),))))
+    @example(("dual", BinaryForm.from_coeffs(
+        [DualScalar(c, 1) for c in (2, -1, 3, 0, 5)]),
+        BinaryForm.from_coeffs([DualScalar(c, 0) for c in (1, 0, -2)])))
+    def test_numeric_series_match_the_sylvester_reference(self, case):
+        kind, f, g = case
+        try:
+            want = sylvester_series(f, g)
+        except NumericDegenerateError:
+            # the dual reference's elimination found no unit pivot
+            assume(False)
+        got = dr_series(f, g).entries
+        assert list(got) == list(want)
+        if kind == "dual":
+            assert all(type(e) is DualScalar for e in got)
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "dual"])
+    @pytest.mark.parametrize("end", [0, -1])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_zero_end_coefficient_still_raises(self, monkeypatch, n, end,
+                                               kind):
+        # the route divides by a constant, not by a_0*a_n, yet the series
+        # is defined by that division, so a zero value still raises before
+        # any determinant; a dual's derivative there is not looked at
+        make = {"int": int, "fraction": lambda c: F(c, 3),
+                "dual": lambda c: DualScalar(c, 2)}[kind]
+        coeffs = [make(c) for c in (4, -3, 2, 5, -1, 6, 7)[:n + 1]]
+        coeffs[end] = make(0)
+        g = BinaryForm.from_coeffs([make(c) for c in (7, 1, -3, 2, 5)[:n - 1]])
+        calls = TestKernelChoice._count(monkeypatch)
+        with pytest.raises(NumericDegenerateError, match=r"a_0 \* a_n = 0"):
+            dr_series(BinaryForm.from_coeffs(coeffs), g)
+        assert calls == {"bareiss": 0, "minors": 0}
 
 
 @pytest.fixture(scope="module")

@@ -449,11 +449,20 @@ class TestDeterminism:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    # numeric series of rational forms, sha256 of stdout: n = 8 is the
-    # --forms case of CI's python -O steps, n = 12 cli-rational's largest
-    # size; both recorded before Bareiss took the symmetric pass on
-    # persymmetric Bezout matrices, which must keep these bytes
+    # numeric series of rational forms, sha256 of stdout: n = 8 and n = 16
+    # are --forms cases of CI's python -O steps, n = 12 cli-rational's
+    # largest size; n = 8 and 12 were recorded before Bareiss took the
+    # symmetric pass on persymmetric Bezout matrices, and all five with
+    # the order-n Bezout matrices of f_n, before the samples were taken
+    # from the order n - 1 Bezout matrices of h_t and k_t; n = 2 has
+    # integral coefficients (no unscaling) and an order-1 matrix
     @pytest.mark.parametrize("forms, digest", [
+        ('{"f_n":{"degree":2,"coefficients":["3","-5","2"]},"f_m":'
+         '{"degree":0,"coefficients":["-7"]}}',
+         "d3f48da02e357fd7e08c89dd44bed4e91ae5a47967027677c1e7d0ee7f6434e1"),
+        ('{"f_n":{"degree":3,"coefficients":["2/5","-1","7/3","-3/2"]},'
+         '"f_m":{"degree":1,"coefficients":["4/7","-5/6"]}}',
+         "bae92841a21d343d1ea7221deffcf5fceae9777f464cc4ac867547201ecfd070"),
         ('{"f_n":{"degree":8,"coefficients":["3/7","-5/2","1","0","2/3",'
          '"-1/4","7","-9/5","11/6"]},"f_m":{"degree":6,"coefficients":'
          '["-5/2","3/7","0","4/9","-1","2","1/3"]}}',
@@ -463,7 +472,13 @@ class TestDeterminism:
          '{"degree":10,"coefficients":["-2/5","7/3","0","1","-3/4","5/6",'
          '"-9/2","4/7","10","-1/9","3/2"]}}',
          "d67f67533a2aac0335c30cf7f72b6238c4b58ac493527e15e9e5a96b52bc2f78"),
-    ], ids=["n8", "n12"])
+        ('{"f_n":{"degree":16,"coefficients":["7/4","-2/3","5","0","-11/6",'
+         '"3/8","1","-9/7","2/5","13/4","-1/2","6","-5/9","4/3","-7/10","8",'
+         '"-3/11"]},"f_m":{"degree":14,"coefficients":["-3/5","5/4","0","2",'
+         '"-7/3","1/6","-4","9/8","3","-2/7","11/5","-1","5/2","-8/9",'
+         '"1/4"]}}',
+         "297230ae3228d23d26cc643fbdcd3275071e125b034e7ff60fa435ae6b5bd355"),
+    ], ids=["n2", "n3", "n8", "n12", "n16"])
     def test_numeric_series_bytes_are_pinned(self, capsys, forms, digest):
         n = str(json.loads(forms)["f_n"]["degree"])
         code, out, _ = run(capsys, "dr-series", "--mode", "numeric", "--n", n,

@@ -21,6 +21,7 @@ from drbracket.laurent import (LaurentMonomial, PolygonModel, degree_matrix_P,
                                dr_rows, lm_dr_closed_form)
 from drbracket.multipoly import MultiPoly, NotDivisibleError
 from drbracket.rationals import DualScalar
+from test_binforms import euler_pair
 
 
 def mono(**kw):
@@ -331,21 +332,64 @@ class TestJacobian:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_radix_bound_constants(self, n):
-        # _gradient_radix_bits assumes every entry of B_t = B0 + t*B1
-        # (t = 0..n) has l1 norm <= 4n^2 and every row <= 4n^3, also for
-        # B0 + T*B1 with T formal (the l1 of B0 plus that of B1)
+        # _gradient_radix_bits assumes every entry of Bez(h_t, k_t)
+        # (t = 0..n) has l1 norm <= 8n^3 and every row <= 8n^4, also with
+        # t formal
         f, g = BinaryForm.generic(n, "a"), BinaryForm.generic(n - 2, "b")
-        xy_g = BinaryForm.from_coeffs((0,) + g.coefficients + (0,))
-        B0 = binforms.bezout_matrix(f, f.x_dx())
-        B1 = binforms.bezout_matrix(f, xy_g)
-        formal = [[l1(u) + l1(v) for u, v in zip(r0, r1)]
-                  for r0, r1 in zip(B0, B1)]
-        for t in range(n + 1):
-            norms = [[l1(u + t * v) for u, v in zip(r0, r1)]
-                     for r0, r1 in zip(B0, B1)]
-            assert max(map(max, norms)) <= 4 * n ** 2
-            assert max(map(sum, norms)) <= 4 * n ** 3
-        assert max(map(sum, formal)) <= 4 * n ** 3
+        for t in list(range(n + 1)) + [MultiPoly.variable("t")]:
+            B = binforms.bezout_matrix(*euler_pair(f, g, t))
+            norms = [[l1(u) for u in row] for row in B]
+            assert max(map(max, norms)) <= 8 * n ** 3
+            assert max(map(sum, norms)) <= 8 * n ** 4
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_bareiss_partials_fit_the_radix(self, monkeypatch, n):
+        # at points with every coordinate +-JACOBIAN_BOUND, one direction
+        # seeded at a time, every entry the symmetric Bareiss pass holds
+        # (the matrix's entries, the order-2 minors of its first step and
+        # each exact quotient after), every sample and every series entry
+        # has its partial inside (-R/2, R/2)
+        bound = independence.JACOBIAN_BOUND
+        half = 1 << (independence._gradient_radix_bits(n, bound) - 1)
+        symmetric, divide = binforms._det_persymmetric, binforms.exact_div
+        partials, fallbacks = [], []
+
+        def recording_det(M):
+            S = [row[::-1] for row in M]
+            partials.extend(x.derivative for row in S for x in row)
+            partials.extend((S[i][j] * S[0][0] - S[0][i] * S[0][j]).derivative
+                            for i in range(1, len(S))
+                            for j in range(i, len(S)))
+            det = symmetric(M)
+            fallbacks.append(det is None)
+            return det
+
+        def recording_div(a, b):
+            q = divide(a, b)
+            partials.append(q.derivative)
+            return q
+        monkeypatch.setattr(binforms, "_det_persymmetric", recording_det)
+        monkeypatch.setattr(binforms, "exact_div", recording_div)
+        rng = random.Random(derive_seed(11, f"radix:{n}"))
+        kept = []
+        # a corner whose elimination meets a zero pivot is drawn again
+        while len(kept) < 2:
+            coords = [rng.choice((-bound, bound)) for _ in range(2 * n)]
+            partials.clear()
+            fallbacks.clear()
+            try:
+                for c in range(2 * n):
+                    duals = [DualScalar(x, int(i == c))
+                             for i, x in enumerate(coords)]
+                    series = dr_series(BinaryForm.from_coeffs(duals[:n + 1]),
+                                       BinaryForm.from_coeffs(duals[n + 1:]))
+                    partials.extend(e.derivative for e in series.entries)
+            except NumericDegenerateError:
+                continue
+            if not any(fallbacks):
+                assert len(fallbacks) == 2 * n * (n + 1)
+                kept.append(max(map(abs, partials)))
+        assert max(kept) < half
 
     @pytest.mark.parametrize("end", [0, -1])
     @pytest.mark.parametrize("n", [3, 5])
@@ -369,6 +413,34 @@ class TestJacobian:
                           lambda n, top: bits)
                 with pytest.raises(ArithmeticError, match="overflow the radix"):
                     jacobian_matrix(a, b)
+
+    def test_degenerate_points_are_resampled(self, monkeypatch):
+        # a point with a_0 = 0 is skipped before any series, and a point
+        # whose series finds no unit pivot (a corner at n = 3) is drawn
+        # again; the next point is kept, and nothing else changes
+        draws = iter([0, 5, -3, 7, 1, 2,                # a_0 = 0
+                      -20, -20, -20, -20, -20, 20,      # degenerate corner
+                      4, 3, -2, 5, 7, 1])               # kept
+
+        class Scripted:
+            def __init__(self, seed):
+                pass
+
+            def randint(self, lo, hi):
+                return next(draws)
+        tried = []
+
+        def counted(a, b):
+            tried.append((a, b))
+            return jacobian_matrix(a, b)
+        monkeypatch.setattr(independence, "Random", Scripted)
+        monkeypatch.setattr(independence, "jacobian_matrix", counted)
+        rep = jacobian_rank(3, points=1)
+        assert tried == [([-20, -20, -20, -20], [-20, 20]),
+                         ([4, 3, -2, 5], [7, 1])]
+        assert rep["points"] == 1 and rep["max_rank"] == 3
+        assert rep["per_point"] == [{"point": {"a": [4, 3, -2, 5],
+                                               "b": [7, 1]}, "rank": 3}]
 
     @pytest.mark.parametrize("divisor, error", [
         (DualScalar(2), NotDivisibleError), (0, ZeroDivisionError)])
