@@ -8,12 +8,14 @@ computed as the determinant of the d x d hybrid Bezout matrix, half the
 order of the Sylvester matrix (Chionh, Zhang & Goldman, J. Symbolic
 Computation 2002); the Sylvester matrix is kept as the reference it is
 tested against.  The DR series is sampled at t = 0..n and interpolated.
-Over ints and dual numbers each sample is the order n - 1 Bezout
-determinant of h_t = f_x + t*y*f_m and k_t = f_y - t*x*f_m, whose
-resultant is the series up to the constant (-1)^(n+1) * n^(n-2) (Euler's
-identity x*h_t + y*k_t = n*f; see dr_series).  Over MultiPoly the Bezout
-matrix, linear in its second form, is built twice, and each sample is
-det(B0 + t*B1) of order n.  Each computation takes its forms in once, in _one_ring:
+Over ints and dual numbers each sample is the Bezout determinant, of
+order n - 1, of h_t = f_x + t*y*f_m and k_t = f_y - t*x*f_m, whose
+resultant is the series times (-1)^(n+1) * n^(n-2) (Euler's identity
+x*h_t + y*k_t = n*f; the proof is in dr_series).  Over MultiPoly each
+sample is det(B0 + t*B1) of order n, the Bezout matrix of f_n with its
+second form linear in t, built twice: the order n - 1 entries carry about
+twice as many terms, which costs the expansion more than the lower order
+saves.  Each computation takes its forms in once, in _one_ring:
 rational forms are cleared there to integer forms, whose result is
 unscaled by its grading, so every determinant, exact division and
 interpolation runs over the ints, MultiPoly or DualScalar; MultiPoly
@@ -198,8 +200,9 @@ def det_fraction_free(M):
     ends the elimination before that division.  Dual numbers work when
     every pivot has a nonzero value part; otherwise NumericDegenerateError
     is raised.  An order-N matrix takes about N^3/3 updates, each two
-    products and one exact division; resultants and the DR series of
-    numeric forms call it on Bezout matrices of order max(d, e).  A
+    products and one exact division; resultants of numeric forms call it
+    on Bezout matrices of order max(d, e), and their DR series of degree n
+    on the Bezout matrices of h_t and k_t, of order n - 1.  A
     persymmetric matrix, as bezout_matrix gives for d = e, goes through
     _det_persymmetric first, in about N^3/6 updates; on a zero diagonal
     pivot that pass gives up, and the elimination below runs on M, as it
@@ -469,7 +472,7 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     (-1)^((n+1)*n) is 1).  The order n - 1 route is not taken there: its
     entries carry about twice as many terms, and the expansion's cost grows
     with them faster than it falls with the order (generic dr-series at
-    n = 7 took 8.1 s instead of 6.9 s).
+    n = 7 took about a quarter longer that way).
 
     Forms with rational coefficients are scaled in _one_ring to integer
     forms lambda*f_n and mu*f_m (lambda, mu the lcm of each form's
@@ -507,11 +510,11 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
         fx = [(j + 1) * a[j + 1] for j in range(n)]
         fy = [(n - j) * a[j] for j in range(n)]
         y_fm, x_fm = b + (0,), (0,) + b
-        scale = n ** (n - 2) if n % 2 else -n ** (n - 2)
+        divisor = n ** (n - 2) if n % 2 else -n ** (n - 2)
         for t in range(n + 1):
             h_t = BinaryForm(n - 1, [u + t * v for u, v in zip(fx, y_fm)])
             k_t = BinaryForm(n - 1, [u - t * v for u, v in zip(fy, x_fm)])
-            samples.append(exact_div(det(bezout_matrix(h_t, k_t)), scale))
+            samples.append(exact_div(det(bezout_matrix(h_t, k_t)), divisor))
     entries = interpolate_in_t(samples)
     if scales is not None:
         lam, mu = scales

@@ -512,10 +512,13 @@ class TestKernelChoice:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_symbolic_series_never_runs_bareiss(self, monkeypatch, n):
-        calls = self._count(monkeypatch)
+        # MultiPoly forms keep the order-n pencil B0 + t*B1
+        orders = {"bareiss": [], "minors": []}
+        calls = self._count(monkeypatch, orders)
         dr_series(BinaryForm.generic(n), BinaryForm.generic(n - 2, "b"),
                   mode="symbolic")
         assert calls == {"bareiss": 0, "minors": n + 1}
+        assert orders["minors"] == [n] * (n + 1)
 
     @pytest.mark.parametrize("k", ["one", "n", "all but one", "all"])
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -524,9 +527,11 @@ class TestKernelChoice:
         # expansion by minors, so every entry stays a MultiPoly
         k = {"one": 1, "n": n, "all but one": 2 * n - 1, "all": 2 * n}[k]
         f, g = partly_fixed_forms(n, k, 300 + 10 * n + k)
-        calls = self._count(monkeypatch)
+        orders = {"bareiss": [], "minors": []}
+        calls = self._count(monkeypatch, orders)
         series = dr_series(f, g, mode="symbolic")
         assert calls == {"bareiss": 0, "minors": n + 1}
+        assert orders["minors"] == [n] * (n + 1)
         assert all(type(e) is MultiPoly for e in series.entries)
         disc = discriminant(f)
         assert calls == {"bareiss": 0, "minors": n + 2}
@@ -541,48 +546,22 @@ class TestKernelChoice:
                                     for _ in range(n + 1)])
         g = BinaryForm.from_coeffs([kind(rng.randint(-9, 9))
                                     for _ in range(n - 1)])
-        calls = self._count(monkeypatch)
+        orders = {"bareiss": [], "minors": []}
+        calls = self._count(monkeypatch, orders)
         dr_series(f, g, mode="numeric")
         assert calls == {"bareiss": n + 1, "minors": 0}
-
-    @pytest.mark.parametrize("kind", ["int", "fraction", "dual"])
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_numeric_series_runs_bareiss_of_order_n_minus_1(self, monkeypatch,
-                                                            n, kind):
-        rng = random.Random(400 + n)
-        make = {"int": int, "fraction": lambda c: F(c, 5),
-                "dual": lambda c: DualScalar(c, rng.randint(-3, 3))}[kind]
-        f = BinaryForm.from_coeffs([make(rng.randint(1, 9))
-                                    for _ in range(n + 1)])
-        g = BinaryForm.from_coeffs([make(rng.randint(-9, 9))
-                                    for _ in range(n - 1)])
-        orders = {"bareiss": [], "minors": []}
-        calls = self._count(monkeypatch, orders)
-        dr_series(f, g)
-        assert calls == {"bareiss": n + 1, "minors": 0}
-        assert orders == {"bareiss": [n - 1] * (n + 1), "minors": []}
-
-    @pytest.mark.parametrize("k", [0, 1, "all"])
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_multipoly_series_expands_order_n(self, monkeypatch, n, k):
-        # MultiPoly forms keep the order-n pencil B0 + t*B1, generic (k = 0)
-        # or partly fixed
-        k = 2 * n if k == "all" else k
-        f, g = (partly_fixed_forms(n, k, 500 + 10 * n + k) if k
-                else (BinaryForm.generic(n), BinaryForm.generic(n - 2, "b")))
-        orders = {"bareiss": [], "minors": []}
-        calls = self._count(monkeypatch, orders)
-        dr_series(f, g, mode="symbolic")
-        assert calls == {"bareiss": 0, "minors": n + 1}
-        assert orders == {"bareiss": [], "minors": [n] * (n + 1)}
+        # one Bezout matrix of h_t and k_t per sample
+        assert orders["bareiss"] == [n - 1] * (n + 1)
 
     def test_dual_series_runs_bareiss(self, monkeypatch):
         f = BinaryForm.from_coeffs([DualScalar(c, int(i == 1))
                                     for i, c in enumerate((2, 3, 5, 7))])
         g = BinaryForm.from_coeffs((DualScalar(1), DualScalar(4)))
-        calls = self._count(monkeypatch)
+        orders = {"bareiss": [], "minors": []}
+        calls = self._count(monkeypatch, orders)
         dr_series(f, g)
         assert calls == {"bareiss": 4, "minors": 0}
+        assert orders["bareiss"] == [2] * 4
 
     def test_rational_discriminant_runs_one_bareiss(self, monkeypatch):
         f = BinaryForm.from_coeffs((F(3, 7), F(-5, 2), F(1), F(2, 3)))
