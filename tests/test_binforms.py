@@ -979,8 +979,8 @@ def sylvester_series(f, g):
     xy_g = (0,) + tuple(g.coefficients) + (0,)
     samples = []
     for t in range(n + 1):
-        second = BinaryForm.from_coeffs([i * c + t * v
-                                         for i, (c, v) in enumerate(zip(a, xy_g))])
+        second = BinaryForm.from_coeffs(
+            [i * c + t * v for i, (c, v) in enumerate(zip(a, xy_g))])
         res = sylvester_resultant(f, second)
         samples.append(res / (a[0] * a[n]) if isinstance(res, F)
                        else exact_div(res, a[0] * a[n]))
