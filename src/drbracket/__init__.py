@@ -18,10 +18,9 @@ from .independence import (IndependenceCertificate, integer_matrix_rank,
                            jacobian_rank, multiplicative_independence,
                            run_independence_suite)
 from .laurent import (DegreeMatrix, LaurentMonomial, LaurentPoly,
-                      PolygonModel, boundary_path, degree_matrix_P,
-                      dominance_check, laurent_expand_bracket,
-                      laurent_expand_poly, lex_leading_monomial,
-                      lm_dr_closed_form)
+                      PolygonModel, degree_matrix_P, dominance_check,
+                      laurent_expand_bracket, laurent_expand_poly,
+                      lex_leading_monomial, lm_dr_closed_form)
 from .multipoly import (MissingVariableError, MultiPoly, NotDivisibleError,
                         interpolate_in_t)
 from .rationals import DualScalar, format_rational, parse_rational

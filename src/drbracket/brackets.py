@@ -147,32 +147,17 @@ class BracketPolynomial:
         computed in the ring of ``zero`` and ``one``; ``image`` is called
         once per distinct pair.
 
-        A sum from dr_bracket_sum is always the t^r coefficient of
-        prod_j (X_j + t Y_j), with X_j the (-1)^(n - j) signed product of the
-        canonical pairs of prod_{i != j} [a_i, a_j] and Y_j the (-1)^(n - 2)
-        signed product of those of prod_k [b_k, a_j] (see _bracket_sum_terms):
-        each chunk of _pair_tables is multiplied once and the chunks go to
-        _product_form.  Any other polynomial is evaluated one factor at a
-        time.
+        A sum from dr_bracket_sum takes the images of the brackets of its
+        _product_table to _table_product.  Any other polynomial is
+        evaluated one factor at a time.
         """
-        values: dict = {}
         if self._r is not None:
             n, r = self.n, self._r
-            pairs, alpha_pairs, beta_pairs = _pair_tables(n)
-
-            def chunk(numbers, sign):
-                for k in numbers:
-                    if k not in values:
-                        values[k] = image(pairs[k])
-                return math.prod(map(values.__getitem__, numbers),
-                                 start=sign * one)
-            xs, ys = [], []
-            for j in range(1, n + 1):
-                if r < n:
-                    xs.append(chunk(alpha_pairs[j - 1], (-1) ** (n - j)))
-                if r:
-                    ys.append(chunk(beta_pairs[j - 1], (-1) ** (n - 2)))
-            return _product_form(n, r, xs, ys, zero, one)
+            pairs = _product_table(n)[0]
+            return _table_product(n, r, {
+                k: image(pairs[k]) for k, _, _ in _sum_brackets(n, r)},
+                zero, one)
+        values: dict = {}
         total = zero
         for factors, coeff in self._terms.items():
             prod = coeff * one
@@ -188,31 +173,19 @@ class BracketPolynomial:
         """Exact value; integer coefficients and coordinates give an int.
 
         A sum from dr_bracket_sum reads the coordinates of each symbol it
-        needs once and computes each bracket it needs once, with the
-        chunks, factor order and signs of substitute: [a_i, a_j] for the
-        X_j when r < n and [a_i, b_k] for the Y_i when r > 0, never a
-        [b_k, b_l].
+        needs once, computes each bracket of its _product_table once and
+        takes them to _table_product: [a_i, a_j] when r < n and [a_i, b_k]
+        when r > 0, never a [b_k, b_l].
         """
         if self._r is None:
             return self.substitute(
                 lambda pair: bracket_eval(pair[0], pair[1], assignment))
         n, r = self.n, self._r
-        a = [assignment[alpha(i)] for i in range(1, n + 1)]
-        xs = ys = ()
-        if r < n:
-            # upper[i][j - i - 1] is [a_(i+1), a_(j+1)] for i < j
-            upper = [[ui * vj - uj * vi for uj, vj in a[i + 1:]]
-                     for i, (ui, vi) in enumerate(a)]
-            xs = [math.prod(itertools.chain(
-                      [upper[i][j - i - 1] for i in range(j)], upper[j]),
-                      start=(-1) ** (n - 1 - j))
-                  for j in range(n)]
-        if r:
-            b = [assignment[beta(k)] for k in range(1, n - 1)]
-            sign = (-1) ** (n - 2)
-            ys = [math.prod([ui * vk - uk * vi for uk, vk in b], start=sign)
-                  for ui, vi in a]
-        return _product_form(n, r, xs, ys, 0, 1)
+        us, vs = zip(*[assignment[s]
+                       for s in all_symbols(n)[:None if r else n]])
+        return _table_product(n, r, {
+            k: us[i] * vs[j] - us[j] * vs[i]
+            for k, i, j in _sum_brackets(n, r)}, 0, 1)
 
     def expand_to_coordinates(self) -> MultiPoly:
         """Expansion as a polynomial in the coordinate variables of the
@@ -255,38 +228,56 @@ def subsets_colex(n: int, r: int):
                   key=lambda I: tuple(reversed(I)))
 
 
-def term_factors(n: int, I: Sequence[int]) -> List[Tuple[Symbol, Symbol]]:
-    """Bracket factors of the bracket-sum term of the subset I of [n]:
-    prod_{j in J, i != j} [a_i, a_j] * prod_{i in I, k in [n-2]} [b_k, a_i],
-    where J is the complement of I."""
-    J = sorted(set(range(1, n + 1)) - set(I))
-    factors = []
-    for j in J:
-        for i in range(1, n + 1):
-            if i != j:
-                factors.append((alpha(i), alpha(j)))
-    for i in I:
-        for k in range(1, n - 1):
-            factors.append((beta(k), alpha(i)))
-    return factors
-
-
 @functools.lru_cache(maxsize=64)
-def _pair_tables(n: int):
-    """The canonical pairs of all_symbols(n) in itertools.combinations
-    order, which is their sorted order, and two tables of their numbers
-    in it: alpha_pairs[j - 1] holds the factors of prod_{i != j} [a_i, a_j]
-    and beta_pairs[i - 1] the factors [a_i, b_k], k in [n - 2]."""
-    pairs = tuple(itertools.combinations(all_symbols(n), 2))
+def _product_table(n: int):
+    """Theorem 1's product form prod_{j=1}^{n} (X_j + t Y_j) at n, built
+    once per n, as (pairs, xs, ys, brackets).
+
+    ``pairs`` are the canonical pairs of all_symbols(n) in
+    itertools.combinations order, which is their sorted order.  xs[j - 1]
+    is X_j = prod_{i != j} [a_i, a_j] and ys[j - 1] is Y_j =
+    prod_k [b_k, a_j], k in [n - 2], each as (sign, numbers of its
+    canonical factors in pairs): putting [a_i, a_j] in canonical order
+    swaps it for the n - j indices i > j, and [b_k, a_j] always.
+    ``brackets`` holds each [a_i, a_j] and then each [a_i, b_k] as
+    (number, i, j), with i and j the places of its symbols in
+    all_symbols(n).
+    """
+    symbols = all_symbols(n)
+    pairs, brackets = [], ([], [])
+    for (i, s), (j, t) in itertools.combinations(enumerate(symbols), 2):
+        if s[0] == "a":
+            brackets[t[0] == "b"].append((len(pairs), i, j))
+        pairs.append((s, t))
     number = {pair: k for k, pair in enumerate(pairs)}
-    alpha_pairs = tuple(
-        tuple(number[alpha(min(i, j)), alpha(max(i, j))]
-              for i in range(1, n + 1) if i != j)
+    xs = tuple(((-1) ** (n - j), tuple(
+        number[alpha(min(i, j)), alpha(max(i, j))]
+        for i in range(1, n + 1) if i != j)) for j in range(1, n + 1))
+    ys = tuple(((-1) ** (n - 2), tuple(
+        number[alpha(j), beta(k)] for k in range(1, n - 1)))
         for j in range(1, n + 1))
-    beta_pairs = tuple(
-        tuple(number[alpha(i), beta(k)] for k in range(1, n - 1))
-        for i in range(1, n + 1))
-    return pairs, alpha_pairs, beta_pairs
+    return tuple(pairs), xs, ys, tuple(map(tuple, brackets))
+
+
+def _sum_brackets(n: int, r: int) -> tuple:
+    """The (number, i, j) of _product_table(n) of each bracket
+    dr_bracket_sum(n, r) needs: [a_i, a_j] when r < n, [a_i, b_k] when
+    r > 0."""
+    alpha_alpha, alpha_beta = _product_table(n)[3]
+    return (alpha_alpha if r < n else ()) + (alpha_beta if r else ())
+
+
+def _table_product(n: int, r: int, values: Mapping, zero, one):
+    """dr_bracket_sum(n, r) from values[k], the value of the bracket
+    pairs[k] of _product_table(n): each X_j and Y_j is multiplied once,
+    from its sign times ``one``, and they go to _product_form."""
+    _, xs, ys, _ = _product_table(n)
+
+    def factors(table):
+        return [math.prod(map(values.__getitem__, numbers), start=sign * one)
+                for sign, numbers in table]
+    return _product_form(n, r, factors(xs) if r < n else (),
+                         factors(ys) if r else (), zero, one)
 
 
 def _product_form(n: int, r: int, xs: Sequence, ys: Sequence, zero, one):
@@ -308,25 +299,19 @@ def _product_form(n: int, r: int, xs: Sequence, ys: Sequence, zero, one):
 
 
 def _bracket_sum_terms(n: int, r: int) -> Dict[tuple, int]:
-    """The terms of dr_bracket_sum(n, r): the sum of the term_factors
-    products over the size-r subsets I of [n], in subsets_colex order,
-    with equal monomials merged.
-
-    Each term's key comes out already canonical, without canonicalize:
-    sorting its factors' numbers from _pair_tables sorts its factors.
-    Canonicalizing term_factors(n, I) would swap [a_i, a_j] for the n - j
-    indices i > j of each j in the complement J of I, and all r(n - 2)
-    factors [b_k, a_i], so the term's sign is
-    (-1)^(sum_{j in J} (n - j) + r(n - 2)).
+    """The terms of dr_bracket_sum(n, r): the products X_J Y_I of
+    _product_table(n), X_J the X_j over the complement J of I and Y_I the
+    Y_i over I, for the size-r subsets I of [n] in subsets_colex order,
+    with equal monomials merged.  Sorting a term's pair numbers sorts its
+    canonical factors, and its sign is the product of its X_j's and Y_i's.
     """
-    pairs, alpha_pairs, beta_pairs = _pair_tables(n)
+    pairs, xs, ys, _ = _product_table(n)
     terms: Dict[tuple, int] = {}
     for I in subsets_colex(n, r):
-        J = [j for j in range(1, n + 1) if j not in I]
+        chosen = [ys[j - 1] if j in I else xs[j - 1] for j in range(1, n + 1)]
         key = tuple(map(pairs.__getitem__, sorted(itertools.chain(
-            *(alpha_pairs[j - 1] for j in J), *(beta_pairs[i - 1] for i in I)))))
-        parity = sum(n - j for j in J) + r * (n - 2)
-        s = terms.get(key, 0) + (-1 if parity % 2 else 1)
+            *(numbers for _, numbers in chosen)))))
+        s = terms.get(key, 0) + math.prod(sign for sign, _ in chosen)
         if s:
             terms[key] = s
         else:
@@ -337,8 +322,9 @@ def _bracket_sum_terms(n: int, r: int) -> Dict[tuple, int]:
 def dr_bracket_sum(n: int, r: int) -> BracketPolynomial:
     """Bracket-sum expression of the r-th discriminant-resultant (Theorem
     1), as a new read-only BracketPolynomial on each call: it holds only
-    (n, r), is always evaluated in product form (see substitute) and builds
-    its terms anew on each read (``terms``, ``len``, ``==``, ``to_json``)."""
+    (n, r), is always evaluated in the product form of _product_table and
+    builds its terms anew on each read (``terms``, ``len``, ``==``,
+    ``to_json``)."""
     if not (2 <= n and 0 <= r <= n):
         raise ValueError("need n >= 2 and 0 <= r <= n")
     if (n, r) == (2, 2):

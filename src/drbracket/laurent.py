@@ -29,8 +29,8 @@ from itertools import compress
 from operator import itemgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .brackets import (BracketPolynomial, Symbol, _pair_tables, alpha, beta,
-                       dr_bracket_sum, subsets_colex)
+from .brackets import (BracketPolynomial, Symbol, _product_table, alpha,
+                       beta, dr_bracket_sum, subsets_colex)
 from .multipoly import _guards, _pack, _product, _sum, _unpack, _width
 from .rationals import format_rational
 
@@ -260,19 +260,6 @@ class PolygonModel:
         return out
 
 
-def boundary_path(model: PolygonModel, x: Symbol, y: Symbol) -> List[Symbol]:
-    """Boundary walk from x to y on the side of the polygon avoiding gamma."""
-    if x == model.gamma or y == model.gamma:
-        raise ValueError("path endpoints must differ from gamma")
-    if x == y:
-        raise ValueError("path endpoints must be distinct")
-    bnd = model.boundary
-    ix, iy = bnd.index(x), bnd.index(y)
-    if ix < iy:
-        return bnd[ix:iy + 1]
-    return list(reversed(bnd[iy:ix + 1]))
-
-
 @functools.lru_cache(maxsize=64)
 def _model_tables(n: int):
     """Lookup tables of PolygonModel(n), built once per n.
@@ -374,17 +361,17 @@ def lex_leading_monomial(p: LaurentPoly, model: PolygonModel) -> LaurentMonomial
 @functools.lru_cache(maxsize=64)
 def _symbol_rows(n: int):
     """The lm rows alpha_1..alpha_n and beta_1..beta_n of PolygonModel(n),
-    built once per n: alpha_j sums the lm rows of the brackets [a_i, a_j],
-    i != j, and beta_i those of [a_i, b_k], k in [n - 2], the factors that
-    brackets._pair_tables lists for each symbol.  A bracket's lm row is the
-    largest row of its expansion, the columns being in lex priority order,
-    and it does not depend on the bracket's orientation."""
-    pairs, alpha_pairs, beta_pairs = _pair_tables(n)
+    built once per n: alpha_j sums the lm rows of the factors of X_j in
+    brackets._product_table(n), the brackets [a_i, a_j], i != j, and beta_j
+    those of Y_j, the brackets [a_j, b_k], k in [n - 2].  A bracket's lm row
+    is the largest row of its expansion, the columns being in lex priority
+    order, and it does not depend on the bracket's orientation."""
+    pairs, xs, ys, _ = _product_table(n)
 
-    def summed(numbers):
+    def summed(factor):
         return tuple(map(sum, zip(*(max(_bracket_rows(n, *pairs[k]))
-                                    for k in numbers))))
-    return tuple(map(summed, alpha_pairs)), tuple(map(summed, beta_pairs))
+                                    for k in factor[1]))))
+    return tuple(map(summed, xs)), tuple(map(summed, ys))
 
 
 def _term_lm_row(n: int, I: Sequence[int]) -> tuple:

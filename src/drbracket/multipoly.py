@@ -486,19 +486,14 @@ def interpolate_in_t(values: Iterable):
 
 def exact_div(a, b):
     """The exact quotient a / b, by the one rule every layer divides with:
-    ints by divmod, MultiPoly and DualScalar by their own exact_div, an int
-    dividend first lifted into the divisor's ring.  NotDivisibleError when
-    b does not divide a; TypeError for any other kind (a rational too)."""
-    if isinstance(a, int):
-        if isinstance(b, int):
-            q, r = divmod(a, b)
-            if r:
-                raise NotDivisibleError(f"{a} not divisible by {b}")
-            return q
-        if isinstance(b, MultiPoly):
-            a = MultiPoly.constant(a)
-        elif isinstance(b, DualScalar):
-            a = DualScalar(a)
+    ints by divmod, MultiPoly and DualScalar by their own exact_div.
+    NotDivisibleError when b does not divide a; TypeError for any other
+    kind (a rational too, and an int dividend with any other divisor)."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r:
+            raise NotDivisibleError(f"{a} not divisible by {b}")
+        return q
     if not isinstance(a, (MultiPoly, DualScalar)):
         raise TypeError(f"no exact division of {a!r} by {b!r}")
     return a.exact_div(b)

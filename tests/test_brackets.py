@@ -19,11 +19,12 @@ from drbracket.brackets import (AssignmentBudgetError, BracketPolynomial,
                                 coordinate_vars, derive_seed, dr_bracket_sum,
                                 forms_from_assignment, generic_points,
                                 plucker_relation, random_generic_assignment,
-                                subsets_colex, term_factors, verify_theorem1)
+                                subsets_colex, verify_theorem1)
 from drbracket.multipoly import MultiPoly
 from drbracket.verify import passed
 
 import sampler_oracle
+from oracles import term_factors
 
 
 class TestBracketEval:
@@ -272,13 +273,17 @@ class TestEvaluate:
     def test_each_bracket_computed_once(self):
         # each symbol the sum needs is read once, and each bracket it needs,
         # [s, t] = u_s*v_t - u_t*v_s, takes its two products once each
-        for n in (3, 5):
+        for n in range(2, 9):
             point = random_generic_assignment(n, 1)
-            for r in range(n + 1):
+            for r in all_r(n):
                 p = dr_bracket_sum(n, r)
                 counting = CountingPoint(point)
                 assert p.evaluate(counting) == reference_evaluate(p, point)
                 needed = {pair for factors in p.terms for pair in factors}
+                if (n, r) == (2, 1):
+                    # the two terms cancel, but the product still has [a1, a2]
+                    assert needed == set()
+                    needed = {(alpha(1), alpha(2))}
                 assert counting.products == Counter(
                     [(s, t) for s, t in needed] + [(t, s) for s, t in needed])
                 assert counting.reads == Counter(
@@ -327,7 +332,7 @@ def all_r(n):
 
 
 class TestChunkedEvaluate:
-    """dr_bracket_sum's product form, on the 2n chunks of _pair_tables."""
+    """dr_bracket_sum's product form, on the X_j and Y_j of _product_table."""
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_integer_points(self, n):

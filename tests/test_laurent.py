@@ -8,16 +8,18 @@ import pytest
 
 from drbracket.brackets import (all_symbols, alpha, beta, bracket_eval,
                                 derive_seed, dr_bracket_sum,
-                                random_generic_assignment, term_factors)
+                                random_generic_assignment)
 from drbracket.laurent import (DIRECT_N_MAX, LaurentMonomial, LaurentPoly,
-                               PolygonModel, boundary_path, degree_matrix_P,
-                               dominance_check, dr_rows,
-                               laurent_expand_bracket, laurent_expand_poly,
-                               lex_leading_monomial, lm_dr_closed_form)
+                               PolygonModel, degree_matrix_P, dominance_check,
+                               dr_rows, laurent_expand_bracket,
+                               laurent_expand_poly, lex_leading_monomial,
+                               lm_dr_closed_form)
 from drbracket.laurent import (_Rows, _from_rows, _model_tables, _monomial,
                                _packed, _symbol_rows, _term_lm_row,
                                _unpacked)
 from drbracket.multipoly import _product, _sum
+
+from oracles import boundary_path, term_factors
 
 
 def mono(**kw):
