@@ -7,28 +7,18 @@ of the two forms: signed_resultant = (-1)^(d*e) * det(Sylvester).  It is
 computed as the determinant of the d x d hybrid Bezout matrix, half the
 order of the Sylvester matrix (Chionh, Zhang & Goldman, J. Symbolic
 Computation 2002); the Sylvester matrix is kept as the reference it is
-tested against.  The DR series is sampled at t = 0..n and interpolated.
-Over ints and dual numbers each sample is the Bezout determinant, of
-order n - 1, of h_t = f_x + t*y*f_m and k_t = f_y - t*x*f_m, whose
-resultant is the series times (-1)^(n+1) * n^(n-2) (Euler's identity
-x*h_t + y*k_t = n*f; the proof is in dr_series).  Over MultiPoly each
-sample is det(B0 + t*B1) of order n, the Bezout matrix of f_n with its
-second form linear in t, built twice: the order n - 1 entries carry about
-twice as many terms, which costs the expansion more than the lower order
-saves.  Each computation takes its forms in once, in _one_ring:
-rational forms are cleared there to integer forms, whose result is
-unscaled by its grading, so every determinant, exact division and
-interpolation runs over the ints, MultiPoly or DualScalar; MultiPoly
-coefficients are lifted onto one namespace, and on forms with a variable
-a fixed one (a constant polynomial) enters as its int; and the
-determinant is picked from the coefficients: Bareiss elimination
-(det_fraction_free) over ints and dual numbers, and division-free
-expansion by minors (det_by_minors) whenever a coefficient is a
-MultiPoly, so that results stay MultiPoly: with sparse symbolic entries,
-elimination's products and exact divisions of large minors would be the
-dominant cost.  The expansion multiplies MultiPoly's packed term dicts in
-place into its minors.  The Bezout matrices of a DR series are
-persymmetric: Bareiss eliminates half.
+tested against.  The DR series is sampled at t = 0..n and interpolated;
+dr_series gives the two ways a sample is computed.  Each computation
+takes its forms in once, in _one_ring: rational forms are cleared to
+integer forms, whose result is unscaled by its grading, so every
+determinant, exact division and interpolation runs over the ints,
+MultiPoly or DualScalar; and the determinant is picked from the
+coefficients: Bareiss elimination (det_fraction_free) over ints and dual
+numbers, on half of a persymmetric matrix such as a DR series' Bezout
+matrices, and division-free expansion by minors (det_by_minors) whenever
+a coefficient is a MultiPoly, so that results stay MultiPoly: with sparse
+symbolic entries, elimination's products and exact divisions of large
+minors would be the dominant cost.
 """
 
 from __future__ import annotations
@@ -156,7 +146,8 @@ def sylvester_matrix(f: BinaryForm, g: BinaryForm):
 
 
 def bezout_matrix(f: BinaryForm, g: BinaryForm):
-    """d x d hybrid Bezout matrix of f and g, for d = deg f >= e = deg g >= 1.
+    """d x d hybrid Bezout matrix of f and g, for d = deg f >= e = deg g >= 1
+    (else ValueError); _bezout builds it from the coefficients.
 
     Column i holds the coefficient of x^i (at y = 1).  The first d - e rows
     are x^s * g for s = 0..d-e-1.  With G = x^(d-e) * g, both read as
@@ -171,18 +162,23 @@ def bezout_matrix(f: BinaryForm, g: BinaryForm):
     with its columns reversed (Heinig & Rost 1984); it is built in full, as
     over the ints an entry costs about as much as copying its mirror image.
     """
-    d, e = f.degree, g.degree
-    if not 1 <= e <= d:
+    if not 1 <= g.degree <= f.degree:
         raise ValueError("bezout_matrix needs deg f >= deg g >= 1")
-    a, b = f.coefficients, g.coefficients
-    G = (0,) * (d - e) + b
+    return _bezout(f.coefficients, g.coefficients)
+
+
+def _bezout(a: Sequence, b: Sequence):
+    """bezout_matrix of the forms with the coefficients a and b, unchecked:
+    dr_series builds its samples' matrices from coefficient lists."""
+    d, e = len(a) - 1, len(b) - 1
+    G = b if d == e else (0,) * (d - e) + tuple(b)
     M = [[0] * s + list(b) + [0] * (d - e - 1 - s) for s in range(d - e)]
     row = [0] * d
     for k in range(1, e + 1):
         p = d - k + 1
         ap, Gp = a[p], G[p]
-        row = [0] + row[:-1]
-        row = [row[i] - (ap * G[i] - a[i] * Gp) for i in range(d)]
+        row = [x - (ap * g - c * Gp)
+               for x, g, c in zip([0] + row[:-1], G, a)]
         M.append(row)
     return M
 
@@ -190,23 +186,22 @@ def bezout_matrix(f: BinaryForm, g: BinaryForm):
 def det_fraction_free(M):
     """Exact determinant by Bareiss elimination (Bareiss, Math. Comp. 1968).
 
-    Works over the ints (every division is an exact integer division, so an
-    integer matrix never leaves the integers), dual numbers and MultiPoly.
-    The library calls it on ints and dual numbers; MultiPoly matrices go
-    through det_by_minors, and this stays the ring-generic reference that
-    kernel is tested against.  A Fraction entry raises TypeError at every
-    order: from order 3 on the first exact division refuses it, and a check
-    of the entries does so at orders 1 and 2 and where a column of zeros
-    ends the elimination before that division.  Dual numbers work when
-    every pivot has a nonzero value part; otherwise NumericDegenerateError
-    is raised.  An order-N matrix takes about N^3/3 updates, each two
-    products and one exact division; resultants of numeric forms call it
-    on Bezout matrices of order max(d, e), and their DR series of degree n
-    on the Bezout matrices of h_t and k_t, of order n - 1.  A
-    persymmetric matrix, as bezout_matrix gives for d = e, goes through
-    _det_persymmetric first, in about N^3/6 updates; on a zero diagonal
-    pivot that pass gives up, and the elimination below runs on M, as it
-    does on any other matrix (a hybrid Bezout matrix of d > e among them).
+    Works over the ints (every division is exact, so an integer matrix
+    never leaves the integers), dual numbers and MultiPoly.  The library
+    calls it on ints and dual numbers; MultiPoly matrices go through
+    det_by_minors, and this stays the ring-generic reference that kernel is
+    tested against.  A Fraction entry raises TypeError at every order: from
+    order 3 on the first exact division refuses it, and a check of the
+    entries does so at orders 1 and 2 and where a column of zeros ends the
+    elimination before that division.  Dual numbers work when every pivot
+    has a nonzero value part; otherwise NumericDegenerateError is raised.
+    An order-N matrix takes about N^3/3 updates, each two products and,
+    after the first step, which runs on its own, one exact division by the
+    pivot before.  A persymmetric matrix, as
+    bezout_matrix gives for d = e (the order n - 1 matrices of a numeric
+    DR series among them), goes through _det_persymmetric first, in about
+    N^3/6 updates; on a zero diagonal pivot that pass gives up, and the
+    elimination below runs on M, as on any other matrix.
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -219,7 +214,6 @@ def det_fraction_free(M):
         return det
     A = [list(row) for row in M]
     sign = 1
-    prev = None
     for k in range(n - 1):
         if not _is_unit_pivot(A[k][k]):
             swap = None
@@ -240,9 +234,13 @@ def det_fraction_free(M):
         for i in range(k + 1, n):
             row = A[i]
             lead = row[k]
-            for j in range(k + 1, n):
-                num = row[j] * pivot - lead * pivot_row[j]
-                row[j] = num if prev is None else exact_div(num, prev)
+            if k:
+                for j in range(k + 1, n):
+                    row[j] = exact_div(row[j] * pivot - lead * pivot_row[j],
+                                       prev)
+            else:
+                for j in range(1, n):
+                    row[j] = row[j] * pivot - lead * pivot_row[j]
         prev = pivot
     det = A[n - 1][n - 1]
     return -det if sign < 0 else det
@@ -255,7 +253,8 @@ def _det_persymmetric(M):
     persymmetric, M[i][j] == M[N-1-j][N-1-i] with both of one class (so a
     Fraction in the unread half is still refused), or when a pivot S[k][k]
     has a zero value; a dual matrix may so get its determinant where the
-    general elimination finds no unit pivot in a column and raises."""
+    general elimination finds no unit pivot in a column and raises.  As
+    there, the first step runs on its own, without division."""
     n = len(M)
     for i in range(n - 1):
         for j in range(n - 1 - i):
@@ -263,7 +262,6 @@ def _det_persymmetric(M):
             if x.__class__ is not y.__class__ or x != y:
                 return None
     A = [row[::-1] for row in M]
-    prev = None
     for k in range(n - 1):
         pivot_row = A[k]
         pivot = pivot_row[k]
@@ -272,9 +270,13 @@ def _det_persymmetric(M):
         for i in range(k + 1, n):
             row = A[i]
             lead = pivot_row[i]
-            for j in range(i, n):
-                num = row[j] * pivot - lead * pivot_row[j]
-                row[j] = num if prev is None else exact_div(num, prev)
+            if k:
+                for j in range(i, n):
+                    row[j] = exact_div(row[j] * pivot - lead * pivot_row[j],
+                                       prev)
+            else:
+                for j in range(i, n):
+                    row[j] = row[j] * pivot - lead * pivot_row[j]
         prev = pivot
     det = A[n - 1][n - 1]
     return -det if n % 4 in (2, 3) else det
@@ -454,7 +456,8 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     DR(t) = (-1)^(n+1) * res(h_t, k_t) / n^(n-2), with the degree-(n-1)
     forms h_t = f_x + t*y*f_m and k_t = f_y - t*x*f_m: the determinant of
     their Bezout matrix, of order n - 1 (its sign (-1)^(n*(n-1)) is 1),
-    divided exactly by a constant.  With res the bracket product, so that
+    divided exactly by a constant.  h_t and k_t are coefficient lists,
+    which _bezout takes as they are, so no BinaryForm is made per sample.  With res the bracket product, so that
     res(f, x) = a_0, res(h, y) = (-1)^(n-1) * n*a_n and
     res(H, F + Q*H) = res(H, F), Euler's identity x*h_t + y*k_t = n*f gives
         res(f, x*h_t) = res(f, x) * res(f, h_t) = a_0 * res(f, h_t),
@@ -512,9 +515,9 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
         y_fm, x_fm = b + (0,), (0,) + b
         divisor = n ** (n - 2) if n % 2 else -n ** (n - 2)
         for t in range(n + 1):
-            h_t = BinaryForm(n - 1, [u + t * v for u, v in zip(fx, y_fm)])
-            k_t = BinaryForm(n - 1, [u - t * v for u, v in zip(fy, x_fm)])
-            samples.append(exact_div(det(bezout_matrix(h_t, k_t)), divisor))
+            h_t = [u + t * v for u, v in zip(fx, y_fm)]
+            k_t = [u - t * v for u, v in zip(fy, x_fm)]
+            samples.append(exact_div(det(_bezout(h_t, k_t)), divisor))
     entries = interpolate_in_t(samples)
     if scales is not None:
         lam, mu = scales

@@ -147,16 +147,14 @@ class BracketPolynomial:
         computed in the ring of ``zero`` and ``one``; ``image`` is called
         once per distinct pair.
 
-        A sum from dr_bracket_sum takes the images of the brackets of its
-        _product_table to _table_product.  Any other polynomial is
-        evaluated one factor at a time.
+        A sum from dr_bracket_sum goes to _table_product, which calls
+        ``image`` on its brackets in the order of _product_table.  Any
+        other polynomial is evaluated one factor at a time.
         """
         if self._r is not None:
-            n, r = self.n, self._r
-            pairs = _product_table(n)[0]
-            return _table_product(n, r, {
-                k: image(pairs[k]) for k, _, _ in _sum_brackets(n, r)},
-                zero, one)
+            symbols = _product_table(self.n)[0]
+            return _table_product(self.n, self._r, lambda places: [
+                image((symbols[i], symbols[j])) for i, j in places], zero, one)
         values: dict = {}
         total = zero
         for factors, coeff in self._terms.items():
@@ -173,19 +171,18 @@ class BracketPolynomial:
         """Exact value; integer coefficients and coordinates give an int.
 
         A sum from dr_bracket_sum reads the coordinates of each symbol it
-        needs once, computes each bracket of its _product_table once and
-        takes them to _table_product: [a_i, a_j] when r < n and [a_i, b_k]
-        when r > 0, never a [b_k, b_l].
+        needs once and goes to _table_product, each list of bracket values
+        filled by one comprehension: each bracket it needs is computed
+        once, and never a [b_k, b_l].
         """
         if self._r is None:
             return self.substitute(
                 lambda pair: bracket_eval(pair[0], pair[1], assignment))
         n, r = self.n, self._r
-        us, vs = zip(*[assignment[s]
-                       for s in all_symbols(n)[:None if r else n]])
-        return _table_product(n, r, {
-            k: us[i] * vs[j] - us[j] * vs[i]
-            for k, i, j in _sum_brackets(n, r)}, 0, 1)
+        symbols = _product_table(n)[0]
+        us, vs = zip(*map(assignment.__getitem__, symbols[:None if r else n]))
+        return _table_product(n, r, lambda places: [
+            us[i] * vs[j] - us[j] * vs[i] for i, j in places], 0, 1)
 
     def expand_to_coordinates(self) -> MultiPoly:
         """Expansion as a polynomial in the coordinate variables of the
@@ -230,62 +227,53 @@ def subsets_colex(n: int, r: int):
 
 @functools.lru_cache(maxsize=64)
 def _product_table(n: int):
-    """Theorem 1's product form prod_{j=1}^{n} (X_j + t Y_j) at n, built
-    once per n, as (pairs, xs, ys, brackets).
+    """Theorem 1's product form prod_{j=1}^{n} (X_j + t Y_j) at n, as one
+    positional table built once per n: (symbols, alpha_alpha, alpha_beta,
+    xs, ys).
 
-    ``pairs`` are the canonical pairs of all_symbols(n) in
-    itertools.combinations order, which is their sorted order.  xs[j - 1]
-    is X_j = prod_{i != j} [a_i, a_j] and ys[j - 1] is Y_j =
-    prod_k [b_k, a_j], k in [n - 2], each as (sign, numbers of its
-    canonical factors in pairs): putting [a_i, a_j] in canonical order
-    swaps it for the n - j indices i > j, and [b_k, a_j] always.
-    ``brackets`` holds each [a_i, a_j] and then each [a_i, b_k] as
-    (number, i, j), with i and j the places of its symbols in
-    all_symbols(n).
+    ``symbols`` is all_symbols(n) as a tuple; alpha_alpha holds the places
+    (i, j) in it of each [a_i, a_j], i < j, and alpha_beta of each
+    [a_i, b_k], in canonical order.  xs[j - 1] is X_j = prod_{i != j}
+    [a_i, a_j] and ys[j - 1] is Y_j = prod_k [b_k, a_j], k in [n - 2], as
+    (sign, positions of its canonical factors in alpha_alpha, resp.
+    alpha_beta): putting [a_i, a_j] in canonical order swaps it for the
+    n - j indices i > j, and [b_k, a_j] always.
     """
-    symbols = all_symbols(n)
-    pairs, brackets = [], ([], [])
-    for (i, s), (j, t) in itertools.combinations(enumerate(symbols), 2):
-        if s[0] == "a":
-            brackets[t[0] == "b"].append((len(pairs), i, j))
-        pairs.append((s, t))
-    number = {pair: k for k, pair in enumerate(pairs)}
-    xs = tuple(((-1) ** (n - j), tuple(
-        number[alpha(min(i, j)), alpha(max(i, j))]
-        for i in range(1, n + 1) if i != j)) for j in range(1, n + 1))
-    ys = tuple(((-1) ** (n - 2), tuple(
-        number[alpha(j), beta(k)] for k in range(1, n - 1)))
-        for j in range(1, n + 1))
-    return tuple(pairs), xs, ys, tuple(map(tuple, brackets))
+    alpha_alpha = tuple(itertools.combinations(range(n), 2))
+    xs = tuple(((-1) ** (n - 1 - j), tuple(
+        alpha_alpha.index((min(i, j), max(i, j))) for i in range(n) if i != j))
+        for j in range(n))
+    ys = tuple(((-1) ** (n - 2), tuple(range(j * (n - 2), (j + 1) * (n - 2))))
+               for j in range(n))
+    return (tuple(all_symbols(n)), alpha_alpha,
+            tuple(itertools.product(range(n), range(n, 2 * n - 2))), xs, ys)
 
 
-def _sum_brackets(n: int, r: int) -> tuple:
-    """The (number, i, j) of _product_table(n) of each bracket
-    dr_bracket_sum(n, r) needs: [a_i, a_j] when r < n, [a_i, b_k] when
-    r > 0."""
-    alpha_alpha, alpha_beta = _product_table(n)[3]
-    return (alpha_alpha if r < n else ()) + (alpha_beta if r else ())
-
-
-def _table_product(n: int, r: int, values: Mapping, zero, one):
-    """dr_bracket_sum(n, r) from values[k], the value of the bracket
-    pairs[k] of _product_table(n): each X_j and Y_j is multiplied once,
+def _table_product(n: int, r: int, values: Callable, zero, one):
+    """dr_bracket_sum(n, r) in the ring of ``zero`` and ``one``, where
+    values(places) lists the values of the brackets at the places of
+    _product_table(n): values(alpha_alpha) is taken when r < n, then
+    values(alpha_beta) when r > 0.  Each X_j and Y_j is multiplied once,
     from its sign times ``one``, and they go to _product_form."""
-    _, xs, ys, _ = _product_table(n)
+    _, alpha_alpha, alpha_beta, xs, ys = _product_table(n)
 
-    def factors(table):
-        return [math.prod(map(values.__getitem__, numbers), start=sign * one)
-                for sign, numbers in table]
-    return _product_form(n, r, factors(xs) if r < n else (),
-                         factors(ys) if r else (), zero, one)
+    def factors(table, places):
+        vals = values(places)
+        return [math.prod(map(vals.__getitem__, positions), start=sign * one)
+                for sign, positions in table]
+    return _product_form(n, r, factors(xs, alpha_alpha) if r < n else (),
+                         factors(ys, alpha_beta) if r else (), zero, one)
 
 
 def _product_form(n: int, r: int, xs: Sequence, ys: Sequence, zero, one):
     """The t^r coefficient of prod_{j=1}^{n} (X_j + t Y_j), with X_j =
     xs[j - 1] and Y_j = ys[j - 1]: xs is read only when r < n and ys only
-    when r > 0.  After factor j only the coefficients of t^k with
-    max(0, r - n + j) <= k <= min(j, r), the ones the t^r coefficient still
-    depends on, are kept."""
+    when r > 0.  At r = 0 and r = n it is the product of the X_j, resp.
+    Y_j, onto ``one``.  Otherwise, after factor j only the coefficients of
+    t^k with max(0, r - n + j) <= k <= min(j, r), the ones the t^r
+    coefficient still depends on, are kept."""
+    if r in (0, n):
+        return math.prod(ys if r else xs, start=one)
     coeffs = [one] + [zero] * r
     for j in range(1, n + 1):
         for k in range(min(j, r), max(0, r - n + j) - 1, -1):
@@ -298,19 +286,27 @@ def _product_form(n: int, r: int, xs: Sequence, ys: Sequence, zero, one):
     return coeffs[r]
 
 
+def _factor_pairs(n: int):
+    """Each X_j and then each Y_j of _product_table(n) as (sign, its
+    canonical factors), read through the table's places."""
+    symbols, alpha_alpha, alpha_beta, xs, ys = _product_table(n)
+    return tuple([(sign, [(symbols[i], symbols[j]) for i, j in map(
+        places.__getitem__, positions)]) for sign, positions in table]
+        for table, places in ((xs, alpha_alpha), (ys, alpha_beta)))
+
+
 def _bracket_sum_terms(n: int, r: int) -> Dict[tuple, int]:
     """The terms of dr_bracket_sum(n, r): the products X_J Y_I of
     _product_table(n), X_J the X_j over the complement J of I and Y_I the
     Y_i over I, for the size-r subsets I of [n] in subsets_colex order,
-    with equal monomials merged.  Sorting a term's pair numbers sorts its
-    canonical factors, and its sign is the product of its X_j's and Y_i's.
+    with equal monomials merged.  A term's sign is the product of its
+    X_j's and Y_i's.
     """
-    pairs, xs, ys, _ = _product_table(n)
+    xs, ys = _factor_pairs(n)
     terms: Dict[tuple, int] = {}
     for I in subsets_colex(n, r):
         chosen = [ys[j - 1] if j in I else xs[j - 1] for j in range(1, n + 1)]
-        key = tuple(map(pairs.__getitem__, sorted(itertools.chain(
-            *(numbers for _, numbers in chosen)))))
+        key = tuple(sorted(itertools.chain(*(f for _, f in chosen))))
         s = terms.get(key, 0) + math.prod(sign for sign, _ in chosen)
         if s:
             terms[key] = s

@@ -29,7 +29,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .brackets import (BracketPolynomial, Symbol, _product_table, alpha,
+from .brackets import (BracketPolynomial, Symbol, _factor_pairs, alpha,
                        beta, dr_bracket_sum, subsets_colex)
 from .multipoly import _guards, _pack, _product, _sum, _unpack, _width
 from .rationals import format_rational
@@ -366,12 +366,10 @@ def _symbol_rows(n: int):
     those of Y_j, the brackets [a_j, b_k], k in [n - 2].  A bracket's lm row
     is the largest row of its expansion, the columns being in lex priority
     order, and it does not depend on the bracket's orientation."""
-    pairs, xs, ys, _ = _product_table(n)
-
     def summed(factor):
-        return tuple(map(sum, zip(*(max(_bracket_rows(n, *pairs[k]))
-                                    for k in factor[1]))))
-    return tuple(map(summed, xs)), tuple(map(summed, ys))
+        return tuple(map(sum, zip(*(max(_bracket_rows(n, *pair))
+                                    for pair in factor[1]))))
+    return tuple(tuple(map(summed, table)) for table in _factor_pairs(n))
 
 
 def _term_lm_row(n: int, I: Sequence[int]) -> tuple:

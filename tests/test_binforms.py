@@ -766,6 +766,31 @@ class TestBezout:
             bezout_matrix(BinaryForm.generic(2), BinaryForm.generic(3, "b"))
         with pytest.raises(ValueError):
             bezout_matrix(BinaryForm.generic(2), BinaryForm.from_coeffs([1]))
+        for d in range(0, 5):
+            for e in (0, d + 1):
+                with pytest.raises(ValueError):
+                    bezout_matrix(BinaryForm.from_coeffs(range(1, d + 2)),
+                                  BinaryForm.from_coeffs(range(2, e + 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(1, d))), st.randoms(use_true_random=False))
+    def test_coefficient_builder_matches(self, degrees, rng):
+        # the builder dr_series calls on coefficient lists, against
+        # bezout_matrix on forms, over ints, dual numbers and MultiPoly
+        d, e = degrees
+        a = _int_coeffs(rng, d + 1, "")
+        b = _int_coeffs(rng, e + 1, "")
+        dual = [[DualScalar(x, rng.randint(-9, 9)) for x in c]
+                for c in (a, b)]
+        symbolic = [[MultiPoly.variable(f"{name}{i}") * x
+                     for i, x in enumerate(c)]
+                    for name, c in (("a", a), ("b", b))]
+        for f, g in ((a, b), dual, symbolic):
+            want = bezout_matrix(BinaryForm.from_coeffs(f),
+                                 BinaryForm.from_coeffs(g))
+            assert binforms._bezout(f, g) == want
+            assert binforms._bezout(tuple(f), tuple(g)) == want
 
 
 class TestResultantMatchesSylvester:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -290,6 +291,16 @@ class TestEvaluate:
                     {x for pair in needed for x in pair})
                 if r == 0:
                     assert all(s[0] == "a" for s in counting.reads)
+                # substitute calls image on each [a_i, a_j] when r < n, then
+                # on each [a_i, b_k] when r > 0, each in canonical order:
+                # the Laurent rows and coordinate_point are built in it
+                calls = []
+                p.substitute(lambda pair: calls.append(pair) or 1)
+                assert calls == (
+                    [(alpha(i), alpha(j)) for i in range(1, n + 1)
+                     for j in range(i + 1, n + 1)] * (r < n)
+                    + [(alpha(i), beta(k)) for i in range(1, n + 1)
+                       for k in range(1, n - 1)] * (r > 0))
 
 
 class Coordinate:
@@ -329,6 +340,22 @@ def detached(n, r):
 
 def all_r(n):
     return [r for r in range(n + 1) if (n, r) != (2, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def detached_terms(n, r):
+    return BracketPolynomial(n, dr_bracket_sum(n, r).terms)
+
+
+def multiplied_out(xs, ys, zero, one):
+    """The coefficients of t^0..t^n of prod_j (X_j + t*Y_j), multiplied
+    out in full."""
+    coeffs = [one]
+    for x, y in zip(xs, ys):
+        coeffs = [(coeffs[k] * x if k < len(coeffs) else zero)
+                  + (coeffs[k - 1] * y if k else zero)
+                  for k in range(len(coeffs) + 1)]
+    return coeffs
 
 
 class TestChunkedEvaluate:
@@ -380,6 +407,46 @@ class TestChunkedEvaluate:
                 {f for factors in p.terms for f in factors})
             if r == 0:
                 assert all(t[0] == "a" for _, t in seen)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n), st.lists(
+            st.integers(-50, 50), min_size=2 * n, max_size=2 * n))))
+    def test_product_form_matches_the_multiplied_out_product(self, case):
+        n, r, values = case
+        xs, ys = values[:n], values[n:]
+        assert (brackets._product_form(n, r, xs, ys, 0, 1)
+                == multiplied_out(xs, ys, 0, 1)[r])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n), st.lists(
+            st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+            min_size=2 * n, max_size=2 * n))))
+    def test_product_form_over_polynomials(self, case):
+        # each X_j and Y_j a random c0 + c1*u + c2*v, so that the factors'
+        # order and the r = 0 and r = n shortcuts are checked symbolically
+        n, r, coeffs = case
+        u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+        factors = [c0 + c1 * u + c2 * v for c0, c1, c2 in coeffs]
+        xs, ys = factors[:n], factors[n:]
+        zero, one = MultiPoly.zero(), MultiPoly.constant(1)
+        got = brackets._product_form(n, r, xs, ys, zero, one)
+        assert got == multiplied_out(xs, ys, zero, one)[r]
+        if r in (0, n):  # the unread factors may be missing
+            assert brackets._product_form(
+                n, r, None if r else xs, ys if r else None, zero, one) == got
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.sampled_from(all_r(n)), st.lists(
+            st.integers(-10, 10), min_size=4 * n - 4, max_size=4 * n - 4))))
+    def test_table_matches_the_terms(self, case):
+        # zero brackets allowed: coordinates may repeat or vanish
+        n, r, coords = case
+        point = dict(zip(all_symbols(n), zip(coords[0::2], coords[1::2])))
+        assert (dr_bracket_sum(n, r).evaluate(point)
+                == detached_terms(n, r).evaluate(point))
 
     def test_checks_build_no_term_dict(self, monkeypatch):
         # a silent fall-back to the per-factor loop would build the terms
