@@ -197,11 +197,11 @@ def det_fraction_free(M):
     has a nonzero value part; otherwise NumericDegenerateError is raised.
     An order-N matrix takes about N^3/3 updates, each two products and,
     after the first step, which runs on its own, one exact division by the
-    pivot before.  A persymmetric matrix, as
-    bezout_matrix gives for d = e (the order n - 1 matrices of a numeric
-    DR series among them), goes through _det_persymmetric first, in about
-    N^3/6 updates; on a zero diagonal pivot that pass gives up, and the
-    elimination below runs on M, as on any other matrix.
+    pivot before.  A persymmetric matrix, as bezout_matrix gives for d = e
+    (the order n - 1 matrices of a numeric DR series among them), goes
+    through _det_persymmetric first, in about N^3/6 updates; on a zero
+    diagonal pivot that pass gives up, and the elimination below runs on
+    M, as on any other matrix.
     """
     n = len(M)
     if any(len(row) != n for row in M):
@@ -456,8 +456,7 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
     DR(t) = (-1)^(n+1) * res(h_t, k_t) / n^(n-2), with the degree-(n-1)
     forms h_t = f_x + t*y*f_m and k_t = f_y - t*x*f_m: the determinant of
     their Bezout matrix, of order n - 1 (its sign (-1)^(n*(n-1)) is 1),
-    divided exactly by a constant.  h_t and k_t are coefficient lists,
-    which _bezout takes as they are, so no BinaryForm is made per sample.  With res the bracket product, so that
+    divided exactly by a constant.  With res the bracket product, so that
     res(f, x) = a_0, res(h, y) = (-1)^(n-1) * n*a_n and
     res(H, F + Q*H) = res(H, F), Euler's identity x*h_t + y*k_t = n*f gives
         res(f, x*h_t) = res(f, x) * res(f, h_t) = a_0 * res(f, h_t),
@@ -466,7 +465,8 @@ def dr_series(f_n: BinaryForm, f_m: BinaryForm, mode: str = "numeric") -> DRSeri
                         = (-1)^(n-1) * n*a_n * res(h_t, k_t),
     and dividing the first by a_0*a_n gives the sample.  a_0*a_n is still
     tested first, and a zero value raises NumericDegenerateError, as the
-    series is defined by dividing by it.
+    series is defined by dividing by it.  h_t and k_t are coefficient
+    lists, which _bezout takes as they are: no form is made per sample.
 
     Over MultiPoly (expansion by minors), a sample is
     det(B0 + t*B1) / (a_0*a_n) of order n, with

@@ -290,9 +290,11 @@ def _factor_pairs(n: int):
     """Each X_j and then each Y_j of _product_table(n) as (sign, its
     canonical factors), read through the table's places."""
     symbols, alpha_alpha, alpha_beta, xs, ys = _product_table(n)
-    return tuple([(sign, [(symbols[i], symbols[j]) for i, j in map(
-        places.__getitem__, positions)]) for sign, positions in table]
-        for table, places in ((xs, alpha_alpha), (ys, alpha_beta)))
+
+    def pairs(table, places):
+        return [(sign, [(symbols[i], symbols[j]) for i, j in map(
+            places.__getitem__, positions)]) for sign, positions in table]
+    return pairs(xs, alpha_alpha), pairs(ys, alpha_beta)
 
 
 def _bracket_sum_terms(n: int, r: int) -> Dict[tuple, int]:
