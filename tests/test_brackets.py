@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import math
@@ -292,8 +291,9 @@ class TestEvaluate:
                 if r == 0:
                     assert all(s[0] == "a" for s in counting.reads)
                 # substitute calls image on each [a_i, a_j] when r < n, then
-                # on each [a_i, b_k] when r > 0, each in canonical order:
-                # the Laurent rows and coordinate_point are built in it
+                # on each [a_i, b_k] when r > 0, each in canonical order;
+                # the products of the images, the Laurent rows among them,
+                # are built in that order
                 calls = []
                 p.substitute(lambda pair: calls.append(pair) or 1)
                 assert calls == (
@@ -340,11 +340,6 @@ def detached(n, r):
 
 def all_r(n):
     return [r for r in range(n + 1) if (n, r) != (2, 2)]
-
-
-@functools.lru_cache(maxsize=None)
-def detached_terms(n, r):
-    return BracketPolynomial(n, dr_bracket_sum(n, r).terms)
 
 
 def multiplied_out(xs, ys, zero, one):
@@ -446,7 +441,7 @@ class TestChunkedEvaluate:
         n, r, coords = case
         point = dict(zip(all_symbols(n), zip(coords[0::2], coords[1::2])))
         assert (dr_bracket_sum(n, r).evaluate(point)
-                == detached_terms(n, r).evaluate(point))
+                == detached(n, r).evaluate(point))
 
     def test_checks_build_no_term_dict(self, monkeypatch):
         # a silent fall-back to the per-factor loop would build the terms
